@@ -47,15 +47,13 @@ def main() -> int:
         family = parse_family(token)
         means = []
         for n in ns:
-            resolved = parse_family(f"mps:chi={n}") if token == "mps" else family
             report = pairwise_loss_moments(
-                resolved, int(n), "sd", None, args.pairs, root.child(idx).child(int(n)), None
+                family, int(n), "sd", None, args.pairs, root.child(idx).child(int(n)), None
             )
             means.append(report.mean)
         slope = np.polyfit(ns, np.log(means), 1)[0]
         anti = anticoncentration_statistic(
-            parse_family(f"mps:chi={args.n_max}") if token == "mps" else family,
-            int(args.n_max), args.trials, root.child(idx).child(0), None,
+            family, int(args.n_max), args.trials, root.child(idx).child(0), None,
         )
         print(f"{family.label():<14} {slope:>9.3f} {slope / np.log(2):>10.3f} "
               f"{anti.second_moment_statistic:>12.3f} {anti.tail_at_half:>11.3f}")

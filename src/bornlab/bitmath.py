@@ -17,13 +17,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Dense vectors of 2^n entries are the workhorse representation; past this
 # cap memory explodes, so every constructor enforces it.
 MAX_DENSE_QUBITS = 26
+
+# Dense complex statevectors and the generators built on them (IQP, MPS)
+# stop here; above it they are deliberately unsupported.
+MAX_STATEVECTOR_QUBITS = 16
 
 # |sum(p) - 1| above this rejects the vector. Normalizing 2^26 positive
 # doubles accumulates rounding well below 1e-9.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmath import (
+    MAX_STATEVECTOR_QUBITS,
     ProbVector,
     SampleSet,
     SubsetMask,
@@ -29,10 +30,6 @@ from .bitmath import (
     fwht,
     validate_prob_vector,
 )
-from .families import ProductParams, product_prob_vector, random_k_subset
-
-# dense complex statevectors above this are deliberately unsupported
-MAX_STATEVECTOR_QUBITS = 16
 
 
 @dataclass(frozen=True)
@@ -99,24 +96,6 @@ class StateVector:
     def probabilities(self) -> ProbVector:
         p = np.abs(self.amplitudes) ** 2
         return validate_prob_vector(p / p.sum(), self.n)
-
-
-def iqp_product_prob_vector(theta) -> ProbVector:
-    """Product distribution of independent single-qubit X rotations.
-
-    p(x) = prod_i cos^2(theta_i/2) if x_i = 0 else sin^2(theta_i/2); with
-    theta_i = 2 arccos(sqrt(u_i)), u uniform, the weights a_i = cos^2(theta_i/2)
-    are exactly uniform on [0,1].
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    a = np.cos(theta / 2.0) ** 2
-    return product_prob_vector(ProductParams(tuple(a)))
-
-
-def random_product_angles(n: int, stream) -> np.ndarray:
-    """Angles whose cos^2(theta/2) is uniform on [0,1]."""
-    rng = as_generator(stream)
-    return 2.0 * np.arccos(np.sqrt(rng.random(n)))
 
 
 def all_weight_le2_masks(n: int, include_singletons: bool = True) -> np.ndarray:
@@ -189,24 +168,6 @@ def iqp_prob_values(
     amps = fwht(np.exp(1j * (thetas @ chi))) / (1 << n)
     p = np.abs(amps) ** 2
     return p / p.sum(axis=1, keepdims=True)
-
-
-def peaked_iqp_prob_vector(n: int, stream) -> ProbVector:
-    """A small random IQP distribution scattered onto random outcomes.
-
-    Builds the weight-<=2 IQP distribution on m = ceil(log2 n) qubits and
-    assigns its K = 2^m masses to K distinct uniformly random n-bit
-    outcomes, giving a peaked distribution with support Theta(n).
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    rng = as_generator(stream)
-    m = max(1, math.ceil(math.log2(n)))
-    masses = iqp_prob_values(m, 1, rng)[0]
-    support = random_k_subset(1 << n, 1 << m, rng)
-    values = np.zeros(1 << n)
-    values[support] = masses
-    return validate_prob_vector(values, n)
 
 
 def diagonal_pauli_expectation(p: ProbVector, S: SubsetMask) -> float:

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import __version__
 from .bitmath import RandomStream, SampleSet, SubsetMask
-from .families import FAMILY_KINDS, FamilySpec
 from .lab import (
+    FAMILIES,
+    FamilySpec,
     anticoncentration_statistic,
     diagonal_observable_variance,
     distance_to_uniform_moments,
@@ -42,18 +43,6 @@ from .lab import (
 from .metrics import KernelSpec, mmd2_unbiased, mmd_test_threshold
 
 CSV_HEADER = "experiment,family,n,metric,sigma,statistic,value,stderr,trials,seed"
-
-EXPERIMENT_KINDS = (
-    "tails",
-    "pairwise",
-    "anticoncentration",
-    "observable",
-    "mmdtest",
-    "uniform_distance",
-)
-
-# statevector-backed generators cannot go past the dense simulation cap
-STATEVECTOR_FAMILIES = ("iqp", "peaked_iqp", "mps")
 
 DESK_TRIALS = 10_000
 PAPER_TRIALS = 100_000
@@ -86,17 +75,21 @@ class ExperimentConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise CliError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENT_KINDS}")
+        if self.experiment not in EXPERIMENTS:
+            raise CliError(f"unknown experiment {self.experiment!r}; known: {tuple(EXPERIMENTS)}")
         if not self.families:
             raise CliError("at least one family is required")
-        for token in self.families:
-            parse_family(token)  # raises on bad syntax
+        specs = [parse_family(token) for token in self.families]  # raises on bad syntax
         if not 1 <= self.n_min <= self.n_max:
             raise CliError(f"bad n range [{self.n_min}, {self.n_max}]")
-        cap = 16 if any(parse_family(t).kind in STATEVECTOR_FAMILIES for t in self.families) else 26
+        cap = min(FAMILIES[spec.kind].max_n for spec in specs)
         if self.n_max > cap:
             raise CliError(f"n_max {self.n_max} exceeds the n <= {cap} cap for these families")
+        for spec in specs:
+            if spec.k is not None and spec.k > 1 << self.n_min:
+                raise CliError(
+                    f"{spec.kind} support k={spec.k} exceeds the 2^{self.n_min} outcomes at n_min"
+                )
         if self.trials < 1:
             raise CliError("trials must be at least 1")
         if self.n_step < 1:
@@ -128,9 +121,6 @@ class ExperimentRow:
 def parse_family(token: str) -> FamilySpec:
     """Parse 'kind' or 'kind:key=value,...' (keys alpha, k, chi)."""
     kind, _, params = token.partition(":")
-    kind = kind.strip()
-    if kind not in FAMILY_KINDS:
-        raise CliError(f"unknown family {kind!r}; known: {FAMILY_KINDS}")
     kwargs = {}
     if params:
         for item in params.split(","):
@@ -140,7 +130,7 @@ def parse_family(token: str) -> FamilySpec:
                 raise CliError(f"bad family parameter {item!r} in {token!r}")
             kwargs[key] = float(value) if key == "alpha" else int(value)
     try:
-        return FamilySpec(kind, **kwargs)
+        return FamilySpec(kind.strip(), **kwargs)
     except ValueError as e:
         raise CliError(str(e)) from e
 
@@ -236,6 +226,98 @@ def _mmdtest_rejection_rates(family, n, sigma, alpha, samples, trials, stream) -
     return counts
 
 
+def _moment_rows(config: ExperimentConfig, report) -> list[ExperimentRow]:
+    """The mean and variance rows of one MomentReport."""
+    return [
+        ExperimentRow(
+            config.experiment, report.family, report.n, report.metric, report.sigma,
+            stat, value, err, report.trials, config.seed,
+        )
+        for stat, value, err in (
+            ("mean", report.mean, report.se_mean),
+            ("variance", report.variance, report.se_variance),
+        )
+    ]
+
+
+def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
+    curve = estimate_tail_curve(family, n, config.y_grid, config.trials, base.child(0), config.workers)
+    return [
+        ExperimentRow(
+            "tails", curve.family, n, "mass", None,
+            f"tail@y={y:.12g}", est, (hi - lo) / 2, curve.trials, config.seed,
+        )
+        for y, est, lo, hi in zip(curve.y_grid, curve.estimates, curve.ci_low, curve.ci_high)
+    ]
+
+
+def _pairwise_rows(config, family, n, base) -> list[ExperimentRow]:
+    rows = []
+    for combo_idx, (metric, sigma_token) in enumerate(_metric_sigma_combos(config)):
+        sigma = None if sigma_token is None else _resolve_sigma(sigma_token, n)
+        rows += _moment_rows(config, pairwise_loss_moments(
+            family, n, metric, sigma, config.trials, base.child(combo_idx), config.workers
+        ))
+    return rows
+
+
+def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
+    rep = anticoncentration_statistic(family, n, config.trials, base.child(0), config.workers)
+    return [
+        ExperimentRow(
+            "anticoncentration", rep.family, n, "mass", None, "second_moment",
+            rep.second_moment_statistic, rep.second_moment_se, rep.trials, config.seed,
+        ),
+        ExperimentRow(
+            "anticoncentration", rep.family, n, "mass", None, "tail@y=0.5", rep.tail_at_half,
+            (rep.tail_ci_high - rep.tail_ci_low) / 2, rep.trials, config.seed,
+        ),
+    ]
+
+
+def _observable_rows(config, family, n, base) -> list[ExperimentRow]:
+    S = SubsetMask.from_positions(config.subset, n)
+    return _moment_rows(config, diagonal_observable_variance(
+        family, n, S, config.trials, base.child(0), config.workers
+    ))
+
+
+def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
+    rows = []
+    for combo_idx, sigma_token in enumerate(config.sigmas or ("1",)):
+        sigma = _resolve_sigma(sigma_token, n)
+        rates = _mmdtest_rejection_rates(
+            family, n, sigma, config.alpha, config.samples, config.trials, base.child(combo_idx),
+        )
+        for stat, count in rates.items():
+            rate = count / config.trials
+            se = math.sqrt(rate * (1 - rate) / config.trials)
+            rows.append(
+                ExperimentRow(
+                    "mmdtest", family.label(), n, "mmd2", sigma,
+                    stat, rate, se, config.trials, config.seed,
+                )
+            )
+    return rows
+
+
+def _uniform_distance_rows(config, family, n, base) -> list[ExperimentRow]:
+    return _moment_rows(config, distance_to_uniform_moments(
+        family, n, config.trials, base.child(0), config.workers
+    ))
+
+
+# experiment kind -> rows of one (family, n) cell, given the cell's stream
+EXPERIMENTS = {
+    "tails": _tails_rows,
+    "pairwise": _pairwise_rows,
+    "anticoncentration": _anticoncentration_rows,
+    "observable": _observable_rows,
+    "mmdtest": _mmdtest_rows,
+    "uniform_distance": _uniform_distance_rows,
+}
+
+
 def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
     """Execute one experiment across the family x n grid, in a fixed order.
 
@@ -243,104 +325,12 @@ def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
     family or metric never shifts the randomness of the others.
     """
     root = RandomStream(config.seed)
+    cell_rows = EXPERIMENTS[config.experiment]
     rows: list[ExperimentRow] = []
     for fam_idx, token in enumerate(config.families):
         family = parse_family(token)
         for n in config.n_values:
-            base = root.child(fam_idx).child(n)
-            if config.experiment == "tails":
-                curve = estimate_tail_curve(
-                    family, n, config.y_grid, config.trials, base.child(0), config.workers
-                )
-                for y, est, lo, hi in zip(
-                    curve.y_grid, curve.estimates, curve.ci_low, curve.ci_high
-                ):
-                    rows.append(
-                        ExperimentRow(
-                            "tails", curve.family, n, "mass", None,
-                            f"tail@y={y:.12g}", est, (hi - lo) / 2, curve.trials, config.seed,
-                        )
-                    )
-            elif config.experiment == "pairwise":
-                for combo_idx, (metric, sigma_token) in enumerate(_metric_sigma_combos(config)):
-                    sigma = None if sigma_token is None else _resolve_sigma(sigma_token, n)
-                    report = pairwise_loss_moments(
-                        family, n, metric, sigma, config.trials,
-                        base.child(combo_idx), config.workers,
-                    )
-                    for stat, value, err in (
-                        ("mean", report.mean, report.se_mean),
-                        ("variance", report.variance, report.se_variance),
-                    ):
-                        rows.append(
-                            ExperimentRow(
-                                "pairwise", report.family, n, metric, sigma,
-                                stat, value, err, report.trials, config.seed,
-                            )
-                        )
-            elif config.experiment == "anticoncentration":
-                rep = anticoncentration_statistic(
-                    family, n, config.trials, base.child(0), config.workers
-                )
-                rows.append(
-                    ExperimentRow(
-                        "anticoncentration", rep.family, n, "mass", None,
-                        "second_moment", rep.second_moment_statistic,
-                        rep.second_moment_se, rep.trials, config.seed,
-                    )
-                )
-                rows.append(
-                    ExperimentRow(
-                        "anticoncentration", rep.family, n, "mass", None,
-                        "tail@y=0.5", rep.tail_at_half,
-                        (rep.tail_ci_high - rep.tail_ci_low) / 2, rep.trials, config.seed,
-                    )
-                )
-            elif config.experiment == "observable":
-                S = SubsetMask.from_positions(config.subset, n)
-                rep = diagonal_observable_variance(
-                    family, n, S, config.trials, base.child(0), config.workers
-                )
-                for stat, value, err in (
-                    ("mean", rep.mean, rep.se_mean),
-                    ("variance", rep.variance, rep.se_variance),
-                ):
-                    rows.append(
-                        ExperimentRow(
-                            "observable", rep.family, n, rep.metric, None,
-                            stat, value, err, rep.trials, config.seed,
-                        )
-                    )
-            elif config.experiment == "mmdtest":
-                for combo_idx, sigma_token in enumerate(config.sigmas or ("1",)):
-                    sigma = _resolve_sigma(sigma_token, n)
-                    rates = _mmdtest_rejection_rates(
-                        family, n, sigma, config.alpha, config.samples,
-                        config.trials, base.child(combo_idx),
-                    )
-                    for stat, count in rates.items():
-                        rate = count / config.trials
-                        se = math.sqrt(rate * (1 - rate) / config.trials)
-                        rows.append(
-                            ExperimentRow(
-                                "mmdtest", family.label(), n, "mmd2", sigma,
-                                stat, rate, se, config.trials, config.seed,
-                            )
-                        )
-            else:  # uniform_distance
-                rep = distance_to_uniform_moments(
-                    family, n, config.trials, base.child(0), config.workers
-                )
-                for stat, value, err in (
-                    ("mean", rep.mean, rep.se_mean),
-                    ("variance", rep.variance, rep.se_variance),
-                ):
-                    rows.append(
-                        ExperimentRow(
-                            "uniform_distance", rep.family, n, rep.metric, None,
-                            stat, value, err, rep.trials, config.seed,
-                        )
-                    )
+            rows += cell_rows(config, family, n, root.child(fam_idx).child(n))
     return rows
 
 
@@ -358,8 +348,13 @@ def write_outputs(configs: list[ExperimentConfig], rows: list[ExperimentRow], ou
 
 
 def load_configs(path: str) -> list[ExperimentConfig]:
-    with open(path) as f:
-        record = json.load(f)
+    try:
+        with open(path) as f:
+            record = json.load(f)
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise CliError(f"{path}:{e.lineno}: parse error: {e.msg}") from e
     raw = record["configs"] if "configs" in record else [record["config"] if "config" in record else record]
     configs = []
     for item in raw:
@@ -367,7 +362,10 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
             if key in item and item[key] is not None:
                 item[key] = tuple(item[key])
-        configs.append(ExperimentConfig(**item))
+        try:
+            configs.append(ExperimentConfig(**item))
+        except TypeError as e:  # an unknown or a missing key
+            raise CliError(f"{path}: {e}") from e
     return configs
 
 
@@ -388,6 +386,10 @@ def read_sample_file(path: str) -> SampleSet:
                 raise CliError(f"{path}:{lineno}: parse error: not a 0/1 bitstring: {s!r}")
             if n is None:
                 n = len(s)
+                if n > 64:
+                    raise CliError(
+                        f"{path}:{lineno}: parse error: {n}-bit outcomes exceed the 64-bit limit"
+                    )
             elif len(s) != n:
                 raise CliError(
                     f"{path}:{lineno}: parse error: length {len(s)} != {n} of first line"
@@ -492,6 +494,13 @@ def figure_configs(kind: str, trials: int, seed: int, workers) -> list[Experimen
     raise CliError(f"unknown figure {kind!r}")
 
 
+def _run_and_write(configs: list[ExperimentConfig], out: str) -> int:
+    rows = [row for c in configs for row in run_config(c)]
+    write_outputs(configs, rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
+
+
 def cmd_run(args) -> int:
     configs = load_configs(args.config)
     if args.seed is not None:
@@ -500,11 +509,7 @@ def cmd_run(args) -> int:
         configs = [dataclasses.replace(c, workers=args.workers) for c in configs]
     # worker count never changes the output bytes, so manifest reruns are
     # reproducible on machines with different core counts
-    rows = [row for c in configs for row in run_config(c)]
-    out = args.out or configs[0].out
-    write_outputs(configs, rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _run_and_write(configs, args.out or configs[0].out)
 
 
 def cmd_tails(args) -> int:
@@ -520,10 +525,7 @@ def cmd_tails(args) -> int:
         workers=args.workers,
         out=out,
     )
-    rows = run_config(config)
-    write_outputs([config], rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _run_and_write([config], out)
 
 
 def cmd_pairwise(args) -> int:
@@ -541,10 +543,7 @@ def cmd_pairwise(args) -> int:
         workers=args.workers,
         out=out,
     )
-    rows = run_config(config)
-    write_outputs([config], rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _run_and_write([config], out)
 
 
 def cmd_figures(args) -> int:
@@ -554,10 +553,7 @@ def cmd_figures(args) -> int:
     out = args.out or f"{args.kind}.csv"
     configs = figure_configs(args.kind, trials, _resolve_seed(args.seed), args.workers)
     configs = [dataclasses.replace(c, out=out) for c in configs]
-    rows = [row for c in configs for row in run_config(c)]
-    write_outputs(configs, rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _run_and_write(configs, out)
 
 
 def cmd_mmdtest(args) -> int:

@@ -12,8 +12,10 @@ Three analytic families over n-bit outcomes:
 * peaked: a pseudo-independent K-vector of masses scattered onto a uniformly
   random K-subset of the 2^n outcomes, zero elsewhere.
 
-Alongside the generators live the tail formulas and moment bounds these
-families satisfy: product marginal density and its incomplete-gamma tail,
+This module keeps the product-family vectors and sampler and the
+underlying laws of the pseudo-independent and peaked constructions; the
+batched generator of every family kind is in lab.FAMILIES. Alongside them
+live the tail formulas and moment bounds these families satisfy: product marginal density and its incomplete-gamma tail,
 the Chernoff-style tail bound, the anticoncentration lower bound for
 normalized iid vectors, Beta/Porter-Thomas survival, the peaked tail bound,
 the Gini coefficient estimator, and the hypergeometric support-overlap
@@ -22,22 +24,13 @@ moments.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .bitmath import (
-    MAX_DENSE_QUBITS,
-    ProbVector,
-    SampleSet,
-    as_generator,
-    validate_prob_vector,
-)
-
-logger = logging.getLogger(__name__)
+from .bitmath import ProbVector, SampleSet, as_generator, validate_prob_vector
 
 
 # ---------------------------------------------------------------------------
@@ -130,33 +123,6 @@ class ProductParams:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class PseudoIndepParams:
-    n: int
-    underlying: GammaLaw | ParetoLaw
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_DENSE_QUBITS}], got {self.n}")
-
-
-@dataclass(frozen=True)
-class PeakedParams:
-    """Support cardinality k over n qubits with the given underlying law."""
-
-    n: int
-    k: int
-    underlying: GammaLaw | ParetoLaw
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_DENSE_QUBITS}], got {self.n}")
-        if self.k < 1:
-            raise ValueError("support size must be at least 1")
-        if self.k > (1 << self.n):
-            raise ValueError(f"domain error: support {self.k} exceeds 2^{self.n}")
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -193,52 +159,6 @@ def sample_product(params: ProductParams, stream, count: int) -> SampleSet:
     weights = (1 << np.arange(params.n, dtype=np.uint64))
     outcomes = (bits.astype(np.uint64) * weights).sum(axis=1)
     return SampleSet(params.n, outcomes, family="product")
-
-
-def pseudo_indep_prob_vector(params: PseudoIndepParams, stream) -> ProbVector:
-    """Normalize N iid draws from the underlying law into a distribution."""
-    rng = as_generator(stream)
-    N = 1 << params.n
-    for _ in range(100):
-        y = params.underlying.sample(rng, N)
-        total = y.sum()
-        if total > 0:
-            return validate_prob_vector(y / total, params.n)
-        logger.warning("pseudo-independent draw summed to zero; resampling")
-    raise RuntimeError("underlying law produced zero-sum draws 100 times")
-
-
-def peaked_prob_vector(params: PeakedParams, stream) -> ProbVector:
-    """Pseudo-independent masses on a uniformly random K-subset of outcomes."""
-    rng = as_generator(stream)
-    N = 1 << params.n
-    support = random_k_subset(N, params.k, rng)
-    masses = params.underlying.sample(rng, params.k)
-    total = masses.sum()
-    while total <= 0:
-        logger.warning("peaked masses summed to zero; resampling")
-        masses = params.underlying.sample(rng, params.k)
-        total = masses.sum()
-    values = np.zeros(N)
-    values[support] = masses / total
-    return validate_prob_vector(values, params.n)
-
-
-def random_k_subset(N: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random k distinct indices from range(N).
-
-    Partial Fisher-Yates with a sparse swap map: O(k) time and memory, exact
-    uniformity over k-subsets, no length-N allocation.
-    """
-    if k > N:
-        raise ValueError(f"domain error: k={k} exceeds N={N}")
-    swaps: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = int(rng.integers(i, N))
-        out[i] = swaps.get(j, j)
-        swaps[j] = swaps.get(i, i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,66 +305,3 @@ def hypergeometric_overlap_moments(N: int, K: int) -> tuple[float, float]:
         return mean, 0.0
     var = mean * ((N - K) / N) * ((N - K) / (N - 1))
     return mean, var
-
-
-# ---------------------------------------------------------------------------
-# family registry used by the experiment layer
-
-
-FAMILY_KINDS = (
-    "product",
-    "iqp_product",
-    "dirichlet",
-    "pareto",
-    "peaked",
-    "iqp",
-    "peaked_iqp",
-    "mps",
-    # degenerate reference families, mainly for calibration runs
-    "uniform",
-    "point",
-)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Tagged description of a distribution family.
-
-    kind selects the generator; the remaining fields are only read by the
-    kinds that need them. k=None and chi=None mean "use the size-dependent
-    default" (2^ceil(log2 n) support and chi = n respectively).
-    """
-
-    kind: str
-    alpha: float = 1.0
-    k: int | None = None
-    chi: int | None = None
-    include_singletons: bool = True
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family {self.kind!r}; known: {FAMILY_KINDS}")
-
-    def underlying(self) -> GammaLaw | ParetoLaw:
-        if self.kind == "pareto":
-            return ParetoLaw(self.alpha)
-        return GammaLaw(self.alpha)
-
-    def support_size(self, n: int) -> int:
-        """Peaked-family support default: the smallest power of two >= n."""
-        if self.k is not None:
-            return self.k
-        return 1 << max(1, math.ceil(math.log2(n)))
-
-    def bond_dimension(self, n: int) -> int:
-        return self.chi if self.chi is not None else n
-
-    def label(self) -> str:
-        """Stable CSV label, parameterized where it matters."""
-        if self.kind in ("dirichlet", "pareto") and self.alpha != 1.0:
-            return f"{self.kind}({self.alpha:g})"
-        if self.kind == "mps" and self.chi is not None:
-            return f"mps(chi={self.chi})"
-        if self.kind == "peaked" and self.k is not None:
-            return f"peaked(K={self.k})"
-        return self.kind

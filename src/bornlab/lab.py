@@ -2,14 +2,14 @@
 
 Four experiment kinds, all built on the same deterministic fan-out: work is
 split into fixed-size chunks, chunk k draws from stream.child(k), and chunk
-results are concatenated in index order. The chunk size is a function of n
-only, so results are bit-identical for a fixed (config, seed) regardless of
-the worker count.
+results are concatenated in index order. The chunk size is a function of the
+family kind and n only, so results are bit-identical for a fixed (config,
+seed) regardless of the worker count.
 
-Instance generation is vectorized per chunk: a chunk of B instances of any
-family materializes as a (B, 2^n) array (or, for tail curves, as the length-B
-vector of reference-outcome masses, using per-family shortcuts where a
-closed-form marginal exists).
+FAMILIES is the one table of family kinds. Each entry draws a chunk of B
+instances as a (B, 2^n) array, and, where a closed-form marginal exists,
+draws the length-B vector of reference-outcome masses that the tail
+statistics need without building the dense vectors.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import RandomStream, SubsetMask
+from .bitmath import MAX_DENSE_QUBITS, MAX_STATEVECTOR_QUBITS, RandomStream, SubsetMask
 from .circuits import iqp_prob_values
-from .families import FamilySpec, GammaLaw, product_prob_values
+from .families import GammaLaw, ParetoLaw, product_prob_values
 from .metrics import KernelSpec, mmd2_fourier_batch
 from .mps import mps_prob_values
 
@@ -96,9 +97,7 @@ def _dense_chunk(n: int) -> int:
 def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
     """Place each row of masses on an independent uniform K-subset of [N].
 
-    Ranking iid uniform keys gives an exactly uniform subset per row; this is
-    the batched counterpart of the sequential Fisher-Yates used for single
-    instances.
+    Ranking iid uniform keys gives an exactly uniform subset per row.
     """
     B, K = values.shape
     out = np.zeros((B, N))
@@ -110,7 +109,7 @@ def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.nd
     return out
 
 
-def _normalized_rows(draw, shape, rng) -> np.ndarray:
+def _normalized_rows(draw, shape) -> np.ndarray:
     y = draw(shape)
     totals = y.sum(axis=1)
     while True:
@@ -122,43 +121,193 @@ def _normalized_rows(draw, shape, rng) -> np.ndarray:
     return y / totals[:, None]
 
 
+# ---------------------------------------------------------------------------
+# family specs and the family table
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Tagged description of a distribution family.
+
+    kind selects the FAMILIES entry; the remaining fields are only read by
+    the kinds that need them. k=None and chi=None mean "use the
+    size-dependent default" (2^ceil(log2 n) support and chi = n
+    respectively). Parameters are checked here, so a bad spec fails before
+    any run starts.
+    """
+
+    kind: str
+    alpha: float = 1.0
+    k: int | None = None
+    chi: int | None = None
+    include_singletons: bool = True
+
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"support size k must be at least 1, got {self.k}")
+        if self.kind == "peaked_iqp" and self.k is not None and self.k & (self.k - 1):
+            raise ValueError(f"peaked_iqp support k must be a power of two, got {self.k}")
+        if self.chi is not None and self.chi < 1:
+            raise ValueError(f"bond dimension chi must be at least 1, got {self.chi}")
+        self.underlying()  # raises when alpha is outside the law's domain
+
+    def underlying(self) -> GammaLaw | ParetoLaw:
+        if self.kind == "pareto":
+            return ParetoLaw(self.alpha)
+        return GammaLaw(self.alpha)
+
+    def support_size(self, n: int) -> int:
+        """Peaked-family support: k, by default the smallest power of two >= n."""
+        K = self.k if self.k is not None else 1 << max(1, math.ceil(math.log2(n)))
+        if K > 1 << n:
+            raise ValueError(f"domain error: support {K} exceeds 2^{n}")
+        return K
+
+    def bond_dimension(self, n: int) -> int:
+        return self.chi if self.chi is not None else n
+
+    def label(self) -> str:
+        """Stable CSV label, parameterized where it matters."""
+        if self.kind in ("dirichlet", "pareto") and self.alpha != 1.0:
+            return f"{self.kind}({self.alpha:g})"
+        if self.kind == "mps" and self.chi is not None:
+            return f"mps(chi={self.chi})"
+        if self.kind == "peaked" and self.k is not None:
+            return f"peaked(K={self.k})"
+        return self.kind
+
+
+@dataclass(frozen=True)
+class Family:
+    """How the experiments draw the instances of one family kind.
+
+    dense(spec, n, count, rng) returns `count` output distributions, shape
+    (count, 2^n). mass(spec, n, count, rng), where the family has a
+    closed-form marginal, returns p(x*) of `count` instances without the
+    dense vectors; mass_chunk is that route's chunk size (None: the dense
+    chunk of n), which decides the substream each instance draws from.
+    max_n is the largest n the generator accepts.
+    """
+
+    dense: Callable
+    mass: Callable | None = None
+    mass_chunk: int | None = None
+    max_n: int = MAX_DENSE_QUBITS
+
+
+def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
+    # theta = 2 arccos(sqrt(u)) makes the weight cos^2(theta/2) uniform on [0, 1]
+    theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
+    return np.cos(theta / 2.0) ** 2
+
+
+def _law_rows(spec: FamilySpec, K: int, count: int, rng) -> np.ndarray:
+    """`count` normalized K-vectors of iid draws from the family's law."""
+    law = spec.underlying()
+    return _normalized_rows(lambda s: law.sample(rng, s), (count, K))
+
+
+def _pareto_mass(spec, n, count, rng) -> np.ndarray:
+    law, N = spec.underlying(), 1 << n
+    first = law.sample(rng, count)
+    rest = law.sample(rng, (count, N - 1)).sum(axis=1) if N > 1 else 0.0
+    return first / (first + rest)
+
+
+def _peaked_mass(spec, n, count, rng) -> np.ndarray:
+    # Bernoulli(K/N) thinning of the Beta(a, a(K-1)) marginal of the K masses
+    K = spec.support_size(n)
+    hit = rng.random(count) < K / (1 << n)
+    if K == 1:
+        return hit.astype(float)
+    return np.where(hit, rng.beta(spec.alpha, spec.alpha * (K - 1), count), 0.0)
+
+
+def _peaked_iqp_masses(spec, n, count, rng) -> np.ndarray:
+    """The log2(K)-qubit IQP masses that a peaked-IQP instance scatters."""
+    return iqp_prob_values(spec.support_size(n).bit_length() - 1, count, rng)
+
+
+def _peaked_iqp_mass(spec, n, count, rng) -> np.ndarray:
+    masses = _peaked_iqp_masses(spec, n, count, rng)
+    K = masses.shape[1]
+    hit = rng.random(count) < K / (1 << n)
+    pick = masses[np.arange(count), rng.integers(0, K, count)]
+    return np.where(hit, pick, 0.0)
+
+
+def _point_dense(spec, n, count, rng) -> np.ndarray:
+    out = np.zeros((count, 1 << n))
+    out[np.arange(count), rng.integers(0, 1 << n, count)] = 1.0
+    return out
+
+
+# Every family is exchangeable over outcomes, so the tail law of p(x*) does
+# not depend on the choice of x* = 0...0. The entries call the generators
+# through this module's globals, never through stored function objects.
+FAMILIES = {
+    "product": Family(
+        lambda spec, n, count, rng: product_prob_values(rng.random((count, n))),
+        # a product of n uniforms
+        lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1),
+        mass_chunk=1 << 16,
+    ),
+    "iqp_product": Family(
+        lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng)),
+        lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1),
+        mass_chunk=1 << 16,
+    ),
+    "dirichlet": Family(
+        lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
+        # Beta(a, a(N-1)) by gamma additivity
+        lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
+        mass_chunk=1 << 16,
+    ),
+    "pareto": Family(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng), _pareto_mass),
+    "peaked": Family(
+        lambda spec, n, count, rng: _scatter_rows(
+            _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
+        ),
+        _peaked_mass,
+        mass_chunk=1 << 16,
+    ),
+    "iqp": Family(
+        lambda spec, n, count, rng: iqp_prob_values(n, count, rng, spec.include_singletons),
+        max_n=MAX_STATEVECTOR_QUBITS,
+    ),
+    "peaked_iqp": Family(
+        lambda spec, n, count, rng: _scatter_rows(
+            _peaked_iqp_masses(spec, n, count, rng), 1 << n, rng
+        ),
+        _peaked_iqp_mass,
+        mass_chunk=1 << 14,
+        max_n=MAX_STATEVECTOR_QUBITS,
+    ),
+    "mps": Family(
+        lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
+        max_n=MAX_STATEVECTOR_QUBITS,
+    ),
+    # degenerate reference families, mainly for calibration runs
+    "uniform": Family(
+        lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n)),
+        lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n)),
+        mass_chunk=1 << 16,
+    ),
+    "point": Family(
+        _point_dense,
+        lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float),
+        mass_chunk=1 << 16,
+    ),
+}
+
+
 def instance_prob_values(
     family: FamilySpec, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Dense output distributions of `count` fresh instances, shape (count, 2^n)."""
-    N = 1 << n
-    kind = family.kind
-    if kind == "product":
-        return product_prob_values(rng.random((count, n)))
-    if kind == "iqp_product":
-        theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
-        return product_prob_values(np.cos(theta / 2.0) ** 2)
-    if kind in ("dirichlet", "pareto"):
-        law = family.underlying()
-        return _normalized_rows(lambda s: law.sample(rng, s), (count, N), rng)
-    if kind == "peaked":
-        K = family.support_size(n)
-        law = family.underlying()
-        masses = _normalized_rows(lambda s: law.sample(rng, s), (count, K), rng)
-        return _scatter_rows(masses, N, rng)
-    if kind == "iqp":
-        return iqp_prob_values(n, count, rng, family.include_singletons)
-    if kind == "peaked_iqp":
-        K = family.support_size(n)
-        m = K.bit_length() - 1
-        if 1 << m != K:
-            raise ValueError(f"domain error: peaked_iqp support must be a power of two, got {K}")
-        masses = iqp_prob_values(m, count, rng)
-        return _scatter_rows(masses, N, rng)
-    if kind == "mps":
-        return mps_prob_values(n, family.bond_dimension(n), count, rng)
-    if kind == "uniform":
-        return np.full((count, N), 1.0 / N)
-    if kind == "point":
-        out = np.zeros((count, N))
-        out[np.arange(count), rng.integers(0, N, count)] = 1.0
-        return out
-    raise ValueError(f"domain error: no dense generator for family {kind!r}")
+    return FAMILIES[family.kind].dense(family, n, count, rng)
 
 
 def reference_mass_values(
@@ -166,44 +315,13 @@ def reference_mass_values(
 ) -> np.ndarray:
     """p(x*) at the reference outcome x* = 0...0 for `count` fresh instances.
 
-    Every implemented family is exchangeable over outcomes, so the tail law
-    of p(x*) does not depend on the choice of x*. Families with a closed-form
-    marginal use it (product: product of n uniforms; Dirichlet(a):
-    Beta(a, a(N-1)) via gamma additivity; peaked: Bernoulli(K/N) thinning of
-    the K-dimensional marginal); the rest fall back to dense generation.
+    Uses the family's closed-form marginal where it has one and falls back
+    to dense generation otherwise.
     """
-    N = 1 << n
-    kind = family.kind
-    if kind == "product":
-        return np.prod(rng.random((count, n)), axis=1)
-    if kind == "iqp_product":
-        theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
-        return np.prod(np.cos(theta / 2.0) ** 2, axis=1)
-    if kind == "dirichlet":
-        return rng.beta(family.alpha, family.alpha * (N - 1), count)
-    if kind == "peaked" and isinstance(family.underlying(), GammaLaw):
-        K = family.support_size(n)
-        hit = rng.random(count) < K / N
-        if K == 1:
-            return hit.astype(float)
-        return np.where(hit, rng.beta(family.alpha, family.alpha * (K - 1), count), 0.0)
-    if kind == "pareto":
-        law = family.underlying()
-        first = law.sample(rng, count)
-        rest = law.sample(rng, (count, N - 1)).sum(axis=1) if N > 1 else 0.0
-        return first / (first + rest)
-    if kind == "peaked_iqp":
-        K = family.support_size(n)
-        m = K.bit_length() - 1
-        masses = iqp_prob_values(m, count, rng)
-        hit = rng.random(count) < K / N
-        pick = masses[np.arange(count), rng.integers(0, K, count)]
-        return np.where(hit, pick, 0.0)
-    if kind == "uniform":
-        return np.full(count, 1.0 / N)
-    if kind == "point":
-        return (rng.integers(0, N, count) == 0).astype(float)
-    return instance_prob_values(family, n, count, rng)[:, 0]
+    mass = FAMILIES[family.kind].mass
+    if mass is None:
+        return instance_prob_values(family, n, count, rng)[:, 0]
+    return mass(family, n, count, rng)
 
 
 # chunk workers; module level so they pickle for multiprocessing
@@ -282,14 +400,12 @@ def _moment_report(
     )
 
 
-def _mass_chunk_size(family: FamilySpec, n: int) -> int:
-    if family.kind in ("product", "iqp_product", "dirichlet", "uniform", "point"):
-        return 1 << 16
-    if family.kind == "peaked" and isinstance(family.underlying(), GammaLaw):
-        return 1 << 16
-    if family.kind == "peaked_iqp":
-        return 1 << 14
-    return _dense_chunk(n)
+def _reference_masses(family: FamilySpec, n: int, trials: int, stream, workers) -> np.ndarray:
+    """p(x*) of `trials` instances in draw order, for the tail statistics."""
+    if trials < 100:
+        raise ValueError("domain error: need at least 100 trials")
+    chunk = FAMILIES[family.kind].mass_chunk or _dense_chunk(n)
+    return _collect(_tail_chunk, (family, n), trials, chunk, stream, workers)
 
 
 def estimate_tail_curve(
@@ -305,14 +421,10 @@ def estimate_tail_curve(
     One pooled sample of reference masses serves the whole grid, which also
     makes the point estimates exactly non-increasing in y.
     """
-    if trials < 100:
-        raise ValueError("domain error: need at least 100 trials")
     grid = sorted(float(y) for y in y_grid)
     if not grid:
         raise ValueError("domain error: empty y grid")
-    masses = _collect(
-        _tail_chunk, (family, n), trials, _mass_chunk_size(family, n), stream, workers
-    )
+    masses = _reference_masses(family, n, trials, stream, workers)
     N = 1 << n
     estimates, lows, highs = [], [], []
     for y in grid:
@@ -389,11 +501,7 @@ def anticoncentration_statistic(
     workers: int | None = 1,
 ) -> AnticoncentrationReport:
     """2^{2n} E[p(x*)^2] and the survival at threshold 1/(2N)."""
-    if trials < 100:
-        raise ValueError("domain error: need at least 100 trials")
-    masses = _collect(
-        _tail_chunk, (family, n), trials, _mass_chunk_size(family, n), stream, workers
-    )
+    masses = _reference_masses(family, n, trials, stream, workers)
     N = 1 << n
     sq = masses**2
     statistic = float(N**2 * sq.mean())

@@ -19,14 +19,18 @@ already fixed. One sample costs O(n chi^2).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import BitString, ProbVector, SampleSet, as_generator, validate_prob_vector
-
-MAX_STATEVECTOR_QUBITS = 16
+from .bitmath import (
+    MAX_STATEVECTOR_QUBITS,
+    BitString,
+    ProbVector,
+    SampleSet,
+    as_generator,
+    validate_prob_vector,
+)
 
 
 @dataclass(frozen=True, eq=False)

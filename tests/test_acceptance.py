@@ -19,8 +19,9 @@ import time
 import numpy as np
 
 from bornlab.bitmath import RandomStream, SampleSet, SubsetMask, fwht, validate_prob_vector
-from bornlab.families import FamilySpec, product_tail_exact
+from bornlab.families import product_tail_exact
 from bornlab.lab import (
+    FamilySpec,
     anticoncentration_statistic,
     diagonal_observable_variance,
     estimate_tail_curve,

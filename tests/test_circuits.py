@@ -15,15 +15,14 @@ from bornlab.circuits import (
     StateVector,
     all_weight_le2_masks,
     diagonal_pauli_expectation,
-    iqp_product_prob_vector,
     iqp_prob_values,
     iqp_prob_vector,
     iqp_state_vector,
-    peaked_iqp_prob_vector,
     random_iqp_circuit,
-    random_product_angles,
     sample_prob_vector,
 )
+from bornlab.families import ProductParams, product_prob_vector
+from bornlab.lab import FamilySpec, instance_prob_values
 
 
 def test_single_gate_probability_is_sine_squared():
@@ -44,13 +43,12 @@ def test_zero_angles_give_point_mass_at_zero():
 
 def test_singleton_only_circuit_factorizes():
     # weight-1 gates commute and act on disjoint qubits, so the state is a
-    # product with p_i(1) = sin^2(theta_i); iqp_product_prob_vector uses the
-    # half-angle convention, hence the factor 2.
+    # product with p_i(0) = cos^2(theta_i)
     stream = RandomStream(11)
     thetas = stream.generator.uniform(0, 2 * math.pi, 5)
     circuit = IqpCircuit(5, tuple((1 << i, t) for i, t in enumerate(thetas)))
     via_circuit = iqp_prob_vector(circuit).values
-    via_product = iqp_product_prob_vector(2.0 * thetas).values
+    via_product = product_prob_vector(ProductParams(tuple(np.cos(thetas) ** 2))).values
     np.testing.assert_allclose(via_circuit, via_product, atol=1e-12)
 
 
@@ -103,20 +101,10 @@ def test_state_vector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
-def test_iqp_product_endpoints():
-    assert iqp_product_prob_vector(np.zeros(3)).values[0] == 1.0
-    p = iqp_product_prob_vector(np.full(2, math.pi))
-    assert p.values[3] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(
-        iqp_product_prob_vector([math.pi / 2]).values, [0.5, 0.5], atol=1e-12
-    )
-
-
 def test_random_product_angles_weight_is_uniform():
-    theta = random_product_angles(4000, RandomStream(31))
-    assert np.all((0 <= theta) & (theta <= math.pi))
-    a = np.cos(theta / 2.0) ** 2
-    assert stats.kstest(a, "uniform").pvalue > 1e-3
+    # the iqp_product family: qubit 1's weight p(x_1 = 0) is uniform on [0, 1]
+    p = instance_prob_values(FamilySpec("iqp_product"), 1, 4000, RandomStream(31).generator)
+    assert stats.kstest(p[:, 0], "uniform").pvalue > 1e-3
 
 
 def test_batched_matches_single_route():
@@ -146,21 +134,22 @@ def test_iqp_fourier_weights_depend_only_on_degree():
 
 
 def test_peaked_iqp_support_and_masses():
-    stream = RandomStream(13)
-    p = peaked_iqp_prob_vector(8, stream)
-    support = np.flatnonzero(p.values)
+    p = instance_prob_values(FamilySpec("peaked_iqp"), 8, 1, RandomStream(13).generator)[0]
+    support = np.flatnonzero(p)
     assert support.size == 8  # 2^ceil(log2 8)
     # replaying the same stream reproduces the scattered masses exactly
     rng = RandomStream(13).generator
     masses = iqp_prob_values(3, 1, rng)[0]
-    assert sorted(p.values[support]) == pytest.approx(sorted(masses))
+    assert sorted(p[support]) == pytest.approx(sorted(masses))
 
 
 def test_peaked_iqp_small_n():
-    p = peaked_iqp_prob_vector(2, RandomStream(2))
-    assert np.flatnonzero(p.values).size == 2
-    with pytest.raises(ValueError):
-        peaked_iqp_prob_vector(1, RandomStream(2))
+    spec = FamilySpec("peaked_iqp")
+    p = instance_prob_values(spec, 2, 1, RandomStream(2).generator)
+    assert np.flatnonzero(p).size == 2
+    # at n = 1 the two-outcome support is the whole space
+    p = instance_prob_values(spec, 1, 1, RandomStream(2).generator)
+    assert np.flatnonzero(p).size == 2
 
 
 def test_diagonal_pauli_examples():

@@ -262,6 +262,61 @@ def test_config_validation():
     ExperimentConfig("tails", ("product",), n_min=2, n_max=20, trials=100, seed=0)
     with pytest.raises(CliError, match="trials"):
         ExperimentConfig("tails", ("uniform",), n_min=2, n_max=4, trials=0, seed=0)
+    # family parameters are checked when the config is built, not mid-run
+    with pytest.raises(CliError, match="alpha"):
+        ExperimentConfig("tails", ("product", "pareto"), n_min=2, n_max=4, trials=100, seed=0)
+    with pytest.raises(CliError, match="support k=8"):
+        ExperimentConfig("tails", ("peaked:k=8",), n_min=2, n_max=4, trials=100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("peaked_iqp:k=6", "power of two"),
+        ("peaked:k=64", "k=64 exceeds the 2^4 outcomes"),
+        ("mps:chi=0", "chi must be at least 1"),
+        ("peaked:k=0", "k must be at least 1"),
+        ("product,pareto", "alpha must exceed 1"),  # pareto's alpha defaults to 1
+    ],
+)
+def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family, message):
+    out = tmp_path / "t.csv"
+    rc = run_cli(["tails", "--family", family, "--n-min", "4", "--n-max", "6",
+                  "--trials", "200", "--out", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_key_names_file(tmp_path, capsys):
+    cfg = {"experiment": "tails", "families": ["product"], "n_min": 2, "n_max": 3,
+           "trials": 200, "seed": 0, "pairs": 100}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"configs": [cfg]}))
+    assert run_cli(["run", "--config", cfg_path, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "pairs" in err
+
+
+def test_missing_config_file_names_file(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert run_cli(["run", "--config", missing]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_malformed_config_names_file_and_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"configs":\n  [1,]}\n')
+    assert run_cli(["run", "--config", cfg_path]) == 2
+    assert f"{cfg_path}:2" in capsys.readouterr().err
+
+
+def test_mmdtest_rejects_samples_wider_than_64_bits(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1" * 70 + "\n" + "0" * 70 + "\n")
+    assert run_cli(["mmdtest", wide, wide]) == 2
+    err = capsys.readouterr().err
+    assert f"{wide}:1" in err and "64" in err
 
 
 def test_statevector_cap_reported_at_cli(tmp_path, capsys):

@@ -10,15 +10,11 @@ from scipy import integrate, stats
 
 from bornlab.bitmath import derive_stream
 from bornlab.families import (
-    FamilySpec,
     GammaLaw,
     ParetoLaw,
-    PeakedParams,
     ProductParams,
-    PseudoIndepParams,
     gini_coefficient,
     hypergeometric_overlap_moments,
-    peaked_prob_vector,
     peaked_tail_bound,
     porter_thomas_survival,
     product_marginal_density,
@@ -27,11 +23,10 @@ from bornlab.families import (
     product_tail_chernoff_bound,
     product_tail_exact,
     pseudo_indep_anticoncentration_bound,
-    pseudo_indep_prob_vector,
-    random_k_subset,
     random_product_instance,
     sample_product,
 )
+from bornlab.lab import FamilySpec, _normalized_rows, instance_prob_values
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +108,22 @@ def test_random_product_instance_reference_mass_moments():
 
 
 def test_pseudo_indep_single_outcome():
-    p = pseudo_indep_prob_vector(
-        PseudoIndepParams(1, GammaLaw(1.0)), derive_stream(0, 0)
-    )
-    assert p.values.sum() == pytest.approx(1.0)
+    p = instance_prob_values(FamilySpec("dirichlet"), 1, 1, derive_stream(0, 0).generator)
+    assert p.sum() == pytest.approx(1.0)
 
 
 def test_pseudo_indep_marginal_is_beta():
     # Gamma(1,1) normalization gives Dirichlet(1); marginal Beta(1, N-1)
-    stream = derive_stream(5, 0)
-    params = PseudoIndepParams(8, GammaLaw(1.0))
-    marginals = np.array(
-        [pseudo_indep_prob_vector(params, stream).values[0] for _ in range(3000)]
-    )
+    rng = derive_stream(5, 0).generator
+    marginals = instance_prob_values(FamilySpec("dirichlet"), 8, 3000, rng)[:, 0]
     _, pvalue = stats.kstest(marginals, "beta", args=(1, 255))
     assert pvalue > 0.01
 
 
 def test_pseudo_indep_second_moment():
     # E[sum_x p(x)^2] = 2/(N+1) for Dirichlet(1)
-    stream = derive_stream(6, 0)
-    params = PseudoIndepParams(6, GammaLaw(1.0))
-    vals = np.array(
-        [np.sum(pseudo_indep_prob_vector(params, stream).values ** 2) for _ in range(4000)]
-    )
+    rng = derive_stream(6, 0).generator
+    vals = np.sum(instance_prob_values(FamilySpec("dirichlet"), 6, 4000, rng) ** 2, axis=1)
     target = 2.0 / (64 + 1)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) < 3 * se
@@ -155,12 +142,12 @@ class _ZeroThenGamma:
         return rng.gamma(1.0, 1.0, size)
 
 
-def test_pseudo_indep_zero_sum_resamples_with_warning(caplog):
-    params = PseudoIndepParams(3, _ZeroThenGamma())
-    with caplog.at_level("WARNING"):
-        p = pseudo_indep_prob_vector(params, derive_stream(0, 1))
-    assert "resampling" in caplog.text
-    assert p.values.sum() == pytest.approx(1.0)
+def test_normalized_rows_redraw_zero_sum_rows():
+    law = _ZeroThenGamma()
+    rng = derive_stream(0, 1).generator
+    p = _normalized_rows(lambda size: law.sample(rng, size), (4, 8))
+    assert law.calls == 2  # every row of the all-zero first draw was redrawn
+    np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
 
 def test_pseudo_indep_approximate_independence():
@@ -183,70 +170,58 @@ def test_pseudo_indep_approximate_independence():
 
 
 def test_peaked_support_size_and_values():
-    params = PeakedParams(10, 16, GammaLaw(1.0))
-    p = peaked_prob_vector(params, derive_stream(9, 0))
-    assert int(np.count_nonzero(p.values)) == 16
-    assert p.values.sum() == pytest.approx(1.0)
+    p = instance_prob_values(FamilySpec("peaked", k=16), 10, 20, derive_stream(9, 0).generator)
+    assert np.all(np.count_nonzero(p, axis=1) == 16)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
 
 def test_peaked_point_mass_and_full_support():
-    point = peaked_prob_vector(PeakedParams(4, 1, GammaLaw(1.0)), derive_stream(9, 1))
-    assert np.count_nonzero(point.values) == 1
-    assert point.values.max() == pytest.approx(1.0)
+    point = instance_prob_values(FamilySpec("peaked", k=1), 4, 20, derive_stream(9, 1).generator)
+    assert np.all(np.count_nonzero(point, axis=1) == 1)
+    np.testing.assert_allclose(point.max(axis=1), 1.0)
 
-    full = peaked_prob_vector(PeakedParams(4, 16, GammaLaw(1.0)), derive_stream(9, 2))
-    assert np.count_nonzero(full.values) == 16
+    full = instance_prob_values(FamilySpec("peaked", k=16), 4, 20, derive_stream(9, 2).generator)
+    assert np.all(np.count_nonzero(full, axis=1) == 16)
 
 
 def test_peaked_support_positions_uniform():
-    # chi-square over support-position counts; fixed seed, 1% level
-    stream = derive_stream(10, 0)
-    params = PeakedParams(10, 16, GammaLaw(1.0))
-    counts = np.zeros(1024)
-    for _ in range(5000):
-        counts += peaked_prob_vector(params, stream).values > 0
+    # the support is a uniform K-subset: chi-square over support-position
+    # counts, then over all C(8, 2) = 28 subsets; fixed seeds, 1% level
+    rng = derive_stream(10, 0).generator
+    counts = np.count_nonzero(instance_prob_values(FamilySpec("peaked", k=16), 10, 5000, rng), axis=0)
     _, pvalue = stats.chisquare(counts)
+    assert pvalue > 0.01
+
+    rng = derive_stream(10, 1).generator
+    support = instance_prob_values(FamilySpec("peaked", k=2), 3, 5000, rng) > 0
+    assert np.all(support.sum(axis=1) == 2)
+    _, subset_counts = np.unique(support @ (1 << np.arange(8)), return_counts=True)
+    assert subset_counts.size == 28
+    _, pvalue = stats.chisquare(subset_counts)
     assert pvalue > 0.01
 
 
 def test_peaked_full_support_matches_pseudo_indep():
     # K = N degenerates to the pseudo-independent family; two-sample KS on
     # the reference-outcome marginal
-    stream = derive_stream(11, 0)
-    peaked = [
-        peaked_prob_vector(PeakedParams(5, 32, GammaLaw(1.0)), stream).values[0]
-        for _ in range(2500)
-    ]
-    plain = [
-        pseudo_indep_prob_vector(PseudoIndepParams(5, GammaLaw(1.0)), stream).values[0]
-        for _ in range(2500)
-    ]
+    rng = derive_stream(11, 0).generator
+    peaked = instance_prob_values(FamilySpec("peaked", k=32), 5, 2500, rng)[:, 0]
+    plain = instance_prob_values(FamilySpec("dirichlet"), 5, 2500, rng)[:, 0]
     _, pvalue = stats.ks_2samp(peaked, plain)
     assert pvalue > 0.01
 
 
 def test_peaked_params_validation():
     with pytest.raises(ValueError, match="domain"):
-        PeakedParams(3, 9, GammaLaw(1.0))
-    with pytest.raises(ValueError):
-        PeakedParams(3, 0, GammaLaw(1.0))
-
-
-def test_random_k_subset_properties():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        out = random_k_subset(50, 7, rng)
-        assert len(set(out.tolist())) == 7
-        assert out.min() >= 0 and out.max() < 50
-    # exhaustive-case uniformity: all C(5,2) = 10 subsets
-    rng = np.random.default_rng(13)
-    seen = {}
-    for _ in range(5000):
-        pair = frozenset(random_k_subset(5, 2, rng).tolist())
-        seen[pair] = seen.get(pair, 0) + 1
-    assert len(seen) == 10
-    _, pvalue = stats.chisquare(list(seen.values()))
-    assert pvalue > 0.01
+        FamilySpec("peaked", k=9).support_size(3)
+    with pytest.raises(ValueError, match="at least 1"):
+        FamilySpec("peaked", k=0)
+    with pytest.raises(ValueError, match="power of two"):
+        FamilySpec("peaked_iqp", k=6)
+    with pytest.raises(ValueError, match="at least 1"):
+        FamilySpec("mps", chi=0)
+    with pytest.raises(ValueError, match="exceed 1"):
+        FamilySpec("pareto")  # alpha defaults to 1
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +349,9 @@ def test_peaked_tail_bound_examples():
 
 
 def test_peaked_tail_bound_dominates_simulation():
-    stream = derive_stream(16, 0)
-    params = PeakedParams(10, 16, GammaLaw(1.0))
     T = 4000
-    mass = np.array(
-        [peaked_prob_vector(params, stream).values[0] for _ in range(T)]
-    )
+    rng = derive_stream(16, 0).generator
+    mass = instance_prob_values(FamilySpec("peaked", k=16), 10, T, rng)[:, 0]
     bound = peaked_tail_bound(10, 16)
     for y in (0.25, 0.5, 1.0, 2.0):
         freq = np.mean(mass >= y / 2**10)
@@ -428,11 +400,15 @@ def test_hypergeometric_overlap_simulation():
     rng = np.random.default_rng(18)
     N, K, T = 1024, 32, 10_000
     mean, var = hypergeometric_overlap_moments(N, K)
-    overlaps = np.empty(T)
-    for t in range(T):
-        s1 = set(random_k_subset(N, K, rng).tolist())
-        s2 = set(random_k_subset(N, K, rng).tolist())
-        overlaps[t] = len(s1 & s2)
+    spec = FamilySpec("peaked", k=K)
+    overlaps = np.concatenate([
+        np.count_nonzero(
+            (instance_prob_values(spec, 10, 1000, rng) > 0)
+            & (instance_prob_values(spec, 10, 1000, rng) > 0),
+            axis=1,
+        )
+        for _ in range(T // 1000)
+    ])
     se = overlaps.std(ddof=1) / math.sqrt(T)
     assert abs(overlaps.mean() - mean) < 3 * se
     assert abs(overlaps.var(ddof=1) - var) < 0.1 * var
@@ -485,13 +461,11 @@ def test_family_spec_defaults():
 def test_generated_vectors_are_valid(seed, n):
     stream = derive_stream(seed, 0)
     vecs = [
-        product_prob_vector(random_product_instance(n, stream)),
-        pseudo_indep_prob_vector(PseudoIndepParams(n, GammaLaw(1.0)), stream),
-        pseudo_indep_prob_vector(PseudoIndepParams(n, ParetoLaw(2.0)), stream),
-        peaked_prob_vector(
-            PeakedParams(n, min(2, 1 << n), GammaLaw(1.0)), stream
-        ),
+        product_prob_vector(random_product_instance(n, stream)).values[None, :],
+        instance_prob_values(FamilySpec("dirichlet"), n, 1, stream.generator),
+        instance_prob_values(FamilySpec("pareto", alpha=2.0), n, 1, stream.generator),
+        instance_prob_values(FamilySpec("peaked", k=min(2, 1 << n)), n, 1, stream.generator),
     ]
     for v in vecs:
-        assert v.values.min() >= 0.0
-        assert abs(v.values.sum() - 1.0) <= 1e-9
+        assert v.min() >= 0.0
+        assert abs(v.sum() - 1.0) <= 1e-9

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bornlab.bitmath import RandomStream, SubsetMask
-from bornlab.families import FamilySpec, porter_thomas_survival, product_tail_exact
+from bornlab.families import porter_thomas_survival, product_tail_exact
 from bornlab.lab import (
+    FAMILIES,
+    FamilySpec,
     anticoncentration_statistic,
     diagonal_observable_variance,
     distance_to_uniform_moments,
@@ -36,27 +38,26 @@ def test_wilson_interval_values():
         wilson_interval(11, 10)
 
 
+def _spec(kind):
+    return FamilySpec(kind, alpha=2.0 if kind == "pareto" else 1.0)
+
+
 def test_instance_generators_are_normalized():
-    rng = RandomStream(1).generator
-    for kind in ("product", "iqp_product", "dirichlet", "pareto", "peaked",
-                 "iqp", "peaked_iqp", "mps", "uniform", "point"):
-        spec = FamilySpec(kind, alpha=2.0 if kind == "pareto" else 1.0)
-        p = instance_prob_values(spec, 5, 7, rng)
-        assert p.shape == (7, 32)
-        assert np.all(p >= 0)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+    for i, kind in enumerate(FAMILIES):
+        p = instance_prob_values(_spec(kind), 5, 7, RandomStream(1).child(i).generator)
+        assert p.shape == (7, 32), kind
+        assert np.all(p >= 0), kind
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9, err_msg=kind)
 
 
 def test_reference_masses_match_dense_law():
-    # shortcut (marginal) and dense routes must agree in distribution
+    # every shortcut (marginal) route agrees in distribution with its dense
+    # law; kinds without a shortcut compare two dense draws
     from scipy import stats
 
-    rng1 = RandomStream(2).generator
-    rng2 = RandomStream(3).generator
-    for kind in ("product", "dirichlet", "peaked", "pareto"):
-        spec = FamilySpec(kind, alpha=2.0 if kind == "pareto" else 1.0)
-        fast = reference_mass_values(spec, 6, 4000, rng1)
-        dense = instance_prob_values(spec, 6, 4000, rng2)[:, 0]
+    for i, kind in enumerate(FAMILIES):
+        fast = reference_mass_values(_spec(kind), 6, 4000, RandomStream(2).child(i).generator)
+        dense = instance_prob_values(_spec(kind), 6, 4000, RandomStream(3).child(i).generator)[:, 0]
         assert stats.ks_2samp(fast, dense).pvalue > 1e-3, kind
 
 
