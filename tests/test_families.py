@@ -26,7 +26,7 @@ from bornlab.families import (
     random_product_instance,
     sample_product,
 )
-from bornlab.lab import FamilySpec, _normalized_rows, instance_prob_values
+from bornlab.lab import FamilySpec, _normalized_rows, _scatter_rows, instance_prob_values
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,23 @@ def test_peaked_support_positions_uniform():
     assert np.all(support.sum(axis=1) == 2)
     _, subset_counts = np.unique(support @ (1 << np.arange(8)), return_counts=True)
     assert subset_counts.size == 28
+    _, pvalue = stats.chisquare(subset_counts)
+    assert pvalue > 0.01
+
+
+def test_random_k_subset_properties():
+    # _scatter_rows puts each row's K masses on distinct positions of [N]
+    rng = np.random.default_rng(12)
+    values = rng.random((200, 7)) + 0.5
+    out = _scatter_rows(values, 50, rng)
+    assert out.shape == (200, 50)
+    assert np.all(np.count_nonzero(out, axis=1) == 7)
+    np.testing.assert_array_equal(np.sort(out, axis=1)[:, -7:], np.sort(values, axis=1))
+    # exhaustive-case uniformity: all C(5,2) = 10 subsets
+    rng = np.random.default_rng(13)
+    support = _scatter_rows(np.ones((5000, 2)), 5, rng) > 0
+    _, subset_counts = np.unique(support @ (1 << np.arange(5)), return_counts=True)
+    assert subset_counts.size == 10
     _, pvalue = stats.chisquare(subset_counts)
     assert pvalue > 0.01
 
