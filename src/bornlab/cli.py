@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ from . import __version__
 from .bitmath import RandomStream, SampleSet, SubsetMask
 from .lab import (
     FAMILIES,
+    MIN_TRIALS,
+    MIN_VARIANCE_TRIALS,
+    PAIR_METRICS,
     FamilySpec,
     anticoncentration_statistic,
     diagonal_observable_variance,
@@ -90,8 +94,16 @@ class ExperimentConfig:
                 raise CliError(
                     f"{spec.kind} support k={spec.k} exceeds the 2^{self.n_min} outcomes at n_min"
                 )
-        if self.trials < 1:
-            raise CliError("trials must be at least 1")
+        min_trials = EXPERIMENTS[self.experiment].min_trials
+        if self.trials < min_trials:
+            raise CliError(
+                f"{self.experiment} needs at least {min_trials} trials, got {self.trials}"
+            )
+        for metric in self.metrics:
+            if metric not in PAIR_METRICS:
+                raise CliError(f"unknown metric {metric!r}; known: {PAIR_METRICS}")
+        for token in self.sigmas:
+            _resolve_sigma(token, self.n_min)
         if self.n_step < 1:
             raise CliError("n_step must be at least 1")
         if not 0.0 < self.alpha <= 1.0:
@@ -128,7 +140,13 @@ def parse_family(token: str) -> FamilySpec:
             key = key.strip()
             if not eq or key not in ("alpha", "k", "chi"):
                 raise CliError(f"bad family parameter {item!r} in {token!r}")
-            kwargs[key] = float(value) if key == "alpha" else int(value)
+            parse, expected = (float, "a number") if key == "alpha" else (int, "an integer")
+            try:
+                kwargs[key] = parse(value)
+            except ValueError:
+                raise CliError(
+                    f"family {token!r}: {key} must be {expected}, got {value.strip()!r}"
+                ) from None
     try:
         return FamilySpec(kind.strip(), **kwargs)
     except ValueError as e:
@@ -178,9 +196,12 @@ def _resolve_sigma(token: str, n: int) -> float:
     if token == "n":
         return float(n)
     try:
-        return float(token)
+        sigma = float(token)
     except ValueError:
-        raise CliError(f"bad sigma {token!r} (number or 'n')") from None
+        sigma = math.nan
+    if not 0.0 <= sigma < math.inf:
+        raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')")
+    return sigma
 
 
 def _metric_sigma_combos(config: ExperimentConfig) -> list[tuple[str, str | None]]:
@@ -307,14 +328,19 @@ def _uniform_distance_rows(config, family, n, base) -> list[ExperimentRow]:
     ))
 
 
-# experiment kind -> rows of one (family, n) cell, given the cell's stream
+@dataclass(frozen=True)
+class Experiment:
+    rows: Callable  # rows of one (family, n) cell, given the cell's stream
+    min_trials: int
+
+
 EXPERIMENTS = {
-    "tails": _tails_rows,
-    "pairwise": _pairwise_rows,
-    "anticoncentration": _anticoncentration_rows,
-    "observable": _observable_rows,
-    "mmdtest": _mmdtest_rows,
-    "uniform_distance": _uniform_distance_rows,
+    "tails": Experiment(_tails_rows, MIN_TRIALS),
+    "pairwise": Experiment(_pairwise_rows, MIN_TRIALS),
+    "anticoncentration": Experiment(_anticoncentration_rows, MIN_TRIALS),
+    "observable": Experiment(_observable_rows, MIN_VARIANCE_TRIALS),
+    "mmdtest": Experiment(_mmdtest_rows, 1),
+    "uniform_distance": Experiment(_uniform_distance_rows, MIN_TRIALS),
 }
 
 
@@ -325,7 +351,7 @@ def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
     family or metric never shifts the randomness of the others.
     """
     root = RandomStream(config.seed)
-    cell_rows = EXPERIMENTS[config.experiment]
+    cell_rows = EXPERIMENTS[config.experiment].rows
     rows: list[ExperimentRow] = []
     for fam_idx, token in enumerate(config.families):
         family = parse_family(token)
@@ -355,16 +381,20 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         raise CliError(f"{path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: parse error: {e.msg}") from e
+    if not isinstance(record, dict):
+        raise CliError(f"{path}: the top level must be a JSON object, not {type(record).__name__}")
     raw = record["configs"] if "configs" in record else [record["config"] if "config" in record else record]
     configs = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise CliError(f"{path}: each config must be a JSON object, not {type(item).__name__}")
         item = dict(item)
         for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
             if key in item and item[key] is not None:
                 item[key] = tuple(item[key])
         try:
             configs.append(ExperimentConfig(**item))
-        except TypeError as e:  # an unknown or a missing key
+        except (TypeError, CliError) as e:  # an unknown or missing key, a bad value
             raise CliError(f"{path}: {e}") from e
     return configs
 

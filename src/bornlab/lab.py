@@ -30,6 +30,11 @@ from .mps import mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
 
+# fewest trials (instances or pairs) an experiment accepts: the moment and
+# tail statistics need MIN_TRIALS, a bare variance needs MIN_VARIANCE_TRIALS
+MIN_TRIALS = 100
+MIN_VARIANCE_TRIALS = 2
+
 # 95% two-sided
 WILSON_Z = 1.959963984540054
 
@@ -402,8 +407,8 @@ def _moment_report(
 
 def _reference_masses(family: FamilySpec, n: int, trials: int, stream, workers) -> np.ndarray:
     """p(x*) of `trials` instances in draw order, for the tail statistics."""
-    if trials < 100:
-        raise ValueError("domain error: need at least 100 trials")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     chunk = FAMILIES[family.kind].mass_chunk or _dense_chunk(n)
     return _collect(_tail_chunk, (family, n), trials, chunk, stream, workers)
 
@@ -466,8 +471,8 @@ def pairwise_loss_values(
     """Loss values of `pairs` independent instance pairs, in draw order."""
     if metric not in PAIR_METRICS:
         raise ValueError(f"domain error: unknown metric {metric!r}; known: {PAIR_METRICS}")
-    if pairs < 100:
-        raise ValueError("domain error: need at least 100 pairs")
+    if pairs < MIN_TRIALS:
+        raise ValueError(f"domain error: need at least {MIN_TRIALS} pairs")
     kernel = _kernel_for(sigma, metric)
     return _collect(
         _pairwise_chunk,
@@ -533,8 +538,10 @@ def diagonal_observable_variance(
         raise ValueError(f"dimension error: n mismatch {S.n} != {n}")
     if S.weight == 0:
         raise ValueError("domain error: S must be non-empty")
-    if trials < 2:
-        raise ValueError("domain error: need at least 2 trials for a variance")
+    if trials < MIN_VARIANCE_TRIALS:
+        raise ValueError(
+            f"domain error: need at least {MIN_VARIANCE_TRIALS} trials for a variance"
+        )
     values = _collect(
         _observable_chunk, (family, n, S.mask), trials, _dense_chunk(n), stream, workers
     )
@@ -550,8 +557,8 @@ def distance_to_uniform_moments(
     workers: int | None = 1,
 ) -> MomentReport:
     """Moments of the squared distance to the uniform distribution."""
-    if trials < 100:
-        raise ValueError("domain error: need at least 100 trials")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     values = _collect(
         _uniform_distance_chunk, (family, n), trials, _dense_chunk(n), stream, workers
     )

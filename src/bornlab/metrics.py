@@ -14,6 +14,23 @@ eigenvalue (1-rho)^{|S|} (1+rho)^{n-|S|} / 2^n on chi_S, so
 At rho = 0 the weights collapse to 1 and Parseval turns this into the
 squared distance; that limit is accepted directly (rho=0) even though no
 finite bandwidth reaches it.
+
+The two-sample U-statistic mmd2_unbiased needs the kernel sums
+c^T K c' over the outcome histograms c, c' of m and l samples. It takes one
+of two exact routes, picked from (n, m, l) alone:
+
+* counts: one batched transform of the two histograms, after which
+  c^T K c' = sum_S w_S chat_S chat'_S / 2^n. Cost about 2 n 2^n.
+* distances: exact int64 histograms of the Hamming distances over the
+  sample pairs, each unordered within-sample pair visited once, so each
+  kernel sum is (rho^0..rho^n) @ h. Cost m(m+1)/2 + l(l+1)/2 + m l cells.
+  This route covers outcomes up to 64 bits.
+
+The counts route runs when it is the cheaper one (both cost 5-10 ns a
+unit) and its working memory, 56 bytes per outcome, fits
+MMD_MEMORY_BYTES; the distance route works in row blocks of 8 bytes a
+cell that fit the same budget (or in one row, if that is larger). Neither
+allocates anything of size m x m.
 """
 
 from __future__ import annotations
@@ -27,6 +44,15 @@ from .bitmath import BitString, ProbVector, SampleSet, fwht, hamming_distance, p
 
 # the kernel double sum is O(4^n); past this, use mmd2_fourier
 MAX_KERNEL_SUM_QUBITS = 13
+
+# mmd2_unbiased's peak working memory: either route's arrays fit in this many
+# bytes (or in one row of the distance route, if that is larger)
+MMD_MEMORY_BYTES = 1 << 26
+
+# the counts route's peak per outcome (tracemalloc): the two float64
+# histograms, their transformed copy, and the transform's half-size
+# temporaries of two consecutive butterfly stages
+_COUNTS_BYTES_PER_OUTCOME = 56
 
 LOSS_METRICS = ("sd", "mmd2", "mmd2_estimate", "l1", "tvd")
 
@@ -98,8 +124,8 @@ def gaussian_hamming_kernel(x: BitString, y: BitString, spec: KernelSpec) -> flo
 
 def fourier_weights(n: int, spec: KernelSpec) -> np.ndarray:
     """Kernel eigenvalue (1-rho)^|S| (1+rho)^{n-|S|} per subset mask."""
-    w = popcounts(n).astype(float)
-    return (1.0 - spec.rho) ** w * (1.0 + spec.rho) ** (n - w)
+    k = np.arange(n + 1)
+    return ((1.0 - spec.rho) ** k * (1.0 + spec.rho) ** (n - k))[popcounts(n)]
 
 
 def mmd2_fourier(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
@@ -137,13 +163,51 @@ def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
     return float(total)
 
 
-def _mean_pairwise_kernel(a: np.ndarray, b: np.ndarray, rho: float, skip_diagonal: bool) -> float:
-    d = np.bitwise_count(a[:, None] ^ b[None, :]).astype(float)
-    k = rho**d
-    if skip_diagonal:
-        m = a.size
-        return float((k.sum() - np.trace(k)) / (m * (m - 1)))
-    return float(k.mean())
+def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, spec: KernelSpec) -> np.ndarray:
+    """[[cx K cx, cx K cy], [cy K cx, cy K cy]] for the outcome histograms.
+
+    K is diagonal in the Walsh basis, so after one batched transform of the
+    two histograms the quadratic forms are a Gram matrix weighted by the
+    eigenvalues.
+    """
+    N = 1 << n
+    c = np.empty((2, N))
+    c[0] = np.bincount(x.view(np.int64), minlength=N)
+    c[1] = np.bincount(y.view(np.int64), minlength=N)
+    c = fwht(c)
+    c *= np.sqrt(fourier_weights(n, spec) / N)
+    return c @ c.T
+
+
+def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """One block's distance counts; the block is freed on return, before the
+    caller makes the next, so one block at a time is alive."""
+    d = np.bitwise_xor(a[:, None], b[None, :])
+    np.bitwise_count(d, out=d)
+    return np.bincount(d.view(np.int64).ravel(), minlength=n + 1)
+
+
+def _hamming_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Counts of d_H(a_i, b_j) = 0..n over all (i, j), in row blocks."""
+    rows = max(1, MMD_MEMORY_BYTES // (8 * max(b.size, 1)))
+    h = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, a.size, rows):
+        h += _block_histogram(a[start : start + rows], b, n)
+    return h
+
+
+def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
+    """_hamming_histogram(a, a, n), visiting each unordered pair once.
+
+    Blocks of at most a sixteenth of the rows keep the square diagonal
+    blocks, which are visited whole, a small share of the work.
+    """
+    h = np.zeros(n + 1, dtype=np.int64)
+    rows = max(1, min(MMD_MEMORY_BYTES // (8 * a.size), a.size // 16))
+    for start in range(0, a.size, rows):
+        block, rest = a[start : start + rows], a[start + rows :]
+        h += _hamming_histogram(block, block, n) + 2 * _hamming_histogram(block, rest, n)
+    return h
 
 
 def mmd2_unbiased(X: SampleSet, Y: SampleSet, spec: KernelSpec) -> float:
@@ -151,16 +215,24 @@ def mmd2_unbiased(X: SampleSet, Y: SampleSet, spec: KernelSpec) -> float:
 
     Averages the kernel over distinct ordered pairs within each sample and
     over all cross pairs; can be negative and is never clamped (clamping
-    would break the unbiasedness the concentration bound relies on).
+    would break the unbiasedness the concentration bound relies on). The
+    kernel sums take the counts or the distance route of the module
+    docstring; both are exact and neither holds an m x m array.
     """
     if X.n != Y.n:
         raise ValueError(f"dimension error: n mismatch {X.n} != {Y.n}")
-    if len(X) < 2 or len(Y) < 2:
+    n, m, l = X.n, len(X), len(Y)
+    if m < 2 or l < 2:
         raise ValueError("domain error: need at least 2 samples on each side")
-    xx = _mean_pairwise_kernel(X.outcomes, X.outcomes, spec.rho, skip_diagonal=True)
-    yy = _mean_pairwise_kernel(Y.outcomes, Y.outcomes, spec.rho, skip_diagonal=True)
-    xy = _mean_pairwise_kernel(X.outcomes, Y.outcomes, spec.rho, skip_diagonal=False)
-    return xx + yy - 2.0 * xy
+    N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
+    if 2 * n * N <= pair_cells and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES:
+        (xx, xy), (_, yy) = _counts_kernel_sums(X.outcomes, Y.outcomes, n, spec)
+    else:
+        powers = spec.rho ** np.arange(n + 1)
+        xx = powers @ _self_hamming_histogram(X.outcomes, n)
+        yy = powers @ _self_hamming_histogram(Y.outcomes, n)
+        xy = powers @ _hamming_histogram(X.outcomes, Y.outcomes, n)
+    return float((xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l))
 
 
 def mmd_test_threshold(m: int, l: int, alpha: float, k_max: float = 1.0) -> float:

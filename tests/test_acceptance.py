@@ -11,12 +11,16 @@ values: mean 2(N-1)/(2N-1) from the Beta(1, N-1) marginals, and variance
 contributions as independent; it is kept only as an upper bound.
 tests/test_metrics.py::test_dirichlet_l1_moments pins the same values by
 direct numpy simulation, without going through bornlab.
+
+Criteria 10 and 11 each take more than 10 s and carry the `slow` marker, so
+-m 'not slow' skips them in a quick loop; the full suite still runs them.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from bornlab.bitmath import RandomStream, SampleSet, SubsetMask, fwht, validate_prob_vector
 from bornlab.families import product_tail_exact
@@ -242,6 +246,7 @@ def test_criterion_09_two_sample_test_calibration_and_power():
     assert power >= 0.99
 
 
+@pytest.mark.slow
 def test_criterion_10_iqp_means_decay_exponentially():
     # weight-<=2 IQP: ln(mean loss) vs n is a line with negative slope and
     # R^2 >= 0.99 over n = 2..12, for SD and for MMD^2 at sigma = 1
@@ -258,6 +263,7 @@ def test_criterion_10_iqp_means_decay_exponentially():
         assert r2 >= 0.99, (metric, r2)
 
 
+@pytest.mark.slow
 def test_criterion_11_large_bandwidth_flattens_product_iqp_decay():
     # at sigma = n the product-IQP family decays strictly more slowly than
     # the weight-2 IQP family

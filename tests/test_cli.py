@@ -191,7 +191,9 @@ def test_mmdtest_alpha_one_threshold_zero(tmp_path, capsys):
     assert run_cli(["mmdtest", path, path, "--alpha", "1"]) == 0
     out = capsys.readouterr().out
     assert "threshold: 0" in out
-    assert "verdict: ACCEPT" in out  # estimate is exactly 0 here
+    # five distinct outcomes on both sides: the estimate is (S - 25)/50 with
+    # S the kernel sum over all 25 ordered pairs, so it is at most 0
+    assert "verdict: ACCEPT" in out
 
 
 def test_mmdtest_parse_error_names_file_and_line(tmp_path, capsys):
@@ -262,6 +264,17 @@ def test_config_validation():
     ExperimentConfig("tails", ("product",), n_min=2, n_max=20, trials=100, seed=0)
     with pytest.raises(CliError, match="trials"):
         ExperimentConfig("tails", ("uniform",), n_min=2, n_max=4, trials=0, seed=0)
+    # the trial minimums, metric names and sigma tokens lab would refuse mid-run
+    with pytest.raises(CliError, match="tails needs at least 100 trials"):
+        ExperimentConfig("tails", **dict(ok, trials=99))
+    with pytest.raises(CliError, match="observable needs at least 2 trials"):
+        ExperimentConfig("observable", **dict(ok, trials=1))
+    ExperimentConfig("mmdtest", **dict(ok, trials=1))
+    with pytest.raises(CliError, match="unknown metric"):
+        ExperimentConfig("pairwise", metrics=("sd", "hellinger"), **ok)
+    with pytest.raises(CliError, match="bad sigma"):
+        ExperimentConfig("pairwise", metrics=("mmd2",), sigmas=("1", "wide"), **ok)
+    ExperimentConfig("pairwise", metrics=("mmd2",), sigmas=("0", "1.5", "n"), **ok)
     # family parameters are checked when the config is built, not mid-run
     with pytest.raises(CliError, match="alpha"):
         ExperimentConfig("tails", ("product", "pareto"), n_min=2, n_max=4, trials=100, seed=0)
@@ -283,6 +296,68 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
     out = tmp_path / "t.csv"
     rc = run_cli(["tails", "--family", family, "--n-min", "4", "--n-max", "6",
                   "--trials", "200", "--out", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["pairwise", "--metric", "sd,hellinger"], "unknown metric 'hellinger'"),
+        (["pairwise", "--metric", "mmd2", "--sigma", "1,abc"], "bad sigma 'abc'"),
+        (["pairwise", "--metric", "mmd2", "--sigma=-1"], "bad sigma '-1'"),
+        (["pairwise", "--pairs", "99"], "pairwise needs at least 100 trials, got 99"),
+        (["tails", "--trials", "50"], "tails needs at least 100 trials, got 50"),
+    ],
+)
+def test_bad_config_rejected_before_any_cell_runs(tmp_path, capsys, args, message):
+    # lab would refuse these too, but only when the run reached the cell
+    out = tmp_path / "t.csv"
+    rc = run_cli(args + ["--family", "product", "--n-min", "2", "--n-max", "3", "--out", out])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["anticoncentration", "uniform_distance"])
+def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
+    cfg = {"experiment": experiment, "families": ["dirichlet"], "n_min": 2, "n_max": 3,
+           "trials": 50, "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and f"{experiment} needs at least 100 trials" in err
+    assert not out.exists()
+
+
+def test_config_top_level_list_names_file(tmp_path, capsys):
+    cfg = {"experiment": "tails", "families": ["product"], "n_min": 2, "n_max": 3,
+           "trials": 200, "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([cfg]))
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("peaked:k=abc", "family 'peaked:k=abc': k must be an integer, got 'abc'"),
+        ("mps:chi=2.5", "family 'mps:chi=2.5': chi must be an integer, got '2.5'"),
+        ("pareto:alpha=x", "family 'pareto:alpha=x': alpha must be a number, got 'x'"),
+    ],
+)
+def test_family_parameter_values_name_parameter_and_family(tmp_path, capsys, token, message):
+    with pytest.raises(CliError, match=message):
+        parse_family(token)
+    out = tmp_path / "t.csv"
+    rc = run_cli(["tails", "--family", token, "--n-min", "4", "--n-max", "5", "--out", out])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -1,12 +1,14 @@
 """Tests for the loss metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab import metrics
 from bornlab.bitmath import (
     BitString,
     ProbVector,
@@ -16,7 +18,9 @@ from bornlab.bitmath import (
     popcounts,
 )
 from bornlab.circuits import iqp_prob_values, sample_prob_vector
+from bornlab.cli import main
 from bornlab.metrics import (
+    MMD_MEMORY_BYTES,
     KernelSpec,
     LossValue,
     fourier_weights,
@@ -32,6 +36,7 @@ from bornlab.metrics import (
     triangle_bounds,
 )
 from bornlab.mps import mps_prob_values
+from test_acceptance import unbiased_from_counts
 
 
 def _point(n, x):
@@ -222,6 +227,123 @@ def test_unbiased_estimator_is_unbiased():
     )
     se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(estimates.mean() - exact) < 3 * se
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Names of the mmd2_unbiased routes taken, in call order."""
+    taken = []
+    for name, route in (("counts", "_counts_kernel_sums"), ("distances", "_hamming_histogram")):
+        inner = getattr(metrics, route)
+
+        def spy(*args, _inner=inner, _name=name):
+            taken.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(metrics, route, spy)
+    return taken
+
+
+def _support_samples(n, m, l, seed):
+    """m and l outcomes drawn with different weights from one random support
+    of at most 256 outcomes, so the samples repeat and overlap."""
+    rng = np.random.default_rng(seed)
+    if n <= 8:
+        support = np.arange(1 << n, dtype=np.uint64)
+    else:
+        support = rng.choice(1 << n, size=256, replace=False).astype(np.uint64)
+    px, py = rng.dirichlet(np.ones(support.size), size=2)
+    return SampleSet(n, rng.choice(support, m, p=px)), SampleSet(n, rng.choice(support, l, p=py))
+
+
+def _oracle(X, Y, rho):
+    """unbiased_from_counts on the outcomes that occur, with its kernel table
+    (hamming_kernel_table's rule restricted to them), and the sum of the
+    magnitudes of its three terms."""
+    U = np.union1d(X.outcomes, Y.outcomes)
+    K = rho ** np.bitwise_count(U[:, None] ^ U[None, :]).astype(float)
+    cx = np.bincount(np.searchsorted(U, X.outcomes), minlength=U.size).astype(float)
+    cy = np.bincount(np.searchsorted(U, Y.outcomes), minlength=U.size).astype(float)
+    m, l = len(X), len(Y)
+    xx = (cx @ K @ cx - m) / (m * (m - 1))
+    yy = (cy @ K @ cy - l) / (l * (l - 1))
+    xy = cx @ K @ cy / (m * l)
+    return unbiased_from_counts(cx, cy, K), xx + yy + 2 * xy
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, "n"])
+@pytest.mark.parametrize(
+    "n, m, l, route",
+    [
+        (1, 2, 2, "counts"),
+        (1, 2, 7, "counts"),
+        (3, 2, 9, "counts"),
+        (6, 40, 25, "counts"),
+        (12, 300, 200, "counts"),
+        (16, 1500, 1100, "counts"),
+        (3, 2, 3, "distances"),
+        (6, 2, 5, "distances"),
+        (6, 15, 9, "distances"),
+        (12, 150, 90, "distances"),
+        (16, 500, 300, "distances"),
+    ],
+)
+def test_unbiased_routes_match_count_oracle(routes, n, m, l, route, sigma):
+    # the route is picked from (n, m, l) alone; the U-statistic is a
+    # difference of three O(1) terms, so the bound is on their magnitudes
+    sigma = float(n) if sigma == "n" else sigma
+    spec = KernelSpec(sigma=sigma) if sigma > 0 else KernelSpec(rho=0.0)
+    X, Y = _support_samples(n, m, l, seed=1000 * n + m + l)
+    value = mmd2_unbiased(X, Y, spec)
+    assert set(routes) == {route}
+    expected, magnitude = _oracle(X, Y, spec.rho)
+    assert abs(value - expected) <= 1e-12 * magnitude, (value, expected, magnitude)
+
+
+@pytest.mark.parametrize(
+    "n, m, route",
+    [
+        (40, 20_000, "distances"),  # a full m x m matrix would be 3.2 GB
+        (20, 5000, "counts"),
+        (21, 8000, "distances"),  # counts would be cheaper but needs 112 MiB
+    ],
+)
+def test_unbiased_memory_stays_within_budget(routes, n, m, route):
+    rng = np.random.default_rng(n)
+    X = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
+    Y = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        mmd2_unbiased(X, Y, KernelSpec(sigma=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(routes) == {route}
+    assert peak <= MMD_MEMORY_BYTES + (1 << 20), peak
+
+
+def _mmdtest(tmp_path, capsys, x_lines, y_lines, sigma):
+    x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+    x.write_text("\n".join(x_lines) + "\n")
+    y.write_text("\n".join(y_lines) + "\n")
+    assert main(["mmdtest", str(x), str(y), "--sigma", str(sigma)]) == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    return float(fields["estimate"])
+
+
+def test_mmdtest_on_40_bit_outcomes(tmp_path, capsys):
+    n = 40
+    X, Y = _support_samples(n, 60, 45, seed=40)
+    estimate = _mmdtest(tmp_path, capsys, X.bitstrings(), Y.bitstrings(), sigma=3.0)
+    expected, magnitude = _oracle(X, Y, KernelSpec(sigma=3.0).rho)
+    assert abs(estimate - expected) <= 1e-12 * magnitude
+
+
+def test_mmdtest_on_64_bit_point_masses(tmp_path, capsys):
+    # all within-sample distances 0 and all cross distances 64: 2(1 - rho^64)
+    n, sigma = 64, 8.0
+    estimate = _mmdtest(tmp_path, capsys, ["0" * n] * 30, ["1" * n] * 20, sigma)
+    assert estimate == pytest.approx(2 * (1 - KernelSpec(sigma=sigma).rho ** n), rel=1e-12)
 
 
 def test_threshold_values():
