@@ -29,6 +29,9 @@ MAX_DENSE_QUBITS = 26
 # stop here; above it they are deliberately unsupported.
 MAX_STATEVECTOR_QUBITS = 16
 
+# the MMD^2 kernel double sum is O(4^n); past this, use the Fourier form
+MAX_KERNEL_SUM_QUBITS = 13
+
 # |sum(p) - 1| above this rejects the vector. Normalizing 2^26 positive
 # doubles accumulates rounding well below 1e-9.
 NORMALIZATION_ATOL = 1e-9
@@ -130,6 +133,14 @@ def validate_prob_vector(values, n: int) -> ProbVector:
     return ProbVector(n=n, values=arr)
 
 
+def check_statevector_cap(n: int) -> None:
+    """Refuse a dense statevector over more than MAX_STATEVECTOR_QUBITS qubits."""
+    if n > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(
+            f"resource error: n={n} exceeds statevector cap {MAX_STATEVECTOR_QUBITS}"
+        )
+
+
 def hamming_distance(x: BitString, y: BitString) -> int:
     """Number of positions where x and y differ."""
     if x.n != y.n:
@@ -210,11 +221,6 @@ class RandomStream:
         """Derive the index-th substream; deterministic and collision-free."""
         return RandomStream(self.master_seed, self.path + (int(index),))
 
-    @property
-    def stream_index(self) -> int:
-        """First path component, for logging/CSV provenance."""
-        return self.path[0] if self.path else 0
-
 
 def derive_stream(master_seed: int, index: int) -> RandomStream:
     """Stream number `index` under a master seed."""
@@ -234,14 +240,13 @@ def as_generator(stream) -> np.random.Generator:
 class SampleSet:
     """Outcomes drawn from one distribution instance.
 
-    outcomes holds the integer indices (uint64); family/seed record where
-    the draws came from, for manifests and error messages.
+    outcomes holds the integer indices (uint64); family records where the
+    draws came from.
     """
 
     n: int
     outcomes: np.ndarray
     family: str | None = None
-    seed: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.outcomes, dtype=np.uint64)

@@ -10,23 +10,24 @@ and the output amplitude is the Walsh-Hadamard transform of e^(i phi)
 divided by 2^n. One weight-1 gate on a single qubit gives p(1) = sin^2(theta),
 which pins the convention.
 
-The statevector route is dense and capped at n = 16.
+The statevector route is dense and capped at n = 16: iqp_state_vector
+returns the amplitude array of one circuit and iqp_prob_values the output
+distributions of a batch of random circuits.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitmath import (
-    MAX_STATEVECTOR_QUBITS,
     ProbVector,
     SampleSet,
     SubsetMask,
     as_generator,
+    check_statevector_cap,
     fwht,
     validate_prob_vector,
 )
@@ -52,69 +53,20 @@ class IqpCircuit:
             gates.append((mask, float(theta)))
         object.__setattr__(self, "gates", tuple(gates))
 
-    def to_json(self) -> str:
-        """Serialize as {n, gates: [{qubits: [...], theta}]}, qubits 1-based."""
-        record = {
-            "n": self.n,
-            "gates": [
-                {
-                    "qubits": [i + 1 for i in range(self.n) if (mask >> i) & 1],
-                    "theta": theta,
-                }
-                for mask, theta in self.gates
-            ],
-        }
-        return json.dumps(record)
 
-    @classmethod
-    def from_json(cls, text: str) -> "IqpCircuit":
-        record = json.loads(text)
-        n = int(record["n"])
-        gates = []
-        for g in record["gates"]:
-            mask = SubsetMask.from_positions(g["qubits"], n).mask
-            gates.append((mask, float(g["theta"])))
-        return cls(n, tuple(gates))
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Dense complex amplitudes over 2^n outcomes, unit norm."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"normalization error: |psi|^2 = {norm!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> ProbVector:
-        p = np.abs(self.amplitudes) ** 2
-        return validate_prob_vector(p / p.sum(), self.n)
-
-
-def all_weight_le2_masks(n: int, include_singletons: bool = True) -> np.ndarray:
-    """Every weight-1 (optional) and weight-2 subset mask, in a fixed order."""
-    masks = []
-    if include_singletons:
-        masks.extend(1 << i for i in range(n))
-    masks.extend(
-        (1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)
-    )
+def all_weight_le2_masks(n: int) -> np.ndarray:
+    """Every weight-1 and weight-2 subset mask, in a fixed order."""
+    masks = [1 << i for i in range(n)]
+    masks.extend((1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n))
     return np.asarray(masks, dtype=np.uint64)
 
 
-def random_iqp_circuit(n: int, stream, include_singletons: bool = True) -> IqpCircuit:
+def random_iqp_circuit(n: int, stream) -> IqpCircuit:
     """All-to-all weight-<=2 gate set with iid uniform angles on [0, 2pi)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = as_generator(stream)
-    masks = all_weight_le2_masks(n, include_singletons)
+    masks = all_weight_le2_masks(n)
     thetas = rng.uniform(0.0, 2.0 * math.pi, masks.size)
     return IqpCircuit(n, tuple((int(m), float(t)) for m, t in zip(masks, thetas)))
 
@@ -126,43 +78,29 @@ def _character_table(masks: np.ndarray, n: int) -> np.ndarray:
     return 1.0 - 2.0 * (overlap % 2)
 
 
-def iqp_state_vector(circuit: IqpCircuit) -> StateVector:
-    """H^n D(theta) H^n |0>, computed as FWHT(e^{i phi}) / 2^n."""
-    if circuit.n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(
-            f"resource error: n={circuit.n} exceeds statevector cap "
-            f"{MAX_STATEVECTOR_QUBITS}"
-        )
+def iqp_state_vector(circuit: IqpCircuit) -> np.ndarray:
+    """Amplitudes of H^n D(theta) H^n |0>, computed as FWHT(e^{i phi}) / 2^n."""
+    check_statevector_cap(circuit.n)
     masks = np.asarray([m for m, _ in circuit.gates], dtype=np.uint64)
     thetas = np.asarray([t for _, t in circuit.gates], dtype=float)
-    N = 1 << circuit.n
-    if masks.size:
-        phase = thetas @ _character_table(masks, circuit.n)
-    else:
-        phase = np.zeros(N)
-    amps = fwht(np.exp(1j * phase)) / N
-    return StateVector(circuit.n, amps)
+    phase = thetas @ _character_table(masks, circuit.n)  # zeros when there are no gates
+    return fwht(np.exp(1j * phase)) / (1 << circuit.n)
 
 
 def iqp_prob_vector(circuit: IqpCircuit) -> ProbVector:
     """Output distribution of an IQP circuit (statevector route, n <= 16)."""
-    p = np.abs(iqp_state_vector(circuit).amplitudes) ** 2
+    p = np.abs(iqp_state_vector(circuit)) ** 2
     return validate_prob_vector(p / p.sum(), circuit.n)
 
 
-def iqp_prob_values(
-    n: int, batch: int, rng: np.random.Generator, include_singletons: bool = True
-) -> np.ndarray:
+def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Batched output distributions of random circuits, shape (batch, 2^n).
 
     Same ensemble as random_iqp_circuit + iqp_prob_vector, vectorized: the
     per-instance phases are one matmul against the shared character table.
     """
-    if n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(
-            f"resource error: n={n} exceeds statevector cap {MAX_STATEVECTOR_QUBITS}"
-        )
-    masks = all_weight_le2_masks(n, include_singletons)
+    check_statevector_cap(n)
+    masks = all_weight_le2_masks(n)
     chi = _character_table(masks, n)
     thetas = rng.uniform(0.0, 2.0 * math.pi, (batch, masks.size))
     amps = fwht(np.exp(1j * (thetas @ chi))) / (1 << n)

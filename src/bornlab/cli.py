@@ -44,7 +44,7 @@ from .lab import (
     estimate_tail_curve,
     pairwise_loss_moments,
 )
-from .metrics import KernelSpec, mmd2_unbiased, mmd_test_threshold
+from .metrics import bandwidth_kernel, mmd2_unbiased, mmd_test_threshold
 
 CSV_HEADER = "experiment,family,n,metric,sigma,statistic,value,stderr,trials,seed"
 
@@ -153,14 +153,8 @@ def parse_family(token: str) -> FamilySpec:
         raise CliError(str(e)) from e
 
 
-def _format_value(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+def _format_value(x: float | None) -> str:
+    return "" if x is None else "%.17g" % float(x)
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
@@ -227,8 +221,8 @@ def _mmdtest_rejection_rates(family, n, sigma, alpha, samples, trials, stream) -
     from .circuits import sample_prob_vector
     from .lab import instance_prob_values
 
-    spec = KernelSpec(sigma=sigma) if sigma > 0 else KernelSpec(rho=0.0)
-    threshold = mmd_test_threshold(samples, samples, alpha, spec.k_max)
+    spec = bandwidth_kernel(sigma)
+    threshold = mmd_test_threshold(samples, samples, alpha)
     counts = {"reject_rate_equal": 0, "reject_rate_distinct": 0}
     for rep in range(trials):
         rep_stream = stream.child(rep)
@@ -542,38 +536,33 @@ def cmd_run(args) -> int:
     return _run_and_write(configs, args.out or configs[0].out)
 
 
-def cmd_tails(args) -> int:
-    trials = PAPER_TRIALS if args.paper_scale else args.trials
-    out = args.out or "tails.csv"
+def _run_grid(args, experiment: str, trials: int, **fields) -> int:
+    """Run the one config that the grid flags of `tails` or `pairwise` describe."""
+    out = args.out or f"{experiment}.csv"
     config = ExperimentConfig(
-        "tails",
+        experiment,
         tuple(t.strip() for t in args.family.split(",")),
         n_min=args.n_min,
         n_max=args.n_max,
-        trials=trials,
+        trials=PAPER_TRIALS if args.paper_scale else trials,
         seed=_resolve_seed(args.seed),
         workers=args.workers,
         out=out,
+        **fields,
     )
     return _run_and_write([config], out)
+
+
+def cmd_tails(args) -> int:
+    return _run_grid(args, "tails", args.trials)
 
 
 def cmd_pairwise(args) -> int:
-    pairs = PAPER_TRIALS if args.paper_scale else args.pairs
-    out = args.out or "pairwise.csv"
-    config = ExperimentConfig(
-        "pairwise",
-        tuple(t.strip() for t in args.family.split(",")),
-        n_min=args.n_min,
-        n_max=args.n_max,
-        trials=pairs,
-        seed=_resolve_seed(args.seed),
+    return _run_grid(
+        args, "pairwise", args.pairs,
         metrics=tuple(t.strip() for t in args.metric.split(",")),
         sigmas=tuple(t.strip() for t in args.sigma.split(",")),
-        workers=args.workers,
-        out=out,
     )
-    return _run_and_write([config], out)
 
 
 def cmd_figures(args) -> int:
@@ -587,15 +576,15 @@ def cmd_figures(args) -> int:
 
 
 def cmd_mmdtest(args) -> int:
+    spec = bandwidth_kernel(args.sigma)  # refuses a negative or non-finite sigma
     X = read_sample_file(args.xfile)
     Y = read_sample_file(args.yfile)
     if X.n != Y.n:
         raise CliError(f"sample width mismatch: {args.xfile} has n={X.n}, {args.yfile} has n={Y.n}")
     if len(X) < 2 or len(Y) < 2:
         raise CliError("need at least 2 samples on each side")
-    spec = KernelSpec(sigma=args.sigma) if args.sigma > 0 else KernelSpec(rho=0.0)
     estimate = mmd2_unbiased(X, Y, spec)
-    threshold = mmd_test_threshold(len(X), len(Y), args.alpha, spec.k_max)
+    threshold = mmd_test_threshold(len(X), len(Y), args.alpha)
     verdict = "ACCEPT" if estimate <= threshold else "REJECT"
     print(f"m: {len(X)}  l: {len(Y)}  n: {X.n}  sigma: {args.sigma:g}  alpha: {args.alpha:g}")
     print(f"estimate: {estimate:.17g}")
@@ -616,10 +605,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except CliError as e:
-        print(f"bornlab: error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"bornlab: error: {e}", file=sys.stderr)
         return 2
 

@@ -13,13 +13,14 @@ Three analytic families over n-bit outcomes:
   random K-subset of the 2^n outcomes, zero elsewhere.
 
 This module keeps the product-family vectors and sampler and the
-underlying laws of the pseudo-independent and peaked constructions; the
-batched generator of every family kind is in lab.FAMILIES. Alongside them
-live the tail formulas and moment bounds these families satisfy: product marginal density and its incomplete-gamma tail,
-the Chernoff-style tail bound, the anticoncentration lower bound for
-normalized iid vectors, Beta/Porter-Thomas survival, the peaked tail bound,
-the Gini coefficient estimator, and the hypergeometric support-overlap
-moments.
+underlying laws of the pseudo-independent and peaked constructions. The
+batched generator of every family kind is in lab.FAMILIES, whose entry also
+names the law a kind draws from and the parameters it reads. Alongside them
+live the tail formulas and moment bounds these families satisfy: product
+marginal density and its incomplete-gamma tail, the Chernoff-style tail
+bound, the anticoncentration lower bound for normalized iid vectors,
+Beta/Porter-Thomas survival, the peaked tail bound, the Gini coefficient
+estimator, and the hypergeometric support-overlap moments.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ seed) regardless of the worker count.
 FAMILIES is the one table of family kinds. Each entry draws a chunk of B
 instances as a (B, 2^n) array, and, where a closed-form marginal exists,
 draws the length-B vector of reference-outcome masses that the tail
-statistics need without building the dense vectors.
+statistics need without building the dense vectors. It also names the
+FamilySpec parameters its kind reads and its underlying law, from which
+FamilySpec builds its CSV label and refuses parameters the kind ignores.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -25,7 +28,7 @@ import numpy as np
 from .bitmath import MAX_DENSE_QUBITS, MAX_STATEVECTOR_QUBITS, RandomStream, SubsetMask
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
-from .metrics import KernelSpec, mmd2_fourier_batch
+from .metrics import KernelSpec, bandwidth_kernel, mmd2_fourier_batch
 from .mps import mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
@@ -134,34 +137,42 @@ def _normalized_rows(draw, shape) -> np.ndarray:
 class FamilySpec:
     """Tagged description of a distribution family.
 
-    kind selects the FAMILIES entry; the remaining fields are only read by
-    the kinds that need them. k=None and chi=None mean "use the
-    size-dependent default" (2^ceil(log2 n) support and chi = n
-    respectively). Parameters are checked here, so a bad spec fails before
-    any run starts.
+    kind selects the FAMILIES entry; a parameter other than the kind may
+    leave its default only if the entry lists it as read. k=None and
+    chi=None mean "use the size-dependent default" (2^ceil(log2 n) support
+    and chi = n respectively). Parameters are checked here, so a bad spec
+    fails before any run starts.
     """
 
     kind: str
     alpha: float = 1.0
     k: int | None = None
     chi: int | None = None
-    include_singletons: bool = True
 
     def __post_init__(self):
-        if self.kind not in FAMILIES:
+        family = FAMILIES.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}")
+        for name in self._set_parameters():
+            if name not in family.params:
+                takes = ", ".join(family.params) or "no parameters"
+                raise ValueError(f"family {self.kind} does not take {name} (it takes {takes})")
         if self.k is not None and self.k < 1:
             raise ValueError(f"support size k must be at least 1, got {self.k}")
         if self.kind == "peaked_iqp" and self.k is not None and self.k & (self.k - 1):
             raise ValueError(f"peaked_iqp support k must be a power of two, got {self.k}")
         if self.chi is not None and self.chi < 1:
             raise ValueError(f"bond dimension chi must be at least 1, got {self.chi}")
-        self.underlying()  # raises when alpha is outside the law's domain
+        if family.law is not None:
+            self.underlying()  # raises when alpha is outside the law's domain
+
+    def _set_parameters(self) -> list[str]:
+        """Names of the parameters given a value other than their default."""
+        fields = dataclasses.fields(self)[1:]  # all but kind
+        return [f.name for f in fields if getattr(self, f.name) != f.default]
 
     def underlying(self) -> GammaLaw | ParetoLaw:
-        if self.kind == "pareto":
-            return ParetoLaw(self.alpha)
-        return GammaLaw(self.alpha)
+        return FAMILIES[self.kind].law(self.alpha)
 
     def support_size(self, n: int) -> int:
         """Peaked-family support: k, by default the smallest power of two >= n."""
@@ -174,14 +185,13 @@ class FamilySpec:
         return self.chi if self.chi is not None else n
 
     def label(self) -> str:
-        """Stable CSV label, parameterized where it matters."""
-        if self.kind in ("dirichlet", "pareto") and self.alpha != 1.0:
-            return f"{self.kind}({self.alpha:g})"
-        if self.kind == "mps" and self.chi is not None:
-            return f"mps(chi={self.chi})"
-        if self.kind == "peaked" and self.k is not None:
-            return f"peaked(K={self.k})"
-        return self.kind
+        """Stable CSV label: kind(...) over the parameters not at their default."""
+        parts = [_LABEL_FORMATS[p].format(getattr(self, p)) for p in self._set_parameters()]
+        return f"{self.kind}({','.join(parts)})" if parts else self.kind
+
+
+# how label() writes each parameter, e.g. peaked(0.5,K=4) and mps(chi=3)
+_LABEL_FORMATS = {"alpha": "{:g}", "k": "K={}", "chi": "chi={}"}
 
 
 @dataclass(frozen=True)
@@ -193,13 +203,17 @@ class Family:
     closed-form marginal, returns p(x*) of `count` instances without the
     dense vectors; mass_chunk is that route's chunk size (None: the dense
     chunk of n), which decides the substream each instance draws from.
-    max_n is the largest n the generator accepts.
+    max_n is the largest n the generator accepts. params names the
+    FamilySpec parameters the kind reads, and law, for the kinds built on
+    iid positive draws, the underlying law that alpha parameterizes.
     """
 
     dense: Callable
     mass: Callable | None = None
     mass_chunk: int | None = None
     max_n: int = MAX_DENSE_QUBITS
+    params: tuple[str, ...] = ()
+    law: type | None = None
 
 
 def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
@@ -269,17 +283,23 @@ FAMILIES = {
         # Beta(a, a(N-1)) by gamma additivity
         lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
         mass_chunk=1 << 16,
+        params=("alpha",), law=GammaLaw,
     ),
-    "pareto": Family(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng), _pareto_mass),
+    "pareto": Family(
+        lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
+        _pareto_mass,
+        params=("alpha",), law=ParetoLaw,
+    ),
     "peaked": Family(
         lambda spec, n, count, rng: _scatter_rows(
             _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
         ),
         _peaked_mass,
         mass_chunk=1 << 16,
+        params=("alpha", "k"), law=GammaLaw,
     ),
     "iqp": Family(
-        lambda spec, n, count, rng: iqp_prob_values(n, count, rng, spec.include_singletons),
+        lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
         max_n=MAX_STATEVECTOR_QUBITS,
     ),
     "peaked_iqp": Family(
@@ -289,10 +309,12 @@ FAMILIES = {
         _peaked_iqp_mass,
         mass_chunk=1 << 14,
         max_n=MAX_STATEVECTOR_QUBITS,
+        params=("k",),
     ),
     "mps": Family(
         lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
         max_n=MAX_STATEVECTOR_QUBITS,
+        params=("chi",),
     ),
     # degenerate reference families, mainly for calibration runs
     "uniform": Family(
@@ -430,21 +452,15 @@ def estimate_tail_curve(
     if not grid:
         raise ValueError("domain error: empty y grid")
     masses = _reference_masses(family, n, trials, stream, workers)
-    N = 1 << n
-    estimates, lows, highs = [], [], []
-    for y in grid:
-        hits = int(np.count_nonzero(masses >= y / N))
-        lo, hi = wilson_interval(hits, trials)
-        estimates.append(hits / trials)
-        lows.append(lo)
-        highs.append(hi)
+    hits = [int(np.count_nonzero(masses >= y / (1 << n))) for y in grid]
+    lows, highs = zip(*(wilson_interval(h, trials) for h in hits))
     return TailCurve(
         family=family.label(),
         n=n,
         y_grid=tuple(grid),
-        estimates=tuple(estimates),
-        ci_low=tuple(lows),
-        ci_high=tuple(highs),
+        estimates=tuple(h / trials for h in hits),
+        ci_low=lows,
+        ci_high=highs,
         trials=trials,
     )
 
@@ -454,9 +470,7 @@ def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
         return None
     if sigma is None:
         raise ValueError("domain error: mmd2 requires a bandwidth (sigma; 0 means rho=0)")
-    if sigma == 0.0:
-        return KernelSpec(rho=0.0)
-    return KernelSpec(sigma=float(sigma))
+    return bandwidth_kernel(float(sigma))
 
 
 def pairwise_loss_values(

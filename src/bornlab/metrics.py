@@ -12,8 +12,8 @@ eigenvalue (1-rho)^{|S|} (1+rho)^{n-|S|} / 2^n on chi_S, so
     MMD^2(p, q) = (1/2^n) sum_S (1-rho)^{|S|} (1+rho)^{n-|S|} (phat_S - qhat_S)^2.
 
 At rho = 0 the weights collapse to 1 and Parseval turns this into the
-squared distance; that limit is accepted directly (rho=0) even though no
-finite bandwidth reaches it.
+squared distance; that limit is accepted directly (rho=0, or sigma=0
+through bandwidth_kernel) even though no finite bandwidth reaches it.
 
 The two-sample U-statistic mmd2_unbiased needs the kernel sums
 c^T K c' over the outcome histograms c, c' of m and l samples. It takes one
@@ -40,10 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import BitString, ProbVector, SampleSet, fwht, hamming_distance, popcounts
-
-# the kernel double sum is O(4^n); past this, use mmd2_fourier
-MAX_KERNEL_SUM_QUBITS = 13
+from .bitmath import MAX_KERNEL_SUM_QUBITS, ProbVector, SampleSet, fwht, popcounts
 
 # mmd2_unbiased's peak working memory: either route's arrays fit in this many
 # bytes (or in one row of the distance route, if that is larger)
@@ -54,14 +51,12 @@ MMD_MEMORY_BYTES = 1 << 26
 # temporaries of two consecutive butterfly stages
 _COUNTS_BYTES_PER_OUTCOME = 56
 
-LOSS_METRICS = ("sd", "mmd2", "mmd2_estimate", "l1", "tvd")
-
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian-Hamming kernel, given either a bandwidth or rho directly.
 
-    k(x, x) = 1, so the kernel bound K_max is always 1.
+    k(x, x) = 1, so the kernel bound K of mmd_test_threshold is 1.
     """
 
     sigma: float | None = None
@@ -71,8 +66,10 @@ class KernelSpec:
         if (self.sigma is None) == (self.rho is None):
             raise ValueError("give exactly one of sigma, rho")
         if self.sigma is not None:
-            if not self.sigma > 0:
-                raise ValueError(f"domain error: sigma must be positive, got {self.sigma}")
+            if not 0.0 < self.sigma < math.inf:
+                raise ValueError(
+                    f"domain error: sigma must be positive and finite, got {self.sigma}"
+                )
             object.__setattr__(self, "sigma", float(self.sigma))
             object.__setattr__(self, "rho", math.exp(-1.0 / (2.0 * self.sigma**2)))
         else:
@@ -80,28 +77,10 @@ class KernelSpec:
                 raise ValueError(f"domain error: rho must lie in [0, 1), got {self.rho}")
             object.__setattr__(self, "rho", float(self.rho))
 
-    @property
-    def k_max(self) -> float:
-        return 1.0
 
-
-@dataclass(frozen=True)
-class LossValue:
-    """A computed loss with the metadata needed to interpret it."""
-
-    metric: str
-    value: float
-    sigma: float | None = None
-    m: int | None = None
-    l: int | None = None
-
-    def __post_init__(self):
-        if self.metric not in LOSS_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; known: {LOSS_METRICS}")
-        if self.metric in ("sd", "mmd2") and self.value < -1e-12:
-            raise ValueError(f"{self.metric} must be non-negative, got {self.value}")
-        if self.metric == "l1" and not -1e-12 <= self.value <= 2 + 1e-12:
-            raise ValueError(f"l1 must lie in [0, 2], got {self.value}")
+def bandwidth_kernel(sigma: float) -> KernelSpec:
+    """The kernel of bandwidth sigma, where sigma = 0 stands for rho = 0."""
+    return KernelSpec(rho=0.0) if sigma == 0.0 else KernelSpec(sigma=sigma)
 
 
 def _check_same_n(p: ProbVector, q: ProbVector):
@@ -114,12 +93,6 @@ def squared_distance(p: ProbVector, q: ProbVector) -> float:
     _check_same_n(p, q)
     d = p.values - q.values
     return float(d @ d)
-
-
-def gaussian_hamming_kernel(x: BitString, y: BitString, spec: KernelSpec) -> float:
-    if x.n != y.n:
-        raise ValueError(f"dimension error: n mismatch {x.n} != {y.n}")
-    return float(spec.rho ** hamming_distance(x, y))
 
 
 def fourier_weights(n: int, spec: KernelSpec) -> np.ndarray:
@@ -257,14 +230,3 @@ def total_variation_distance(p: ProbVector, q: ProbVector) -> float:
     names interchangeably.
     """
     return 0.5 * l1_distance(p, q)
-
-
-def triangle_bounds(dpu: float, dqu: float) -> tuple[float, float]:
-    """Sandwich for the squared distance between p and q given their
-    squared distances to a common reference: ((sqrt a - sqrt b)^2,
-    (sqrt a + sqrt b)^2)."""
-    if dpu < 0 or dqu < 0:
-        raise ValueError("domain error: squared distances must be non-negative")
-    lo = (math.sqrt(dpu) - math.sqrt(dqu)) ** 2
-    hi = (math.sqrt(dpu) + math.sqrt(dqu)) ** 2
-    return lo, hi

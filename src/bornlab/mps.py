@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmath import (
-    MAX_STATEVECTOR_QUBITS,
     BitString,
     ProbVector,
     SampleSet,
     as_generator,
+    check_statevector_cap,
     validate_prob_vector,
 )
 
@@ -111,11 +111,7 @@ def mps_probability(state: MpsState, x: BitString) -> float:
 
 def mps_state_vector(state: MpsState) -> np.ndarray:
     """Dense amplitudes, index bit (i-1) = qubit i. Capped at n = 16."""
-    if state.n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(
-            f"resource error: n={state.n} exceeds statevector cap "
-            f"{MAX_STATEVECTOR_QUBITS}"
-        )
+    check_statevector_cap(state.n)
     T = state.tensors[0][0]  # (2, D)
     for t in state.tensors[1:]:
         T = np.einsum("xd,dse->xse", T, t)
@@ -163,10 +159,7 @@ def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> n
     Batched mirror of random_mps + mps_prob_vector using stacked QR; the
     ensembles coincide draw-for-draw in distribution (not in stream order).
     """
-    if n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(
-            f"resource error: n={n} exceeds statevector cap {MAX_STATEVECTOR_QUBITS}"
-        )
+    check_statevector_cap(n)
     dims = bond_dims(n, chi)
     tensors = []
     for i in range(n):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bornlab.bitmath import (
     BitString,
-    RandomStream,
     SampleSet,
     SubsetMask,
     derive_stream,
@@ -200,11 +199,6 @@ def test_stream_children_are_independent_of_sibling_order():
     s2 = derive_stream(7, 3)
     s2.child(5)
     np.testing.assert_array_equal(c2, s2.child(2).generator.random(16))
-
-
-def test_stream_index_property():
-    assert derive_stream(1, 9).stream_index == 9
-    assert RandomStream(1, (4, 2)).stream_index == 4
 
 
 def test_sample_set_validation_and_rendering():

@@ -227,6 +227,17 @@ def test_mmdtest_needs_two_samples_per_side(tmp_path, capsys):
     assert run_cli(["mmdtest", x, y]) == 2
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_mmdtest_rejects_bad_sigma(tmp_path, capsys, sigma):
+    # sigma = 0 stands for rho = 0; a negative or non-finite sigma is no bandwidth
+    path = tmp_path / "x.txt"
+    write_samples(path, 4, [1, 2, 3, 4, 5])
+    assert run_cli(["mmdtest", path, path, f"--sigma={sigma}"]) == 2
+    captured = capsys.readouterr()
+    assert "sigma must be positive and finite" in captured.err
+    assert "estimate" not in captured.out
+
+
 def test_sample_files_read_msb_first(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("100\n001\n\n")
@@ -290,6 +301,11 @@ def test_config_validation():
         ("mps:chi=0", "chi must be at least 1"),
         ("peaked:k=0", "k must be at least 1"),
         ("product,pareto", "alpha must exceed 1"),  # pareto's alpha defaults to 1
+        # a parameter the kind does not read is refused, not ignored
+        ("iqp:chi=3", "family iqp does not take chi (it takes no parameters)"),
+        ("mps:k=2", "family mps does not take k (it takes chi)"),
+        ("iqp:alpha=5", "family iqp does not take alpha (it takes no parameters)"),
+        ("peaked_iqp:alpha=0.5", "family peaked_iqp does not take alpha (it takes k)"),
     ],
 )
 def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family, message):

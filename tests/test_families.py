@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from bornlab.bitmath import derive_stream
+from bornlab.cli import parse_family
 from bornlab.families import (
     GammaLaw,
     ParetoLaw,
@@ -469,6 +470,21 @@ def test_family_spec_defaults():
     assert FamilySpec("mps", chi=3).bond_dimension(7) == 3
     assert FamilySpec("pareto", alpha=2.0).label() == "pareto(2)"
     assert FamilySpec("dirichlet").label() == "dirichlet"
+    # every parameter off its default shows, so distinct specs get distinct labels
+    labels = {
+        "dirichlet:alpha=0.5": "dirichlet(0.5)",
+        "mps:chi=3": "mps(chi=3)",
+        "peaked:k=4": "peaked(K=4)",
+        "peaked_iqp:k=2": "peaked_iqp(K=2)",
+        "peaked_iqp:k=4": "peaked_iqp(K=4)",
+        "peaked:alpha=0.5": "peaked(0.5)",
+        "peaked:k=4,alpha=0.5": "peaked(0.5,K=4)",
+        "peaked_iqp": "peaked_iqp",
+    }
+    for token, label in labels.items():
+        assert parse_family(token).label() == label
+    with pytest.raises(ValueError, match="does not take chi"):
+        FamilySpec("iqp", chi=3)
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("haar")
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bornlab import metrics
 from bornlab.bitmath import (
-    BitString,
     ProbVector,
     RandomStream,
     SampleSet,
@@ -22,9 +21,8 @@ from bornlab.cli import main
 from bornlab.metrics import (
     MMD_MEMORY_BYTES,
     KernelSpec,
-    LossValue,
+    bandwidth_kernel,
     fourier_weights,
-    gaussian_hamming_kernel,
     l1_distance,
     mmd2_fourier,
     mmd2_fourier_batch,
@@ -33,7 +31,6 @@ from bornlab.metrics import (
     mmd_test_threshold,
     squared_distance,
     total_variation_distance,
-    triangle_bounds,
 )
 from bornlab.mps import mps_prob_values
 from test_acceptance import unbiased_from_counts
@@ -59,7 +56,6 @@ def _random_pair(n, seed):
 def test_kernel_spec():
     assert KernelSpec(sigma=1.0).rho == pytest.approx(math.exp(-0.5))
     assert KernelSpec(rho=0.0).rho == 0.0
-    assert KernelSpec(sigma=2.0).k_max == 1.0
     # rho increases with bandwidth
     rhos = [KernelSpec(sigma=s).rho for s in (0.3, 0.5, 1.0, 4.0)]
     assert rhos == sorted(rhos)
@@ -71,6 +67,14 @@ def test_kernel_spec():
         KernelSpec(sigma=0.0)
     with pytest.raises(ValueError, match="domain error"):
         KernelSpec(rho=1.0)
+    # an infinite bandwidth would reach rho = 1, which rho= refuses
+    for sigma in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelSpec(sigma=sigma)
+        with pytest.raises(ValueError, match="positive and finite"):
+            bandwidth_kernel(sigma)
+    assert bandwidth_kernel(0.0) == KernelSpec(rho=0.0)
+    assert bandwidth_kernel(2.0) == KernelSpec(sigma=2.0)
 
 
 def test_squared_distance_examples():
@@ -82,20 +86,6 @@ def test_squared_distance_examples():
     assert squared_distance(_uniform(n), _point(n, 0)) == pytest.approx(1 - 1 / 2**n)
     with pytest.raises(ValueError, match="dimension error"):
         squared_distance(_uniform(2), _uniform(3))
-
-
-def test_kernel_values():
-    spec = KernelSpec(sigma=1.0)
-    assert gaussian_hamming_kernel(BitString(5, 4), BitString(5, 4), spec) == 1.0
-    assert gaussian_hamming_kernel(BitString(0, 4), BitString(1, 4), spec) == pytest.approx(
-        math.exp(-0.5)
-    )
-    assert gaussian_hamming_kernel(BitString(0, 4), BitString(3, 4), spec) == pytest.approx(
-        math.exp(-1.0)
-    )
-    zero = KernelSpec(rho=0.0)
-    assert gaussian_hamming_kernel(BitString(2, 3), BitString(2, 3), zero) == 1.0
-    assert gaussian_hamming_kernel(BitString(2, 3), BitString(3, 3), zero) == 0.0
 
 
 def test_fourier_weights_binomial_sum():
@@ -398,18 +388,6 @@ def test_dirichlet_l1_moments():
     assert var < 3 / N
 
 
-def test_triangle_bounds():
-    assert triangle_bounds(0.3, 0.3)[0] == 0.0
-    assert triangle_bounds(0.5, 0.0) == pytest.approx((0.5, 0.5), rel=1e-12)
-    with pytest.raises(ValueError, match="domain error"):
-        triangle_bounds(-0.1, 0.2)
-    u = _uniform(6)
-    for seed in range(8):
-        p, q = _random_pair(6, 700 + seed)
-        lo, hi = triangle_bounds(squared_distance(p, u), squared_distance(q, u))
-        assert lo - 1e-12 <= squared_distance(p, q) <= hi + 1e-12
-
-
 def test_parseval_across_generators():
     zero = KernelSpec(rho=0.0)
     rng = RandomStream(61).generator
@@ -425,17 +403,6 @@ def test_parseval_across_generators():
             assert mmd2_fourier(p, q, zero) == pytest.approx(
                 squared_distance(p, q), abs=1e-15
             )
-
-
-def test_loss_value_validation():
-    LossValue("sd", 0.25)
-    LossValue("mmd2_estimate", -0.01, sigma=1.0, m=10, l=10)
-    with pytest.raises(ValueError):
-        LossValue("sd", -1.0)
-    with pytest.raises(ValueError):
-        LossValue("l1", 2.5)
-    with pytest.raises(ValueError):
-        LossValue("nope", 0.0)
 
 
 @settings(max_examples=30, deadline=None)
