@@ -48,8 +48,8 @@ def main() -> int:
         means = []
         for n in ns:
             report = pairwise_loss_moments(
-                family, int(n), "sd", None, args.pairs, root.child(idx).child(int(n)), None
-            )
+                family, int(n), [("sd", None)], args.pairs, root.child(idx).child(int(n)), None
+            )[0]
             means.append(report.mean)
         slope = np.polyfit(ns, np.log(means), 1)[0]
         anti = anticoncentration_statistic(

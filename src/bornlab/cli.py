@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -198,32 +199,32 @@ def _resolve_sigma(token: str, n: int) -> float:
     return sigma
 
 
-def _metric_sigma_combos(config: ExperimentConfig) -> list[tuple[str, str | None]]:
-    combos: list[tuple[str, str | None]] = []
+def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, float | None]]:
+    combos: list[tuple[str, float | None]] = []
     for metric in config.metrics:
         if metric == "mmd2":
-            sigmas = config.sigmas or ("1",)
-            combos.extend(("mmd2", s) for s in sigmas)
+            combos.extend(("mmd2", _resolve_sigma(s, n)) for s in config.sigmas or ("1",))
         else:
             combos.append((metric, None))
     return combos
 
 
-def _mmdtest_rejection_rates(family, n, sigma, alpha, samples, trials, stream) -> dict:
+def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> list[dict]:
     """Monte Carlo rejection rates of the two-sample test within one family.
 
-    Per repetition draws two fresh instances p, q and runs the test twice:
-    once with both sample sets from p (the null) and once with one set from
-    each (family-typical alternative). Concentrated families are expected to
-    show near-zero power here; that is the behavior being measured.
+    Per repetition draws two fresh instances p, q and three sample sets, and
+    at every bandwidth runs the test twice on them: once with both sample
+    sets from p (the null) and once with one set from each (family-typical
+    alternative). Concentrated families are expected to show near-zero power
+    here; that is the behavior being measured.
     """
     from .bitmath import validate_prob_vector
     from .circuits import sample_prob_vector
     from .lab import instance_prob_values
 
-    spec = bandwidth_kernel(sigma)
+    specs = [bandwidth_kernel(sigma) for sigma in sigmas]
     threshold = mmd_test_threshold(samples, samples, alpha)
-    counts = {"reject_rate_equal": 0, "reject_rate_distinct": 0}
+    counts = [{"reject_rate_equal": 0, "reject_rate_distinct": 0} for _ in specs]
     for rep in range(trials):
         rep_stream = stream.child(rep)
         masses = instance_prob_values(family, n, 2, rep_stream.child(0).generator)
@@ -234,10 +235,9 @@ def _mmdtest_rejection_rates(family, n, sigma, alpha, samples, trials, stream) -
             sample_prob_vector(p, rep_stream.child(2), samples),
             sample_prob_vector(q, rep_stream.child(3), samples),
         ]
-        if mmd2_unbiased(draws[0], draws[1], spec) > threshold:
-            counts["reject_rate_equal"] += 1
-        if mmd2_unbiased(draws[0], draws[2], spec) > threshold:
-            counts["reject_rate_distinct"] += 1
+        for spec, count in zip(specs, counts):
+            count["reject_rate_equal"] += mmd2_unbiased(draws[0], draws[1], spec) > threshold
+            count["reject_rate_distinct"] += mmd2_unbiased(draws[0], draws[2], spec) > threshold
     return counts
 
 
@@ -267,13 +267,10 @@ def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
 
 
 def _pairwise_rows(config, family, n, base) -> list[ExperimentRow]:
-    rows = []
-    for combo_idx, (metric, sigma_token) in enumerate(_metric_sigma_combos(config)):
-        sigma = None if sigma_token is None else _resolve_sigma(sigma_token, n)
-        rows += _moment_rows(config, pairwise_loss_moments(
-            family, n, metric, sigma, config.trials, base.child(combo_idx), config.workers
-        ))
-    return rows
+    reports = pairwise_loss_moments(
+        family, n, _metric_sigma_combos(config, n), config.trials, base.child(0), config.workers
+    )
+    return [row for report in reports for row in _moment_rows(config, report)]
 
 
 def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
@@ -299,20 +296,18 @@ def _observable_rows(config, family, n, base) -> list[ExperimentRow]:
 
 def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
     rows = []
-    for combo_idx, sigma_token in enumerate(config.sigmas or ("1",)):
-        sigma = _resolve_sigma(sigma_token, n)
-        rates = _mmdtest_rejection_rates(
-            family, n, sigma, config.alpha, config.samples, config.trials, base.child(combo_idx),
-        )
+    sigmas = [_resolve_sigma(token, n) for token in config.sigmas or ("1",)]
+    all_rates = _mmdtest_rejection_rates(
+        family, n, sigmas, config.alpha, config.samples, config.trials, base.child(0),
+    )
+    for sigma, rates in zip(sigmas, all_rates):
         for stat, count in rates.items():
             rate = count / config.trials
             se = math.sqrt(rate * (1 - rate) / config.trials)
-            rows.append(
-                ExperimentRow(
-                    "mmdtest", family.label(), n, "mmd2", sigma,
-                    stat, rate, se, config.trials, config.seed,
-                )
-            )
+            rows.append(ExperimentRow(
+                "mmdtest", family.label(), n, "mmd2", sigma,
+                stat, rate, se, config.trials, config.seed,
+            ))
     return rows
 
 
@@ -341,8 +336,9 @@ EXPERIMENTS = {
 def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
     """Execute one experiment across the family x n grid, in a fixed order.
 
-    Streams fan out as seed -> family index -> n -> combo index, so adding a
-    family or metric never shifts the randomness of the others.
+    Streams fan out as seed -> family index -> n -> child(0) -> chunk (or
+    mmdtest repetition), and every metric and bandwidth of a cell scores that
+    one draw, so a row depends only on its (seed, family index, n, metric, sigma).
     """
     root = RandomStream(config.seed)
     cell_rows = EXPERIMENTS[config.experiment].rows
@@ -377,6 +373,9 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         raise CliError(f"{path}:{e.lineno}: parse error: {e.msg}") from e
     if not isinstance(record, dict):
         raise CliError(f"{path}: the top level must be a JSON object, not {type(record).__name__}")
+    version = record.get("version", __version__)
+    if version != __version__:
+        raise CliError(f"{path}: written by bornlab {version}, not {__version__}; rows would differ")
     raw = record["configs"] if "configs" in record else [record["config"] if "config" in record else record]
     configs = []
     for item in raw:
@@ -541,7 +540,8 @@ def _run_grid(args, experiment: str, trials: int, **fields) -> int:
     out = args.out or f"{experiment}.csv"
     config = ExperimentConfig(
         experiment,
-        tuple(t.strip() for t in args.family.split(",")),
+        # a comma starts a new family unless the item is another key=value
+        tuple(t.strip() for t in re.split(r",(?![^,:]*=)", args.family)),
         n_min=args.n_min,
         n_max=args.n_max,
         trials=PAPER_TRIALS if args.paper_scale else trials,

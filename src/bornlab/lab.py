@@ -4,7 +4,9 @@ Four experiment kinds, all built on the same deterministic fan-out: work is
 split into fixed-size chunks, chunk k draws from stream.child(k), and chunk
 results are concatenated in index order. The chunk size is a function of the
 family kind and n only, so results are bit-identical for a fixed (config,
-seed) regardless of the worker count.
+seed) regardless of the worker count. A pairwise chunk draws its pairs once
+and scores every requested (metric, sigma) combo on them, so a combo's
+values never depend on which other combos were asked for.
 
 FAMILIES is the one table of family kinds. Each entry draws a chunk of B
 instances as a (B, 2^n) array, and, where a closed-form marginal exists,
@@ -359,17 +361,25 @@ def _tail_chunk(task) -> np.ndarray:
 
 
 def _pairwise_chunk(task) -> np.ndarray:
-    family, n, metric, kernel, stream, index, count = task
+    """Losses of `count` pairs, one row per (metric, kernel) combo."""
+    family, n, combos, stream, index, count = task
     rng = stream.child(index).generator
     diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
         family, n, count, rng
     )
-    if metric == "sd":
-        return np.einsum("ij,ij->i", diff, diff)
-    if metric == "mmd2":
-        return mmd2_fourier_batch(diff, n, kernel)
-    values = np.abs(diff).sum(axis=1)
-    return values if metric == "l1" else 0.5 * values
+    out = np.empty((len(combos), count))
+    mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
+    if mmd2:
+        out[mmd2] = mmd2_fourier_batch(diff, n, tuple(combos[i][1] for i in mmd2)).T
+    l1 = None
+    for i, (metric, _) in enumerate(combos):
+        if metric == "sd":
+            out[i] = np.einsum("ij,ij->i", diff, diff)
+        elif metric != "mmd2":
+            if l1 is None:
+                l1 = np.abs(diff).sum(axis=1)
+            out[i] = l1 if metric == "l1" else 0.5 * l1
+    return out
 
 
 def _observable_chunk(task) -> np.ndarray:
@@ -401,7 +411,7 @@ def _collect(fn, fixed: tuple, total: int, chunk: int, stream: RandomStream, wor
     if total % chunk:
         sizes.append(total % chunk)
     tasks = [fixed + (stream, k, size) for k, size in enumerate(sizes)]
-    return np.concatenate(_parallel_map(fn, tasks, workers))
+    return np.concatenate(_parallel_map(fn, tasks, workers), axis=-1)
 
 
 def _moment_report(
@@ -466,6 +476,8 @@ def estimate_tail_curve(
 
 
 def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
+    if metric not in PAIR_METRICS:
+        raise ValueError(f"domain error: unknown metric {metric!r}; known: {PAIR_METRICS}")
     if metric != "mmd2":
         return None
     if sigma is None:
@@ -476,40 +488,32 @@ def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
 def pairwise_loss_values(
     family: FamilySpec,
     n: int,
-    metric: str,
-    sigma: float | None = None,
+    combos: list[tuple[str, float | None]],
     pairs: int = 10_000,
     stream: RandomStream = RandomStream(0),
     workers: int | None = 1,
 ) -> np.ndarray:
-    """Loss values of `pairs` independent instance pairs, in draw order."""
-    if metric not in PAIR_METRICS:
-        raise ValueError(f"domain error: unknown metric {metric!r}; known: {PAIR_METRICS}")
+    """Losses of `pairs` independent instance pairs in draw order, one row per
+    (metric, sigma) combo; every combo is scored on the same pairs."""
     if pairs < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} pairs")
-    kernel = _kernel_for(sigma, metric)
+    metric_kernels = tuple((metric, _kernel_for(sigma, metric)) for metric, sigma in combos)
     return _collect(
-        _pairwise_chunk,
-        (family, n, metric, kernel),
-        pairs,
-        _dense_chunk(n),
-        stream,
-        workers,
+        _pairwise_chunk, (family, n, metric_kernels), pairs, _dense_chunk(n), stream, workers
     )
 
 
 def pairwise_loss_moments(
     family: FamilySpec,
     n: int,
-    metric: str,
-    sigma: float | None = None,
+    combos: list[tuple[str, float | None]],
     pairs: int = 10_000,
     stream: RandomStream = RandomStream(0),
     workers: int | None = 1,
-) -> MomentReport:
-    """Mean/variance of a loss across independent instance pairs."""
-    values = pairwise_loss_values(family, n, metric, sigma, pairs, stream, workers)
-    return _moment_report(family, n, metric, values, sigma)
+) -> list[MomentReport]:
+    """Mean/variance of each combo's loss across the same instance pairs."""
+    values = pairwise_loss_values(family, n, combos, pairs, stream, workers)
+    return [_moment_report(family, n, m, row, sigma) for (m, sigma), row in zip(combos, values)]
 
 
 def anticoncentration_statistic(

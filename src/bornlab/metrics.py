@@ -14,6 +14,8 @@ eigenvalue (1-rho)^{|S|} (1+rho)^{n-|S|} / 2^n on chi_S, so
 At rho = 0 the weights collapse to 1 and Parseval turns this into the
 squared distance; that limit is accepted directly (rho=0, or sigma=0
 through bandwidth_kernel) even though no finite bandwidth reaches it.
+mmd2_fourier_batch evaluates every requested bandwidth from one transform,
+and each column equals, bit for bit, a call with that kernel alone.
 
 The two-sample U-statistic mmd2_unbiased needs the kernel sums
 c^T K c' over the outcome histograms c, c' of m and l samples. It takes one
@@ -108,10 +110,10 @@ def mmd2_fourier(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
     return float(fourier_weights(p.n, spec) @ ghat**2) / (1 << p.n)
 
 
-def mmd2_fourier_batch(diffs: np.ndarray, n: int, spec: KernelSpec) -> np.ndarray:
-    """MMD^2 of many difference vectors at once; diffs has shape (..., 2^n)."""
-    ghat = fwht(np.asarray(diffs, dtype=float))
-    return (ghat**2) @ fourier_weights(n, spec) / (1 << n)
+def mmd2_fourier_batch(diffs: np.ndarray, n: int, specs: tuple[KernelSpec, ...]) -> np.ndarray:
+    """MMD^2 of diffs, shape (..., 2^n), under each kernel: one column per kernel."""
+    power = fwht(np.asarray(diffs, dtype=float)) ** 2
+    return np.stack([power @ fourier_weights(n, spec) / (1 << n) for spec in specs], axis=-1)
 
 
 def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:

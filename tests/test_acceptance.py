@@ -80,8 +80,8 @@ def test_criterion_01_product_sd_mean_tracks_closed_form():
     start = time.time()
     for n in N_FULL_RANGE:
         report = pairwise_loss_moments(
-            FamilySpec("product"), n, "sd", None, 10_000, RandomStream(411).child(n), 1
-        )
+            FamilySpec("product"), n, [("sd", None)], 10_000, RandomStream(411).child(n), 1
+        )[0]
         expected = 2 * ((2 / 3) ** n - 2.0 ** -n)
         assert abs(report.mean - expected) <= 3 * report.se_mean, (n, report.mean, expected)
     assert time.time() - start < 120
@@ -104,8 +104,8 @@ def test_criterion_02_dirichlet_sd_mean_tracks_closed_form():
     for n in N_FULL_RANGE:
         N = 1 << n
         report = pairwise_loss_moments(
-            FamilySpec("dirichlet"), n, "sd", None, 10_000, RandomStream(412).child(n), 1
-        )
+            FamilySpec("dirichlet"), n, [("sd", None)], 10_000, RandomStream(412).child(n), 1
+        )[0]
         expected = 2 * (N - 1) / (N * (N + 1))
         assert abs(report.mean - expected) <= 3 * report.se_mean, (n, report.mean, expected)
 
@@ -129,7 +129,7 @@ def test_criterion_03_parseval_ties_rho0_mmd_to_sd():
     for idx, (family, n) in enumerate(cases):
         rows = instance_prob_values(family, n, 200, RandomStream(413).child(idx).generator)
         diffs = rows[0::2] - rows[1::2]
-        mmd0 = mmd2_fourier_batch(diffs, n, spec)
+        mmd0 = mmd2_fourier_batch(diffs, n, (spec,))[..., 0]
         sd = (diffs ** 2).sum(axis=-1)
         tol = 1e-12 * np.maximum(np.maximum(mmd0, sd), 1e-300)
         assert np.all(np.abs(mmd0 - sd) <= tol), family.label()
@@ -180,11 +180,11 @@ def test_criterion_07_peaked_sd_scales_inversely_with_support():
     # mean SD of the peaked family scales like 4/(K+1): shrinking the
     # support from K=64 to K=16 multiplies it by about 4 (n=12, 10^4 pairs)
     r16 = pairwise_loss_moments(
-        FamilySpec("peaked", k=16), 12, "sd", None, 10_000, RandomStream(402).child(16), 1
-    )
+        FamilySpec("peaked", k=16), 12, [("sd", None)], 10_000, RandomStream(402).child(16), 1
+    )[0]
     r64 = pairwise_loss_moments(
-        FamilySpec("peaked", k=64), 12, "sd", None, 10_000, RandomStream(402).child(64), 1
-    )
+        FamilySpec("peaked", k=64), 12, [("sd", None)], 10_000, RandomStream(402).child(64), 1
+    )[0]
     ratio = r16.mean / r64.mean
     assert 3.0 <= ratio <= 5.0, ratio
 
@@ -201,8 +201,8 @@ def test_criterion_08_dirichlet_l1_mean_and_variance():
         N = 1 << n
         pairs = max(128, N)
         report = pairwise_loss_moments(
-            FamilySpec("dirichlet"), n, "l1", None, pairs, RandomStream(301).child(n), 1
-        )
+            FamilySpec("dirichlet"), n, [("l1", None)], pairs, RandomStream(301).child(n), 1
+        )[0]
         exact_mean = 2 * (N - 1) / (2 * N - 1)
         assert abs(report.mean - exact_mean) <= 3 * report.se_mean, (
             n, report.mean, exact_mean, 3 * report.se_mean
@@ -254,9 +254,9 @@ def test_criterion_10_iqp_means_decay_exponentially():
         means = []
         for n in N_FULL_RANGE:
             report = pairwise_loss_moments(
-                FamilySpec("iqp"), n, metric, sigma, 10_000,
+                FamilySpec("iqp"), n, [(metric, sigma)], 10_000,
                 RandomStream(406).child(metric_idx).child(n), 1,
-            )
+            )[0]
             means.append(report.mean)
         slope, r2 = linear_fit(list(N_FULL_RANGE), means)
         assert slope < 0, (metric, slope)
@@ -272,9 +272,9 @@ def test_criterion_11_large_bandwidth_flattens_product_iqp_decay():
         means = []
         for n in N_FULL_RANGE:
             report = pairwise_loss_moments(
-                FamilySpec(kind), n, "mmd2", float(n), 4000,
+                FamilySpec(kind), n, [("mmd2", float(n))], 4000,
                 RandomStream(407).child(family_idx).child(n), 1,
-            )
+            )[0]
             means.append(report.mean)
         slopes[kind], _ = linear_fit(list(N_FULL_RANGE), means)
     assert slopes["iqp_product"] > slopes["iqp"], slopes
@@ -284,11 +284,11 @@ def test_criterion_12_mps_interpolates_between_product_and_iqp():
     # chi=1 matrix product states are product states: SD moments agree
     # within 3 SE; chi=n sits between the fitted product and IQP curves
     a = pairwise_loss_moments(
-        FamilySpec("mps", chi=1), 6, "sd", None, 4000, RandomStream(404).child(1), 1
-    )
+        FamilySpec("mps", chi=1), 6, [("sd", None)], 4000, RandomStream(404).child(1), 1
+    )[0]
     b = pairwise_loss_moments(
-        FamilySpec("product"), 6, "sd", None, 4000, RandomStream(404).child(2), 1
-    )
+        FamilySpec("product"), 6, [("sd", None)], 4000, RandomStream(404).child(2), 1
+    )[0]
     assert abs(a.mean - b.mean) <= 3 * math.hypot(a.se_mean, b.se_mean)
     assert abs(a.variance - b.variance) <= 3 * math.hypot(a.se_variance, b.se_variance)
 
@@ -299,8 +299,8 @@ def test_criterion_12_mps_interpolates_between_product_and_iqp():
         for n in ns:
             family = FamilySpec("mps", chi=n) if kind == "mps" else FamilySpec(kind)
             report = pairwise_loss_moments(
-                family, n, "sd", None, 3000, RandomStream(405).child(family_idx).child(n), 1
-            )
+                family, n, [("sd", None)], 3000, RandomStream(405).child(family_idx).child(n), 1
+            )[0]
             values.append(report.mean)
         means[kind] = values
     product_fit = np.polyfit(list(ns), np.log(means["product"]), 1)

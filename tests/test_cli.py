@@ -6,12 +6,14 @@ for the deterministic seeding contract.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from bornlab import __version__
 from bornlab.cli import (
     CSV_HEADER,
     CliError,
@@ -22,6 +24,7 @@ from bornlab.cli import (
     parse_family,
     read_sample_file,
     rows_to_csv,
+    run_config,
 )
 from bornlab.lab import wilson_interval
 
@@ -460,11 +463,12 @@ def test_fig9_reports_both_l1_and_tvd(tmp_path):
            for r in rows if r["metric"] == "tvd" and r["statistic"] == "mean"}
     means = [v for v, _ in l1.values()]
     assert max(means) - min(means) < 0.15 * max(means)
-    # tvd rows use fresh pair draws, so compare the halved mean statistically
+    # tvd is half of l1 on the same pairs, and halving is exact in floating point
+    variances = {(r["metric"], int(r["n"])): float(r["value"])
+                 for r in rows if r["statistic"] == "variance"}
     for n in l1:
-        diff = tvd[n][0] - l1[n][0] / 2
-        se = math.hypot(tvd[n][1], l1[n][1] / 2)
-        assert abs(diff) < 5 * se
+        assert tvd[n][0] == l1[n][0] / 2
+        assert variances["tvd", n] == variances["l1", n] / 4
 
 
 @pytest.mark.slow
@@ -488,6 +492,73 @@ def test_fig5_families_decay_exponentially(tmp_path):
         r2 = 1 - np.sum((lny - pred) ** 2) / np.sum((lny - lny.mean()) ** 2)
         assert slope < 0, family
         assert r2 >= 0.99, (family, r2)
+
+
+# every family kind; pareto needs alpha > 1
+ALL_KINDS = ("product", "iqp_product", "dirichlet", "pareto:alpha=2", "peaked", "iqp",
+             "peaked_iqp", "mps", "uniform", "point")
+
+
+def _one_combo_rows(config, **fields):
+    return run_config(dataclasses.replace(config, **fields))
+
+
+def test_multi_combo_pairwise_rows_equal_one_combo_rows():
+    config = ExperimentConfig("pairwise", ALL_KINDS, n_min=2, n_max=4, trials=300, seed=31,
+                              metrics=("sd", "mmd2", "l1", "tvd"), sigmas=("0", "1", "n"),
+                              workers=1)
+    rows = run_config(config)
+    expected = [row for metric in ("sd", "l1", "tvd") for row in
+                _one_combo_rows(config, metrics=(metric,), sigmas=())]
+    expected += [row for sigma in ("0", "1", "n") for row in
+                 _one_combo_rows(config, metrics=("mmd2",), sigmas=(sigma,))]
+    assert len(rows) == len(expected) == 10 * 3 * 6 * 2
+    assert sorted(rows, key=repr) == sorted(expected, key=repr)
+
+
+def test_multi_sigma_mmdtest_rows_equal_one_sigma_rows():
+    config = ExperimentConfig("mmdtest", ALL_KINDS, n_min=2, n_max=4, trials=3, seed=32,
+                              sigmas=("0", "1", "n"), samples=30, workers=1)
+    rows = run_config(config)
+    expected = [row for sigma in ("0", "1", "n") for row in _one_combo_rows(config, sigmas=(sigma,))]
+    assert len(rows) == len(expected) == 10 * 3 * 3 * 2
+    assert sorted(rows, key=repr) == sorted(expected, key=repr)
+
+
+def test_metric_order_does_not_change_rows(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "5",
+            "--pairs", "200", "--seed", "33"]
+    run_cli(args + ["--metric", "l1,sd", "--out", a])
+    run_cli(args + ["--metric", "sd,l1", "--out", b])
+    assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
+
+
+def test_manifest_of_another_version_is_refused(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",
+             "--pairs", "100", "--out", first])
+    manifest = tmp_path / "first.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    assert record["version"] == __version__ != "0.1.0"
+    record["version"] = "0.1.0"
+    manifest.write_text(json.dumps(record))
+    again = tmp_path / "again.csv"
+    assert run_cli(["run", "--config", manifest, "--out", again]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "0.1.0" in err and __version__ in err
+    assert not again.exists()
+
+
+def test_family_flag_takes_tokens_with_several_parameters(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run_cli(["pairwise", "--family", "peaked:k=4,alpha=0.5,dirichlet", "--n-min", "3",
+                    "--n-max", "3", "--pairs", "100", "--out", out]) == 0
+    # the two-parameter label holds a comma, so match line prefixes, not CSV fields
+    lines = out.read_text().splitlines()[1:]
+    labels = ["peaked(0.5,K=4)"] * 2 + ["dirichlet"] * 2
+    assert len(lines) == len(labels)
+    assert all(line.startswith(f"pairwise,{label},3,sd,,") for line, label in zip(lines, labels))
 
 
 def test_mmdtest_experiment_kind_runs_from_config(tmp_path):

@@ -101,7 +101,7 @@ def test_tail_curve_validation():
 
 def test_pairwise_product_sd_mean():
     n = 5
-    report = pairwise_loss_moments(FamilySpec("product"), n, "sd", pairs=4000, stream=RandomStream(7))
+    report = pairwise_loss_moments(FamilySpec("product"), n, [("sd", None)], pairs=4000, stream=RandomStream(7))[0]
     expected = 2 * ((2 / 3) ** n - 2.0**-n)
     assert abs(report.mean - expected) < 3 * report.se_mean
     assert report.metric == "sd" and report.trials == 4000
@@ -110,17 +110,17 @@ def test_pairwise_product_sd_mean():
 def test_pairwise_dirichlet_sd_mean():
     n = 6
     N = 1 << n
-    report = pairwise_loss_moments(FamilySpec("dirichlet"), n, "sd", pairs=4000, stream=RandomStream(8))
+    report = pairwise_loss_moments(FamilySpec("dirichlet"), n, [("sd", None)], pairs=4000, stream=RandomStream(8))[0]
     assert abs(report.mean - 2 * (N - 1) / (N * (N + 1))) < 3 * report.se_mean
 
 
 def test_pairwise_dirichlet_l1_mean():
     n = 6
     N = 1 << n
-    report = pairwise_loss_moments(FamilySpec("dirichlet"), n, "l1", pairs=4000, stream=RandomStream(9))
+    report = pairwise_loss_moments(FamilySpec("dirichlet"), n, [("l1", None)], pairs=4000, stream=RandomStream(9))[0]
     assert abs(report.mean - 2 * (N - 1) / (2 * N - 1)) < 3 * report.se_mean
-    half = pairwise_loss_moments(FamilySpec("dirichlet"), n, "tvd", pairs=400, stream=RandomStream(9))
-    full = pairwise_loss_moments(FamilySpec("dirichlet"), n, "l1", pairs=400, stream=RandomStream(9))
+    half = pairwise_loss_moments(FamilySpec("dirichlet"), n, [("tvd", None)], pairs=400, stream=RandomStream(9))[0]
+    full = pairwise_loss_moments(FamilySpec("dirichlet"), n, [("l1", None)], pairs=400, stream=RandomStream(9))[0]
     assert half.mean == pytest.approx(0.5 * full.mean, rel=1e-12)
 
 
@@ -130,8 +130,8 @@ def test_pairwise_dirichlet_mmd2_mean():
     N = 1 << n
     rho = math.exp(-0.5)
     report = pairwise_loss_moments(
-        FamilySpec("dirichlet"), n, "mmd2", sigma=sigma, pairs=6000, stream=RandomStream(12)
-    )
+        FamilySpec("dirichlet"), n, [("mmd2", sigma)], pairs=6000, stream=RandomStream(12)
+    )[0]
     expected = (1 - ((1 + rho) / 2) ** n) * 2 / (N + 1)
     assert abs(report.mean - expected) < 3 * report.se_mean
 
@@ -140,32 +140,43 @@ def test_pairwise_peaked_sd_mean():
     # E[SD] = 4/(K+1) - 2/N for flat Dirichlet masses on a random K-subset
     n = 8
     spec = FamilySpec("peaked", k=8)
-    report = pairwise_loss_moments(spec, n, "sd", pairs=4000, stream=RandomStream(13))
+    report = pairwise_loss_moments(spec, n, [("sd", None)], pairs=4000, stream=RandomStream(13))[0]
     assert abs(report.mean - (4 / 9 - 2 / 256)) < 3 * report.se_mean
 
 
 def test_pairwise_sigma_zero_is_squared_distance():
-    sd = pairwise_loss_values(FamilySpec("iqp"), 5, "sd", pairs=300, stream=RandomStream(14))
+    sd = pairwise_loss_values(FamilySpec("iqp"), 5, [("sd", None)], pairs=300, stream=RandomStream(14))[0]
     mmd = pairwise_loss_values(
-        FamilySpec("iqp"), 5, "mmd2", sigma=0.0, pairs=300, stream=RandomStream(14)
-    )
+        FamilySpec("iqp"), 5, [("mmd2", 0.0)], pairs=300, stream=RandomStream(14)
+    )[0]
     np.testing.assert_allclose(mmd, sd, rtol=1e-12)
+
+
+def test_pairwise_combos_share_draws_across_chunks():
+    # n = 12 makes 256-pair chunks, so 600 pairs span three of them
+    combos = [("tvd", None), ("mmd2", 12.0), ("sd", None), ("mmd2", 0.0), ("l1", None)]
+    spec, stream = FamilySpec("dirichlet"), RandomStream(17)
+    values = pairwise_loss_values(spec, 12, combos, pairs=600, stream=stream)
+    assert values.shape == (5, 600)
+    for row, combo in zip(values, combos):
+        np.testing.assert_array_equal(row, pairwise_loss_values(spec, 12, [combo], 600, stream)[0])
+    np.testing.assert_array_equal(values[0], values[4] / 2)
 
 
 def test_pairwise_validation():
     with pytest.raises(ValueError, match="domain error"):
-        pairwise_loss_moments(FamilySpec("product"), 4, "hellinger", pairs=200, stream=STREAM)
+        pairwise_loss_moments(FamilySpec("product"), 4, [("hellinger", None)], pairs=200, stream=STREAM)
     with pytest.raises(ValueError, match="domain error"):
-        pairwise_loss_moments(FamilySpec("product"), 4, "mmd2", pairs=200, stream=STREAM)
+        pairwise_loss_moments(FamilySpec("product"), 4, [("mmd2", None)], pairs=200, stream=STREAM)
     with pytest.raises(ValueError, match="domain error"):
-        pairwise_loss_moments(FamilySpec("product"), 4, "sd", pairs=10, stream=STREAM)
+        pairwise_loss_moments(FamilySpec("product"), 4, [("sd", None)], pairs=10, stream=STREAM)
 
 
 def test_worker_count_does_not_change_results():
     for workers in (1, 2, 4):
         values = pairwise_loss_values(
-            FamilySpec("dirichlet"), 6, "sd", pairs=2500, stream=RandomStream(15), workers=workers
-        )
+            FamilySpec("dirichlet"), 6, [("sd", None)], pairs=2500, stream=RandomStream(15), workers=workers
+        )[0]
         if workers == 1:
             baseline = values
         else:
@@ -254,7 +265,7 @@ def test_markov_style_pair_bounds():
     # product pairs: Prob(SD > (2/3)^n / delta) <= delta (Markov is loose;
     # the empirical fraction should sit far below delta)
     n, pairs = 8, 3000
-    values = pairwise_loss_values(FamilySpec("product"), n, "sd", pairs=pairs, stream=RandomStream(33))
+    values = pairwise_loss_values(FamilySpec("product"), n, [("sd", None)], pairs=pairs, stream=RandomStream(33))[0]
     for delta in (0.1, 0.01):
         frac = np.mean(values > (2 / 3) ** n / delta)
         assert frac <= delta + 3 * math.sqrt(delta * (1 - delta) / pairs)
@@ -262,7 +273,7 @@ def test_markov_style_pair_bounds():
     # Dirichlet pairs with threshold k^2/N and the constant-6 bound
     n, pairs = 8, 3000
     N = 1 << n
-    values = pairwise_loss_values(FamilySpec("dirichlet"), n, "sd", pairs=pairs, stream=RandomStream(34))
+    values = pairwise_loss_values(FamilySpec("dirichlet"), n, [("sd", None)], pairs=pairs, stream=RandomStream(34))[0]
     for k in (2.0, 4.0):
         bound = 6 / k**2 * (1 + 2 / N)
         frac = np.mean(values > k**2 / N)
@@ -272,8 +283,8 @@ def test_markov_style_pair_bounds():
     n, K, pairs = 10, 16, 3000
     N = 1 << n
     values = pairwise_loss_values(
-        FamilySpec("peaked", k=K), n, "sd", pairs=pairs, stream=RandomStream(35)
-    )
+        FamilySpec("peaked", k=K), n, [("sd", None)], pairs=pairs, stream=RandomStream(35)
+    )[0]
     for delta in (0.1, 0.05):
         k2 = 1 / delta
         bound = 6 * delta * (1 + 2 / N) + K**2 / N
@@ -286,10 +297,10 @@ def test_sd_and_fourier_sd_decay_slopes_agree():
     ns = np.arange(4, 11)
     sd_means, mmd_means = [], []
     for n in ns:
-        sd = pairwise_loss_moments(FamilySpec("dirichlet"), int(n), "sd", pairs=1500, stream=RandomStream(36).child(n))
+        sd = pairwise_loss_moments(FamilySpec("dirichlet"), int(n), [("sd", None)], pairs=1500, stream=RandomStream(36).child(n))[0]
         mmd = pairwise_loss_moments(
-            FamilySpec("dirichlet"), int(n), "mmd2", sigma=1.0, pairs=1500, stream=RandomStream(37).child(n)
-        )
+            FamilySpec("dirichlet"), int(n), [("mmd2", 1.0)], pairs=1500, stream=RandomStream(37).child(n)
+        )[0]
         sd_means.append(sd.mean)
         mmd_means.append(mmd.mean)
     sd_slope = np.polyfit(ns, np.log(sd_means), 1)[0]

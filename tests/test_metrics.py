@@ -166,11 +166,22 @@ def test_mmd2_bit_relabeling_invariance():
     )
 
 
+def test_fourier_batch_with_several_kernels_equals_one_call_per_kernel():
+    n = 7
+    pairs = [_random_pair(n, 400 + i) for i in range(5)]
+    diffs = np.stack([p.values - q.values for p, q in pairs])
+    specs = (KernelSpec(rho=0.0), KernelSpec(sigma=1.0), KernelSpec(sigma=float(n)))
+    batch = mmd2_fourier_batch(diffs, n, specs)
+    assert batch.shape == (5, 3)
+    for column, spec in enumerate(specs):
+        np.testing.assert_array_equal(batch[:, column], mmd2_fourier_batch(diffs, n, (spec,))[:, 0])
+
+
 def test_fourier_batch_matches_scalar_route():
     n, spec = 6, KernelSpec(sigma=1.3)
     pairs = [_random_pair(n, 300 + i) for i in range(8)]
     diffs = np.stack([p.values - q.values for p, q in pairs])
-    batch = mmd2_fourier_batch(diffs, n, spec)
+    batch = mmd2_fourier_batch(diffs, n, (spec,))[:, 0]
     for (p, q), value in zip(pairs, batch):
         assert value == pytest.approx(mmd2_fourier(p, q, spec), rel=1e-12)
 
