@@ -19,9 +19,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures_out")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--paper-scale", action="store_true")
-    parser.add_argument("--pairs", type=int, default=None,
-                        help="override the preset pair/trial count")
+    scale = parser.add_mutually_exclusive_group()
+    scale.add_argument("--paper-scale", action="store_true")
+    scale.add_argument("--pairs", type=int, default=None,
+                       help="override the preset pair/trial count")
     parser.add_argument("--only", choices=KINDS, action="append",
                         help="restrict to specific figures (repeatable)")
     args = parser.parse_args()

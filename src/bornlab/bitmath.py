@@ -170,12 +170,13 @@ def fwht(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     h = 1
     while h < N:
-        # butterfly on pairs of contiguous blocks of width h
+        # in-place butterfly on blocks of width h; one half-size temporary at a time
         view = out.reshape(out.shape[:-1] + (N // (2 * h), 2, h))
-        top = view[..., 0, :] + view[..., 1, :]
-        bot = view[..., 0, :] - view[..., 1, :]
-        view[..., 0, :] = top
-        view[..., 1, :] = bot
+        top, bot = view[..., 0, :], view[..., 1, :]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+        del diff
         h *= 2
     return out
 

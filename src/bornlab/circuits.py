@@ -71,11 +71,19 @@ def random_iqp_circuit(n: int, stream) -> IqpCircuit:
     return IqpCircuit(n, tuple((int(m), float(t)) for m, t in zip(masks, thetas)))
 
 
-def _character_table(masks: np.ndarray, n: int) -> np.ndarray:
-    """chi_{S_g}(z) for every gate mask and basis state z, shape (G, N)."""
-    z = np.arange(1 << n, dtype=np.uint64)
-    overlap = np.bitwise_count(masks[:, None] & z[None, :])
-    return 1.0 - 2.0 * (overlap % 2)
+def _phases(masks: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """phi(z) = sum_g thetas[..., g] chi_{S_g}(z) for all 2^n basis states z.
+
+    Built in blocks of 2^12 outcomes, so the (G, 2^n) character table and
+    its uint64 temporary never exist whole.
+    """
+    N, block = 1 << n, 1 << 12
+    phase = np.empty(thetas.shape[:-1] + (N,))
+    for start in range(0, N, block):
+        z = np.arange(start, min(N, start + block), dtype=np.uint64)
+        chi = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & z[None, :]) % 2)
+        phase[..., start : start + z.size] = thetas @ chi
+    return phase
 
 
 def iqp_state_vector(circuit: IqpCircuit) -> np.ndarray:
@@ -83,7 +91,7 @@ def iqp_state_vector(circuit: IqpCircuit) -> np.ndarray:
     check_statevector_cap(circuit.n)
     masks = np.asarray([m for m, _ in circuit.gates], dtype=np.uint64)
     thetas = np.asarray([t for _, t in circuit.gates], dtype=float)
-    phase = thetas @ _character_table(masks, circuit.n)  # zeros when there are no gates
+    phase = _phases(masks, thetas, circuit.n)  # zeros when there are no gates
     return fwht(np.exp(1j * phase)) / (1 << circuit.n)
 
 
@@ -97,14 +105,14 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Batched output distributions of random circuits, shape (batch, 2^n).
 
     Same ensemble as random_iqp_circuit + iqp_prob_vector, vectorized: the
-    per-instance phases are one matmul against the shared character table.
+    per-instance phases are a matmul against the shared character table,
+    one block of outcomes at a time.
     """
     check_statevector_cap(n)
     masks = all_weight_le2_masks(n)
-    chi = _character_table(masks, n)
     thetas = rng.uniform(0.0, 2.0 * math.pi, (batch, masks.size))
-    amps = fwht(np.exp(1j * (thetas @ chi))) / (1 << n)
-    p = np.abs(amps) ** 2
+    # the amplitudes' 1/2^n is a power of two, which normalizing drops exactly
+    p = np.abs(fwht(np.exp(1j * _phases(masks, thetas, n)))) ** 2
     return p / p.sum(axis=1, keepdims=True)
 
 

@@ -20,7 +20,9 @@ environment variable, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -159,7 +161,10 @@ def _format_value(x: float | None) -> str:
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    lines = [CSV_HEADER]
+    """CSV text; only a field holding a comma (a two-parameter family label) is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for r in rows:
         for name in ("value", "stderr"):
             v = getattr(r, name)
@@ -168,23 +173,11 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
                     f"refusing to write non-finite {name}={v!r} "
                     f"({r.experiment}/{r.family}/n={r.n}/{r.statistic})"
                 )
-        lines.append(
-            ",".join(
-                [
-                    r.experiment,
-                    r.family,
-                    str(r.n),
-                    r.metric,
-                    _format_value(r.sigma),
-                    r.statistic,
-                    _format_value(r.value),
-                    _format_value(r.stderr),
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            r.experiment, r.family, r.n, r.metric, _format_value(r.sigma), r.statistic,
+            _format_value(r.value), _format_value(r.stderr), r.trials, r.seed,
+        ])
+    return text.getvalue()
 
 
 def _resolve_sigma(token: str, n: int) -> float:
@@ -209,8 +202,9 @@ def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, fl
     return combos
 
 
-def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> list[dict]:
-    """Monte Carlo rejection rates of the two-sample test within one family.
+def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
+    """Monte Carlo rejection rates of the two-sample test within one family,
+    shape (len(sigmas), 2): the null's rate, then the alternative's.
 
     Per repetition draws two fresh instances p, q and three sample sets, and
     at every bandwidth runs the test twice on them: once with both sample
@@ -222,9 +216,9 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     from .circuits import sample_prob_vector
     from .lab import instance_prob_values
 
-    specs = [bandwidth_kernel(sigma) for sigma in sigmas]
+    specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
-    counts = [{"reject_rate_equal": 0, "reject_rate_distinct": 0} for _ in specs]
+    counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
     for rep in range(trials):
         rep_stream = stream.child(rep)
         masses = instance_prob_values(family, n, 2, rep_stream.child(0).generator)
@@ -235,10 +229,9 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
             sample_prob_vector(p, rep_stream.child(2), samples),
             sample_prob_vector(q, rep_stream.child(3), samples),
         ]
-        for spec, count in zip(specs, counts):
-            count["reject_rate_equal"] += mmd2_unbiased(draws[0], draws[1], spec) > threshold
-            count["reject_rate_distinct"] += mmd2_unbiased(draws[0], draws[2], spec) > threshold
-    return counts
+        counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
+        counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
+    return counts / trials
 
 
 def _moment_rows(config: ExperimentConfig, report) -> list[ExperimentRow]:
@@ -301,8 +294,7 @@ def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
         family, n, sigmas, config.alpha, config.samples, config.trials, base.child(0),
     )
     for sigma, rates in zip(sigmas, all_rates):
-        for stat, count in rates.items():
-            rate = count / config.trials
+        for stat, rate in zip(("reject_rate_equal", "reject_rate_distinct"), rates.tolist()):
             se = math.sqrt(rate * (1 - rate) / config.trials)
             rows.append(ExperimentRow(
                 "mmdtest", family.label(), n, "mmd2", sigma,
@@ -444,6 +436,14 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
+def _add_count(parser: argparse.ArgumentParser, *flags: str, noun: str):
+    """args.count, from flags or --paper-scale (10^5); giving both is a usage error."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(*flags, dest="count", type=int, default=DESK_TRIALS, help=f"{noun} per cell")
+    group.add_argument("--paper-scale", dest="count", action="store_const", const=PAPER_TRIALS,
+                       help=f"use 10^5 {noun}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bornlab",
@@ -460,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tails.add_argument("--family", default="product", help="comma list, e.g. product,dirichlet")
     p_tails.add_argument("--n-min", type=int, default=4)
     p_tails.add_argument("--n-max", type=int, default=12)
-    p_tails.add_argument("--trials", type=int, default=DESK_TRIALS)
-    p_tails.add_argument("--paper-scale", action="store_true", help="use 10^5 trials")
+    _add_count(p_tails, "--trials", noun="trials")
     _add_common(p_tails)
 
     p_pair = sub.add_parser("pairwise", help="pairwise loss moments")
@@ -470,15 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--sigma", default="1", help="comma list of bandwidths; 'n' scales with n")
     p_pair.add_argument("--n-min", type=int, default=2)
     p_pair.add_argument("--n-max", type=int, default=12)
-    p_pair.add_argument("--pairs", type=int, default=DESK_TRIALS)
-    p_pair.add_argument("--paper-scale", action="store_true", help="use 10^5 pairs")
+    _add_count(p_pair, "--pairs", noun="pairs")
     _add_common(p_pair)
 
     p_fig = sub.add_parser("figures", help="preset experiment bundles")
     p_fig.add_argument("kind", choices=("fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"))
-    p_fig.add_argument("--pairs", type=int, default=None, help="override pair/trial count")
-    p_fig.add_argument("--trials", type=int, default=None, help="alias of --pairs")
-    p_fig.add_argument("--paper-scale", action="store_true", help="use 10^5 pairs/trials")
+    _add_count(p_fig, "--pairs", "--trials", noun="pairs or trials")
     _add_common(p_fig)
 
     p_test = sub.add_parser("mmdtest", help="two-sample MMD^2 test on bitstring files")
@@ -535,7 +531,7 @@ def cmd_run(args) -> int:
     return _run_and_write(configs, args.out or configs[0].out)
 
 
-def _run_grid(args, experiment: str, trials: int, **fields) -> int:
+def _run_grid(args, experiment: str, **fields) -> int:
     """Run the one config that the grid flags of `tails` or `pairwise` describe."""
     out = args.out or f"{experiment}.csv"
     config = ExperimentConfig(
@@ -544,7 +540,7 @@ def _run_grid(args, experiment: str, trials: int, **fields) -> int:
         tuple(t.strip() for t in re.split(r",(?![^,:]*=)", args.family)),
         n_min=args.n_min,
         n_max=args.n_max,
-        trials=PAPER_TRIALS if args.paper_scale else trials,
+        trials=args.count,
         seed=_resolve_seed(args.seed),
         workers=args.workers,
         out=out,
@@ -554,23 +550,20 @@ def _run_grid(args, experiment: str, trials: int, **fields) -> int:
 
 
 def cmd_tails(args) -> int:
-    return _run_grid(args, "tails", args.trials)
+    return _run_grid(args, "tails")
 
 
 def cmd_pairwise(args) -> int:
     return _run_grid(
-        args, "pairwise", args.pairs,
+        args, "pairwise",
         metrics=tuple(t.strip() for t in args.metric.split(",")),
         sigmas=tuple(t.strip() for t in args.sigma.split(",")),
     )
 
 
 def cmd_figures(args) -> int:
-    trials = args.pairs if args.pairs is not None else args.trials
-    if trials is None:
-        trials = PAPER_TRIALS if args.paper_scale else DESK_TRIALS
     out = args.out or f"{args.kind}.csv"
-    configs = figure_configs(args.kind, trials, _resolve_seed(args.seed), args.workers)
+    configs = figure_configs(args.kind, args.count, _resolve_seed(args.seed), args.workers)
     configs = [dataclasses.replace(c, out=out) for c in configs]
     return _run_and_write(configs, out)
 
@@ -583,7 +576,7 @@ def cmd_mmdtest(args) -> int:
         raise CliError(f"sample width mismatch: {args.xfile} has n={X.n}, {args.yfile} has n={Y.n}")
     if len(X) < 2 or len(Y) < 2:
         raise CliError("need at least 2 samples on each side")
-    estimate = mmd2_unbiased(X, Y, spec)
+    estimate = float(mmd2_unbiased(X, Y, (spec,))[0])
     threshold = mmd_test_threshold(len(X), len(Y), args.alpha)
     verdict = "ACCEPT" if estimate <= threshold else "REJECT"
     print(f"m: {len(X)}  l: {len(Y)}  n: {X.n}  sigma: {args.sigma:g}  alpha: {args.alpha:g}")

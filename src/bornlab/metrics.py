@@ -18,8 +18,9 @@ mmd2_fourier_batch evaluates every requested bandwidth from one transform,
 and each column equals, bit for bit, a call with that kernel alone.
 
 The two-sample U-statistic mmd2_unbiased needs the kernel sums
-c^T K c' over the outcome histograms c, c' of m and l samples. It takes one
-of two exact routes, picked from (n, m, l) alone:
+c^T K c' over the outcome histograms c, c' of m and l samples, for each
+requested kernel. It takes one of two exact routes, picked from (n, m, l)
+alone, and every kernel shares that route's transform or histograms:
 
 * counts: one batched transform of the two histograms, after which
   c^T K c' = sum_S w_S chat_S chat'_S / 2^n. Cost about 2 n 2^n.
@@ -29,7 +30,7 @@ of two exact routes, picked from (n, m, l) alone:
   This route covers outcomes up to 64 bits.
 
 The counts route runs when it is the cheaper one (both cost 5-10 ns a
-unit) and its working memory, 56 bytes per outcome, fits
+unit) and its working memory, about 40 bytes per outcome, fits
 MMD_MEMORY_BYTES; the distance route works in row blocks of 8 bytes a
 cell that fit the same budget (or in one row, if that is larger). Neither
 allocates anything of size m x m.
@@ -48,10 +49,10 @@ from .bitmath import MAX_KERNEL_SUM_QUBITS, ProbVector, SampleSet, fwht, popcoun
 # bytes (or in one row of the distance route, if that is larger)
 MMD_MEMORY_BYTES = 1 << 26
 
-# the counts route's peak per outcome (tracemalloc): the two float64
+# the counts route's peak per outcome (tracemalloc, n = 20): the two float64
 # histograms, their transformed copy, and the transform's half-size
-# temporaries of two consecutive butterfly stages
-_COUNTS_BYTES_PER_OUTCOME = 56
+# temporary of one butterfly stage
+_COUNTS_BYTES_PER_OUTCOME = 40.2
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
     return float(total)
 
 
-def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, spec: KernelSpec) -> np.ndarray:
-    """[[cx K cx, cx K cy], [cy K cx, cy K cy]] for the outcome histograms.
+def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, specs) -> list[np.ndarray]:
+    """(cx K cx, cx K cy, cy K cy) for the outcome histograms, per kernel.
 
     K is diagonal in the Walsh basis, so after one batched transform of the
     two histograms the quadratic forms are a Gram matrix weighted by the
@@ -150,8 +151,12 @@ def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, spec: KernelSpec) 
     c[0] = np.bincount(x.view(np.int64), minlength=N)
     c[1] = np.bincount(y.view(np.int64), minlength=N)
     c = fwht(c)
-    c *= np.sqrt(fourier_weights(n, spec) / N)
-    return c @ c.T
+    sums = []
+    for spec in specs:
+        scaled = c * np.sqrt(fourier_weights(n, spec) / N)
+        sums.append((scaled @ scaled.T)[[0, 0, 1], [0, 1, 1]])
+        del scaled  # freed before the next kernel's weights are built
+    return sums
 
 
 def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -185,14 +190,15 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def mmd2_unbiased(X: SampleSet, Y: SampleSet, spec: KernelSpec) -> float:
-    """Two-sample U-statistic whose expectation is the population MMD^2.
+def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> np.ndarray:
+    """Two-sample U-statistic whose expectation is the population MMD^2, per kernel.
 
     Averages the kernel over distinct ordered pairs within each sample and
     over all cross pairs; can be negative and is never clamped (clamping
     would break the unbiasedness the concentration bound relies on). The
     kernel sums take the counts or the distance route of the module
-    docstring; both are exact and neither holds an m x m array.
+    docstring; both are exact and neither holds an m x m array. Each
+    estimate equals, bit for bit, a call with that kernel alone.
     """
     if X.n != Y.n:
         raise ValueError(f"dimension error: n mismatch {X.n} != {Y.n}")
@@ -201,13 +207,16 @@ def mmd2_unbiased(X: SampleSet, Y: SampleSet, spec: KernelSpec) -> float:
         raise ValueError("domain error: need at least 2 samples on each side")
     N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
     if 2 * n * N <= pair_cells and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES:
-        (xx, xy), (_, yy) = _counts_kernel_sums(X.outcomes, Y.outcomes, n, spec)
+        sums = _counts_kernel_sums(X.outcomes, Y.outcomes, n, specs)
     else:
-        powers = spec.rho ** np.arange(n + 1)
-        xx = powers @ _self_hamming_histogram(X.outcomes, n)
-        yy = powers @ _self_hamming_histogram(Y.outcomes, n)
-        xy = powers @ _hamming_histogram(X.outcomes, Y.outcomes, n)
-    return float((xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l))
+        hists = (
+            _self_hamming_histogram(X.outcomes, n),
+            _hamming_histogram(X.outcomes, Y.outcomes, n),
+            _self_hamming_histogram(Y.outcomes, n),
+        )
+        sums = [[(spec.rho ** np.arange(n + 1)) @ h for h in hists] for spec in specs]
+    xx, xy, yy = np.array(sums).T
+    return (xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l)
 
 
 def mmd_test_threshold(m: int, l: int, alpha: float, k_max: float = 1.0) -> float:

@@ -9,7 +9,9 @@ min(chi, 2^i, 2^(n-i)), and amplitudes
 Site i corresponds to qubit i (LSB-first index convention, as everywhere in
 the package). Random states draw iid standard complex Gaussian entries and
 are then brought to left-canonical form by a QR sweep; dropping the final
-1x1 factor normalizes the state exactly.
+1x1 factor normalizes the state exactly. The sweep is a gauge change plus
+that scalar, so the batched dense generator, whose output is normalized
+anyway, skips it: only perfect sampling needs the canonical form.
 
 With left-canonical tensors the accumulated left environment is the
 identity, so suffix marginals are exact inner products and sampling walks
@@ -71,14 +73,15 @@ def random_mps(n: int, chi: int, stream) -> MpsState:
         raise ValueError("n must be at least 1")
     if chi < 1:
         raise ValueError("bond dimension must be at least 1")
-    rng = as_generator(stream)
-    dims = bond_dims(n, chi)
-    tensors = []
-    for i in range(n):
-        shape = (dims[i], 2, dims[i + 1])
-        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    tensors = _left_canonicalize(tensors)
+    tensors = _left_canonicalize(_gaussian_tensors(n, chi, (), as_generator(stream)))
     return MpsState(n=n, chi=chi, tensors=tuple(tensors), canonical=True)
+
+
+def _gaussian_tensors(n: int, chi: int, batch: tuple, rng) -> list[np.ndarray]:
+    """iid standard complex Gaussian site tensors, shapes batch + (D_{i-1}, 2, D_i)."""
+    dims = bond_dims(n, chi)
+    shapes = [batch + (dims[i], 2, dims[i + 1]) for i in range(n)]
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
 
 
 def _left_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
@@ -109,17 +112,22 @@ def mps_probability(state: MpsState, x: BitString) -> float:
     return float(abs(v[0]) ** 2)
 
 
+def _amplitudes(tensors: list[np.ndarray]) -> np.ndarray:
+    """Amplitudes (B, 2^n) of chains of site tensors (B, D, 2, D'), one matmul a site."""
+    batch, n = tensors[0].shape[0], len(tensors)
+    T = np.ones((batch, 1, 1), dtype=np.complex128)
+    for t in tensors:
+        _, dl, _, dr = t.shape
+        T = np.matmul(T, t.reshape(batch, dl, 2 * dr)).reshape(batch, -1, dr)
+    # rows run over (x_1, ..., x_n) with x_1 slowest; reverse for LSB-first
+    psi = T.reshape((batch,) + (2,) * n).transpose((0,) + tuple(range(n, 0, -1)))
+    return psi.reshape(batch, -1)
+
+
 def mps_state_vector(state: MpsState) -> np.ndarray:
     """Dense amplitudes, index bit (i-1) = qubit i. Capped at n = 16."""
     check_statevector_cap(state.n)
-    T = state.tensors[0][0]  # (2, D)
-    for t in state.tensors[1:]:
-        T = np.einsum("xd,dse->xse", T, t)
-        T = T.reshape(-1, t.shape[2])
-    psi = T[:, 0]
-    # axes currently run (x_1, ..., x_n) with x_1 slowest; reverse for LSB-first
-    psi = psi.reshape((2,) * state.n).transpose(tuple(range(state.n - 1, -1, -1)))
-    return psi.reshape(-1)
+    return _amplitudes([t[None] for t in state.tensors])[0]
 
 
 def mps_prob_vector(state: MpsState) -> ProbVector:
@@ -156,29 +164,10 @@ def mps_sample(state: MpsState, stream, count: int) -> SampleSet:
 def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Dense output distributions of `batch` random MPS, shape (batch, 2^n).
 
-    Batched mirror of random_mps + mps_prob_vector using stacked QR; the
-    ensembles coincide draw-for-draw in distribution (not in stream order).
+    Same ensemble as random_mps + mps_prob_vector (in distribution, not in
+    stream order), contracted as drawn: the QR sweep only inserts R R^-1
+    between sites and drops one overall scalar, and p / sum(p) sees neither.
     """
     check_statevector_cap(n)
-    dims = bond_dims(n, chi)
-    tensors = []
-    for i in range(n):
-        shape = (batch, dims[i], 2, dims[i + 1])
-        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    carry = None
-    for i in range(n):
-        t = tensors[i]
-        if carry is not None:
-            t = np.einsum("bkd,bdse->bkse", carry, t)
-        b, dl, _, dr = t.shape
-        q, r = np.linalg.qr(t.reshape(b, dl * 2, dr))
-        tensors[i] = q.reshape(b, dl, 2, dr)
-        carry = r
-    T = tensors[0][:, 0]  # (B, 2, D)
-    for t in tensors[1:]:
-        T = np.einsum("bxd,bdse->bxse", T, t)
-        T = T.reshape(batch, -1, t.shape[3])
-    psi = T[:, :, 0].reshape((batch,) + (2,) * n)
-    psi = psi.transpose((0,) + tuple(range(n, 0, -1))).reshape(batch, -1)
-    p = np.abs(psi) ** 2
+    p = np.abs(_amplitudes(_gaussian_tensors(n, chi, (batch,), rng))) ** 2
     return p / p.sum(axis=1, keepdims=True)

@@ -348,7 +348,7 @@ def test_criterion_14_estimator_concentrates_at_hoeffding_rate():
     # route check: the count-based evaluation reproduces mmd2_unbiased
     X = SampleSet(n, np.repeat(np.arange(1 << n, dtype=np.uint64), cx[0]))
     Y = SampleSet(n, np.repeat(np.arange(1 << n, dtype=np.uint64), cy[0]))
-    direct = mmd2_unbiased(X, Y, KernelSpec(sigma=1.0))
+    direct = mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))[0]
     assert abs(direct - estimates[0]) <= 1e-10
 
     deviations = np.abs(estimates - population)

@@ -1,5 +1,7 @@
 """Bit-domain primitive tests: characters, transforms, validation, streams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,17 @@ def test_fwht_batched_and_complex():
     out = fwht(batch)
     for row_in, row_out in zip(batch, out):
         np.testing.assert_allclose(fwht(row_in), row_out)
+
+
+def test_fwht_peak_is_the_output_and_one_half_size_temporary():
+    a = np.random.default_rng(4).standard_normal((2, 1 << 18))
+    tracemalloc.start()
+    try:
+        fwht(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * a.nbytes + (1 << 20), peak
 
 
 def test_fwht_rejects_non_power_of_two():

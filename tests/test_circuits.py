@@ -1,6 +1,7 @@
 """Tests for the diagonal-circuit simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,11 +44,12 @@ def test_singleton_only_circuit_factorizes():
     # weight-1 gates commute and act on disjoint qubits, so the state is a
     # product with p_i(0) = cos^2(theta_i)
     stream = RandomStream(11)
-    thetas = stream.generator.uniform(0, 2 * math.pi, 5)
-    circuit = IqpCircuit(5, tuple((1 << i, t) for i, t in enumerate(thetas)))
-    via_circuit = iqp_prob_vector(circuit).values
-    via_product = product_prob_vector(ProductParams(tuple(np.cos(thetas) ** 2))).values
-    np.testing.assert_allclose(via_circuit, via_product, atol=1e-12)
+    for n in (5, 14):  # 14 qubits span several blocks of the phase table
+        thetas = stream.generator.uniform(0, 2 * math.pi, n)
+        circuit = IqpCircuit(n, tuple((1 << i, t) for i, t in enumerate(thetas)))
+        via_circuit = iqp_prob_vector(circuit).values
+        via_product = product_prob_vector(ProductParams(tuple(np.cos(thetas) ** 2))).values
+        np.testing.assert_allclose(via_circuit, via_product, atol=1e-12)
 
 
 def test_gate_set_counts():
@@ -96,6 +98,18 @@ def test_batched_matches_single_route():
     single = iqp_prob_vector(random_iqp_circuit(5, RandomStream(77))).values
     batched = iqp_prob_values(5, 1, RandomStream(77).generator)[0]
     np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def test_batched_phase_table_is_built_in_blocks():
+    # the whole (G, 2^16) character table and its uint64 temporary would
+    # take about 145 MB
+    tracemalloc.start()
+    try:
+        iqp_prob_values(16, 2, RandomStream(4).generator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_batched_rows_are_distributions():

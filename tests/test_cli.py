@@ -16,9 +16,12 @@ import pytest
 from bornlab import __version__
 from bornlab.cli import (
     CSV_HEADER,
+    DESK_TRIALS,
+    PAPER_TRIALS,
     CliError,
     ExperimentConfig,
     ExperimentRow,
+    build_parser,
     figure_configs,
     main,
     parse_family,
@@ -534,31 +537,66 @@ def test_metric_order_does_not_change_rows(tmp_path):
     assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
 
 
-def test_manifest_of_another_version_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0"])
+def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     first = tmp_path / "first.csv"
     run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",
              "--pairs", "100", "--out", first])
     manifest = tmp_path / "first.csv.manifest.json"
     record = json.loads(manifest.read_text())
-    assert record["version"] == __version__ != "0.1.0"
-    record["version"] = "0.1.0"
+    assert record["version"] == __version__ != version
+    record["version"] = version
     manifest.write_text(json.dumps(record))
     again = tmp_path / "again.csv"
     assert run_cli(["run", "--config", manifest, "--out", again]) == 2
     err = capsys.readouterr().err
-    assert str(manifest) in err and "0.1.0" in err and __version__ in err
+    assert str(manifest) in err and version in err and __version__ in err
     assert not again.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tails", "--trials", "200", "--paper-scale"],
+        ["pairwise", "--paper-scale", "--pairs", "200"],
+        ["figures", "fig2", "--pairs", "200", "--paper-scale"],
+        ["figures", "fig2", "--paper-scale", "--trials", "300"],
+    ],
+)
+def test_count_flag_and_paper_scale_are_exclusive(tmp_path, capsys, args):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(args + ["--out", out])
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_paper_scale_sets_the_count():
+    parser = build_parser()
+    for args in (["tails"], ["pairwise"], ["figures", "fig5"]):
+        assert parser.parse_args(args).count == DESK_TRIALS
+        assert parser.parse_args(args + ["--paper-scale"]).count == PAPER_TRIALS
+
+
+def test_figure_count_has_two_spellings(tmp_path):
+    # --pairs and --trials are one option: the later one wins, as for any
+    # repeated flag
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["figures", "fig2", "--pairs", "200", "--trials", "300", "--workers", "1",
+                    "--out", out]) == 0
+    assert {r["trials"] for r in read_rows(out)} == {"300"}
 
 
 def test_family_flag_takes_tokens_with_several_parameters(tmp_path):
     out = tmp_path / "p.csv"
     assert run_cli(["pairwise", "--family", "peaked:k=4,alpha=0.5,dirichlet", "--n-min", "3",
                     "--n-max", "3", "--pairs", "100", "--out", out]) == 0
-    # the two-parameter label holds a comma, so match line prefixes, not CSV fields
-    lines = out.read_text().splitlines()[1:]
-    labels = ["peaked(0.5,K=4)"] * 2 + ["dirichlet"] * 2
-    assert len(lines) == len(labels)
-    assert all(line.startswith(f"pairwise,{label},3,sd,,") for line, label in zip(lines, labels))
+    # the two-parameter label holds a comma, so the writer quotes it
+    rows = read_rows(out)
+    assert [r["family"] for r in rows] == ["peaked(0.5,K=4)"] * 2 + ["dirichlet"] * 2
+    assert all(r["n"] == "3" and r["metric"] == "sd" for r in rows)
+    assert out.read_text().splitlines()[1].startswith('pairwise,"peaked(0.5,K=4)",3,sd,,')
 
 
 def test_mmdtest_experiment_kind_runs_from_config(tmp_path):

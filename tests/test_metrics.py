@@ -189,16 +189,16 @@ def test_fourier_batch_matches_scalar_route():
 def test_unbiased_identical_points_give_zero():
     X = SampleSet(3, np.array([5, 5, 5, 5], dtype=np.uint64))
     Y = SampleSet(3, np.array([5, 5, 5], dtype=np.uint64))
-    assert mmd2_unbiased(X, Y, KernelSpec(sigma=1.0)) == pytest.approx(0.0, abs=1e-14)
+    assert mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_unbiased_requires_two_samples():
     X = SampleSet(3, np.array([5], dtype=np.uint64))
     Y = SampleSet(3, np.array([1, 2], dtype=np.uint64))
     with pytest.raises(ValueError, match="domain error"):
-        mmd2_unbiased(X, Y, KernelSpec(sigma=1.0))
+        mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))
     with pytest.raises(ValueError, match="dimension error"):
-        mmd2_unbiased(SampleSet(2, np.array([0, 1], dtype=np.uint64)), Y, KernelSpec(sigma=1.0))
+        mmd2_unbiased(SampleSet(2, np.array([0, 1], dtype=np.uint64)), Y, (KernelSpec(sigma=1.0),))
 
 
 def test_unbiased_point_mass_value():
@@ -207,7 +207,7 @@ def test_unbiased_point_mass_value():
     n, spec = 6, KernelSpec(sigma=1.0)
     X = SampleSet(n, np.zeros(50, dtype=np.uint64))
     Y = SampleSet(n, np.full(50, (1 << n) - 1, dtype=np.uint64))
-    assert mmd2_unbiased(X, Y, spec) == pytest.approx(2 * (1 - spec.rho**n), rel=1e-12)
+    assert mmd2_unbiased(X, Y, (spec,))[0] == pytest.approx(2 * (1 - spec.rho**n), rel=1e-12)
 
 
 def test_unbiased_estimator_is_unbiased():
@@ -221,8 +221,8 @@ def test_unbiased_estimator_is_unbiased():
             mmd2_unbiased(
                 sample_prob_vector(p, root.child(2 * i), m),
                 sample_prob_vector(q, root.child(2 * i + 1), m),
-                spec,
-            )
+                (spec,),
+            )[0]
             for i in range(reps)
         ]
     )
@@ -295,10 +295,36 @@ def test_unbiased_routes_match_count_oracle(routes, n, m, l, route, sigma):
     sigma = float(n) if sigma == "n" else sigma
     spec = KernelSpec(sigma=sigma) if sigma > 0 else KernelSpec(rho=0.0)
     X, Y = _support_samples(n, m, l, seed=1000 * n + m + l)
-    value = mmd2_unbiased(X, Y, spec)
+    value = mmd2_unbiased(X, Y, (spec,))[0]
     assert set(routes) == {route}
     expected, magnitude = _oracle(X, Y, spec.rho)
     assert abs(value - expected) <= 1e-12 * magnitude, (value, expected, magnitude)
+
+
+@pytest.mark.parametrize(
+    "n, m, l, route",
+    [
+        (6, 40, 25, "counts"),
+        (12, 300, 200, "counts"),
+        (16, 1500, 1100, "counts"),
+        (6, 15, 9, "distances"),
+        (12, 150, 90, "distances"),
+        (16, 500, 300, "distances"),
+        (30, 400, 300, "distances"),
+    ],
+)
+def test_unbiased_kernels_share_one_pass(routes, n, m, l, route):
+    # several kernels cost one histogram pass, and each estimate is the
+    # one-kernel call's, bit for bit
+    specs = tuple(bandwidth_kernel(sigma) for sigma in (0.0, 1.0, 2.5, float(n)))
+    X, Y = _support_samples(n, m, l, seed=7 * n + m)
+    values = mmd2_unbiased(X, Y, specs)
+    one_pass = len(routes)
+    singles = [mmd2_unbiased(X, Y, (spec,))[0] for spec in specs]
+    assert set(routes) == {route}
+    assert len(routes) == (1 + len(specs)) * one_pass
+    assert values.shape == (len(specs),)
+    assert values.tobytes() == np.array(singles).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -315,7 +341,7 @@ def test_unbiased_memory_stays_within_budget(routes, n, m, route):
     Y = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
     tracemalloc.start()
     try:
-        mmd2_unbiased(X, Y, KernelSpec(sigma=1.0))
+        mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

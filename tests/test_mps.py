@@ -12,6 +12,7 @@ from bornlab.bitmath import BitString, RandomStream
 from bornlab.families import ProductParams, product_prob_vector
 from bornlab.mps import (
     MpsState,
+    _left_canonicalize,
     bond_dims,
     mps_prob_values,
     mps_prob_vector,
@@ -114,6 +115,26 @@ def test_batched_rows_are_distributions():
     assert p.shape == (40, 64)
     assert np.all(p >= 0)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+def test_batched_rows_equal_canonicalized_draws(n):
+    # the batched route contracts the raw Gaussian tensors; canonicalizing
+    # the same draws and evaluating each outcome one at a time must give the
+    # same distributions, since the sweep is a gauge change plus a scalar
+    batch, seed = 5, 600 + n
+    for chi in sorted({1, 3, n}):
+        rows = mps_prob_values(n, chi, batch, RandomStream(seed + chi).generator)
+        rng = RandomStream(seed + chi).generator
+        dims = bond_dims(n, chi)
+        shapes = [(batch, dims[i], 2, dims[i + 1]) for i in range(n)]
+        drawn = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        for b in range(batch):
+            tensors = _left_canonicalize([t[b] for t in drawn])
+            state = MpsState(n=n, chi=chi, tensors=tuple(tensors), canonical=True)
+            ref = np.array([mps_probability(state, BitString(x, n)) for x in range(1 << n)])
+            ref /= ref.sum()
+            assert np.abs(rows[b] - ref).max() <= 1e-12 * ref.max(), (n, chi, b)
 
 
 def test_batched_ensemble_matches_single_route():
