@@ -48,12 +48,12 @@ def main() -> int:
         means = []
         for n in ns:
             report = pairwise_loss_moments(
-                family, int(n), [("sd", None)], args.pairs, root.child(idx).child(int(n)), None
+                family, int(n), [("sd", None)], args.pairs, root.child(idx).child(int(n))
             )[0]
             means.append(report.mean)
         slope = np.polyfit(ns, np.log(means), 1)[0]
         anti = anticoncentration_statistic(
-            family, int(args.n_max), args.trials, root.child(idx).child(0), None,
+            family, int(args.n_max), args.trials, root.child(idx).child(0),
         )
         print(f"{family.label():<14} {slope:>9.3f} {slope / np.log(2):>10.3f} "
               f"{anti.second_moment_statistic:>12.3f} {anti.tail_at_half:>11.3f}")

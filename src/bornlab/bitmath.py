@@ -239,15 +239,10 @@ def as_generator(stream) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Outcomes drawn from one distribution instance.
-
-    outcomes holds the integer indices (uint64); family records where the
-    draws came from.
-    """
+    """Outcomes drawn from one distribution instance, as uint64 indices."""
 
     n: int
     outcomes: np.ndarray
-    family: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.outcomes, dtype=np.uint64)

@@ -125,10 +125,10 @@ def diagonal_pauli_expectation(p: ProbVector, S: SubsetMask) -> float:
     return float(signs @ p.values)
 
 
-def sample_prob_vector(p: ProbVector, stream, count: int, family: str | None = None) -> SampleSet:
+def sample_prob_vector(p: ProbVector, stream, count: int) -> SampleSet:
     """Draw outcomes from any dense distribution by inverse CDF."""
     rng = as_generator(stream)
     cdf = np.cumsum(p.values)
     cdf[-1] = 1.0  # guard the last bin against rounding
     outcomes = np.searchsorted(cdf, rng.random(count), side="right")
-    return SampleSet(p.n, outcomes.astype(np.uint64), family=family)
+    return SampleSet(p.n, outcomes.astype(np.uint64))

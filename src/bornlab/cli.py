@@ -33,8 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .bitmath import RandomStream, SampleSet, SubsetMask
+# circuits and lab are reached through their modules at call time, so timing
+# wrappers installed on their attributes (perfbench/spans.py) see every call
+from . import __version__, circuits, lab
+from .bitmath import RandomStream, SampleSet, SubsetMask, validate_prob_vector
 from .lab import (
     FAMILIES,
     MIN_TRIALS,
@@ -113,6 +115,16 @@ class ExperimentConfig:
             raise CliError("alpha must be in (0, 1]")
         if self.samples < 2:
             raise CliError("samples must be at least 2")
+        if self.workers is not None and self.workers < 1:
+            raise CliError(f"workers must be at least 1, got {self.workers}")
+        if not self.y_grid or not all(
+            isinstance(y, (int, float)) and math.isfinite(y) for y in self.y_grid
+        ):
+            raise CliError(f"y_grid must be a non-empty list of finite numbers, got {self.y_grid}")
+        if not self.subset or not all(
+            isinstance(i, int) and 1 <= i <= self.n_min for i in self.subset
+        ):
+            raise CliError(f"subset must hold qubit positions in 1..{self.n_min}, got {self.subset}")
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -212,22 +224,18 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     alternative). Concentrated families are expected to show near-zero power
     here; that is the behavior being measured.
     """
-    from .bitmath import validate_prob_vector
-    from .circuits import sample_prob_vector
-    from .lab import instance_prob_values
-
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
     counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
     for rep in range(trials):
         rep_stream = stream.child(rep)
-        masses = instance_prob_values(family, n, 2, rep_stream.child(0).generator)
+        masses = lab.instance_prob_values(family, n, 2, rep_stream.child(0).generator)
         p = validate_prob_vector(masses[0], n)
         q = validate_prob_vector(masses[1], n)
         draws = [
-            sample_prob_vector(p, rep_stream.child(1), samples),
-            sample_prob_vector(p, rep_stream.child(2), samples),
-            sample_prob_vector(q, rep_stream.child(3), samples),
+            circuits.sample_prob_vector(p, rep_stream.child(1), samples),
+            circuits.sample_prob_vector(p, rep_stream.child(2), samples),
+            circuits.sample_prob_vector(q, rep_stream.child(3), samples),
         ]
         counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
         counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
@@ -249,7 +257,7 @@ def _moment_rows(config: ExperimentConfig, report) -> list[ExperimentRow]:
 
 
 def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
-    curve = estimate_tail_curve(family, n, config.y_grid, config.trials, base.child(0), config.workers)
+    curve = estimate_tail_curve(family, n, config.y_grid, config.trials, base.child(0))
     return [
         ExperimentRow(
             "tails", curve.family, n, "mass", None,
@@ -261,13 +269,13 @@ def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
 
 def _pairwise_rows(config, family, n, base) -> list[ExperimentRow]:
     reports = pairwise_loss_moments(
-        family, n, _metric_sigma_combos(config, n), config.trials, base.child(0), config.workers
+        family, n, _metric_sigma_combos(config, n), config.trials, base.child(0)
     )
     return [row for report in reports for row in _moment_rows(config, report)]
 
 
 def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
-    rep = anticoncentration_statistic(family, n, config.trials, base.child(0), config.workers)
+    rep = anticoncentration_statistic(family, n, config.trials, base.child(0))
     return [
         ExperimentRow(
             "anticoncentration", rep.family, n, "mass", None, "second_moment",
@@ -282,9 +290,9 @@ def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
 
 def _observable_rows(config, family, n, base) -> list[ExperimentRow]:
     S = SubsetMask.from_positions(config.subset, n)
-    return _moment_rows(config, diagonal_observable_variance(
-        family, n, S, config.trials, base.child(0), config.workers
-    ))
+    return _moment_rows(
+        config, diagonal_observable_variance(family, n, S, config.trials, base.child(0))
+    )
 
 
 def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
@@ -304,9 +312,9 @@ def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
 
 
 def _uniform_distance_rows(config, family, n, base) -> list[ExperimentRow]:
-    return _moment_rows(config, distance_to_uniform_moments(
-        family, n, config.trials, base.child(0), config.workers
-    ))
+    return _moment_rows(
+        config, distance_to_uniform_moments(family, n, config.trials, base.child(0))
+    )
 
 
 @dataclass(frozen=True)
@@ -325,21 +333,27 @@ EXPERIMENTS = {
 }
 
 
-def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
-    """Execute one experiment across the family x n grid, in a fixed order.
+def _cell_rows(cell) -> list[ExperimentRow]:
+    """Rows of one (config, family index, n) cell; module level so it pickles."""
+    config, fam_idx, n = cell
+    base = RandomStream(config.seed).child(fam_idx).child(n)
+    family = parse_family(config.families[fam_idx])
+    return EXPERIMENTS[config.experiment].rows(config, family, n, base)
 
+
+def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
+    """Execute one experiment across the family x n grid.
+
+    Every (family, n) cell is one task of a single lab._parallel_map call, so
+    one worker pool serves the whole grid; a cell runs its chunks one after
+    another on one worker. Rows come back in cell order, family-major.
     Streams fan out as seed -> family index -> n -> child(0) -> chunk (or
     mmdtest repetition), and every metric and bandwidth of a cell scores that
-    one draw, so a row depends only on its (seed, family index, n, metric, sigma).
+    one draw, so a row depends only on its (seed, family index, n, metric,
+    sigma), never on the worker count.
     """
-    root = RandomStream(config.seed)
-    cell_rows = EXPERIMENTS[config.experiment].rows
-    rows: list[ExperimentRow] = []
-    for fam_idx, token in enumerate(config.families):
-        family = parse_family(token)
-        for n in config.n_values:
-            rows += cell_rows(config, family, n, root.child(fam_idx).child(n))
-    return rows
+    cells = [(config, f, n) for f in range(len(config.families)) for n in config.n_values]
+    return [row for rows in lab._parallel_map(_cell_rows, cells, config.workers) for row in rows]
 
 
 def write_outputs(configs: list[ExperimentConfig], rows: list[ExperimentRow], out: str):
@@ -374,10 +388,10 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         if not isinstance(item, dict):
             raise CliError(f"{path}: each config must be a JSON object, not {type(item).__name__}")
         item = dict(item)
-        for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
-            if key in item and item[key] is not None:
-                item[key] = tuple(item[key])
         try:
+            for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
+                if key in item and item[key] is not None:
+                    item[key] = tuple(item[key])
             configs.append(ExperimentConfig(**item))
         except (TypeError, CliError) as e:  # an unknown or missing key, a bad value
             raise CliError(f"{path}: {e}") from e
@@ -412,7 +426,7 @@ def read_sample_file(path: str) -> SampleSet:
             outcomes.append(int(s, 2))
     if n is None:
         raise CliError(f"{path}:1: parse error: no samples in file")
-    return SampleSet(n, np.asarray(outcomes, dtype=np.uint64), family=path)
+    return SampleSet(n, np.asarray(outcomes, dtype=np.uint64))
 
 
 def _resolve_seed(value: int | None) -> int:

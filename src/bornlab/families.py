@@ -159,7 +159,7 @@ def sample_product(params: ProductParams, stream, count: int) -> SampleSet:
     bits = rng.random((count, params.n)) >= a  # True -> x_i = 1
     weights = (1 << np.arange(params.n, dtype=np.uint64))
     outcomes = (bits.astype(np.uint64) * weights).sum(axis=1)
-    return SampleSet(params.n, outcomes, family="product")
+    return SampleSet(params.n, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Monte Carlo concentration experiments over distribution families.
 
-Four experiment kinds, all built on the same deterministic fan-out: work is
-split into fixed-size chunks, chunk k draws from stream.child(k), and chunk
-results are concatenated in index order. The chunk size is a function of the
-family kind and n only, so results are bit-identical for a fixed (config,
-seed) regardless of the worker count. A pairwise chunk draws its pairs once
-and scores every requested (metric, sigma) combo on them, so a combo's
-values never depend on which other combos were asked for.
+Four experiment kinds, all built on the same deterministic chunking: work is
+split into fixed-size chunks run one after another, chunk k draws from
+stream.child(k), and chunk results are concatenated in index order. The
+chunk size is a function of the family kind and n only. Parallelism lives one
+level up: cli.run_config hands the (family, n) cells of a config to one
+_parallel_map call, and each cell draws from its own stream, so results are
+bit-identical for a fixed (config, seed) regardless of the worker count. A
+pairwise chunk draws its pairs once and scores every requested (metric,
+sigma) combo on them, so a combo's values never depend on which other combos
+were asked for.
 
 FAMILIES is the one table of family kinds. Each entry draws a chunk of B
 instances as a (B, 2^n) array, and, where a closed-form marginal exists,
@@ -353,65 +356,24 @@ def reference_mass_values(
     return mass(family, n, count, rng)
 
 
-# chunk workers; module level so they pickle for multiprocessing
-
-def _tail_chunk(task) -> np.ndarray:
-    family, n, stream, index, count = task
-    return reference_mass_values(family, n, count, stream.child(index).generator)
-
-
-def _pairwise_chunk(task) -> np.ndarray:
-    """Losses of `count` pairs, one row per (metric, kernel) combo."""
-    family, n, combos, stream, index, count = task
-    rng = stream.child(index).generator
-    diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
-        family, n, count, rng
-    )
-    out = np.empty((len(combos), count))
-    mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
-    if mmd2:
-        out[mmd2] = mmd2_fourier_batch(diff, n, tuple(combos[i][1] for i in mmd2)).T
-    l1 = None
-    for i, (metric, _) in enumerate(combos):
-        if metric == "sd":
-            out[i] = np.einsum("ij,ij->i", diff, diff)
-        elif metric != "mmd2":
-            if l1 is None:
-                l1 = np.abs(diff).sum(axis=1)
-            out[i] = l1 if metric == "l1" else 0.5 * l1
-    return out
-
-
-def _observable_chunk(task) -> np.ndarray:
-    family, n, mask, stream, index, count = task
-    rng = stream.child(index).generator
-    x = np.arange(1 << n, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(mask)) % 2)
-    return instance_prob_values(family, n, count, rng) @ signs
-
-
-def _uniform_distance_chunk(task) -> np.ndarray:
-    family, n, stream, index, count = task
-    rng = stream.child(index).generator
-    diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def _parallel_map(fn, tasks: list, workers: int | None) -> list:
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+        # cells are few, coarse and unequal in cost: hand them out one at a time
+        return pool.map(fn, tasks, chunksize=1)
 
 
-def _collect(fn, fixed: tuple, total: int, chunk: int, stream: RandomStream, workers) -> np.ndarray:
+def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
+    """draw(rng, count) over `total` items in chunks, concatenated in draw order."""
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
-    tasks = [fixed + (stream, k, size) for k, size in enumerate(sizes)]
-    return np.concatenate(_parallel_map(fn, tasks, workers), axis=-1)
+    return np.concatenate(
+        [draw(stream.child(k).generator, size) for k, size in enumerate(sizes)], axis=-1
+    )
 
 
 def _moment_report(
@@ -437,21 +399,18 @@ def _moment_report(
     )
 
 
-def _reference_masses(family: FamilySpec, n: int, trials: int, stream, workers) -> np.ndarray:
+def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.ndarray:
     """p(x*) of `trials` instances in draw order, for the tail statistics."""
     if trials < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     chunk = FAMILIES[family.kind].mass_chunk or _dense_chunk(n)
-    return _collect(_tail_chunk, (family, n), trials, chunk, stream, workers)
+    return _collect(
+        lambda rng, count: reference_mass_values(family, n, count, rng), trials, chunk, stream
+    )
 
 
 def estimate_tail_curve(
-    family: FamilySpec,
-    n: int,
-    y_grid,
-    trials: int,
-    stream: RandomStream,
-    workers: int | None = 1,
+    family: FamilySpec, n: int, y_grid, trials: int, stream: RandomStream
 ) -> TailCurve:
     """Empirical Prob(p(x*) >= y/2^n) across the grid, with 95% Wilson CIs.
 
@@ -461,7 +420,7 @@ def estimate_tail_curve(
     grid = sorted(float(y) for y in y_grid)
     if not grid:
         raise ValueError("domain error: empty y grid")
-    masses = _reference_masses(family, n, trials, stream, workers)
+    masses = _reference_masses(family, n, trials, stream)
     hits = [int(np.count_nonzero(masses >= y / (1 << n))) for y in grid]
     lows, highs = zip(*(wilson_interval(h, trials) for h in hits))
     return TailCurve(
@@ -491,16 +450,33 @@ def pairwise_loss_values(
     combos: list[tuple[str, float | None]],
     pairs: int = 10_000,
     stream: RandomStream = RandomStream(0),
-    workers: int | None = 1,
 ) -> np.ndarray:
     """Losses of `pairs` independent instance pairs in draw order, one row per
     (metric, sigma) combo; every combo is scored on the same pairs."""
     if pairs < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} pairs")
-    metric_kernels = tuple((metric, _kernel_for(sigma, metric)) for metric, sigma in combos)
-    return _collect(
-        _pairwise_chunk, (family, n, metric_kernels), pairs, _dense_chunk(n), stream, workers
-    )
+    kernels = [_kernel_for(sigma, metric) for metric, sigma in combos]
+    mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
+    mmd2_kernels = tuple(kernels[i] for i in mmd2)
+
+    def draw(rng, count):
+        diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
+            family, n, count, rng
+        )
+        out = np.empty((len(combos), count))
+        if mmd2:
+            out[mmd2] = mmd2_fourier_batch(diff, n, mmd2_kernels).T
+        l1 = None
+        for i, (metric, _) in enumerate(combos):
+            if metric == "sd":
+                out[i] = np.einsum("ij,ij->i", diff, diff)
+            elif metric != "mmd2":
+                if l1 is None:
+                    l1 = np.abs(diff).sum(axis=1)
+                out[i] = l1 if metric == "l1" else 0.5 * l1
+        return out
+
+    return _collect(draw, pairs, _dense_chunk(n), stream)
 
 
 def pairwise_loss_moments(
@@ -509,22 +485,17 @@ def pairwise_loss_moments(
     combos: list[tuple[str, float | None]],
     pairs: int = 10_000,
     stream: RandomStream = RandomStream(0),
-    workers: int | None = 1,
 ) -> list[MomentReport]:
     """Mean/variance of each combo's loss across the same instance pairs."""
-    values = pairwise_loss_values(family, n, combos, pairs, stream, workers)
+    values = pairwise_loss_values(family, n, combos, pairs, stream)
     return [_moment_report(family, n, m, row, sigma) for (m, sigma), row in zip(combos, values)]
 
 
 def anticoncentration_statistic(
-    family: FamilySpec,
-    n: int,
-    trials: int,
-    stream: RandomStream,
-    workers: int | None = 1,
+    family: FamilySpec, n: int, trials: int, stream: RandomStream
 ) -> AnticoncentrationReport:
     """2^{2n} E[p(x*)^2] and the survival at threshold 1/(2N)."""
-    masses = _reference_masses(family, n, trials, stream, workers)
+    masses = _reference_masses(family, n, trials, stream)
     N = 1 << n
     sq = masses**2
     statistic = float(N**2 * sq.mean())
@@ -544,12 +515,7 @@ def anticoncentration_statistic(
 
 
 def diagonal_observable_variance(
-    family: FamilySpec,
-    n: int,
-    S: SubsetMask,
-    trials: int,
-    stream: RandomStream,
-    workers: int | None = 1,
+    family: FamilySpec, n: int, S: SubsetMask, trials: int, stream: RandomStream
 ) -> MomentReport:
     """Across-instance moments of <Z_S> = sum_x chi_S(x) p(x)."""
     if S.n != n:
@@ -560,24 +526,26 @@ def diagonal_observable_variance(
         raise ValueError(
             f"domain error: need at least {MIN_VARIANCE_TRIALS} trials for a variance"
         )
+    x = np.arange(1 << n, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
     values = _collect(
-        _observable_chunk, (family, n, S.mask), trials, _dense_chunk(n), stream, workers
+        lambda rng, count: instance_prob_values(family, n, count, rng) @ signs,
+        trials, _dense_chunk(n), stream,
     )
     positions = "".join(str(i + 1) for i in range(n) if (S.mask >> i) & 1)
     return _moment_report(family, n, f"z{positions}", values, None)
 
 
 def distance_to_uniform_moments(
-    family: FamilySpec,
-    n: int,
-    trials: int,
-    stream: RandomStream,
-    workers: int | None = 1,
+    family: FamilySpec, n: int, trials: int, stream: RandomStream
 ) -> MomentReport:
     """Moments of the squared distance to the uniform distribution."""
     if trials < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
-    values = _collect(
-        _uniform_distance_chunk, (family, n), trials, _dense_chunk(n), stream, workers
-    )
+
+    def draw(rng, count):
+        diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)
+        return np.einsum("ij,ij->i", diff, diff)
+
+    values = _collect(draw, trials, _dense_chunk(n), stream)
     return _moment_report(family, n, "sd_to_uniform", values, None)

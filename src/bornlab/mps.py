@@ -158,7 +158,7 @@ def mps_sample(state: MpsState, stream, count: int) -> SampleSet:
         outcomes |= take1.astype(np.uint64) << np.uint64(i)
         w = np.where(take1[:, None], t1, t0)
         w /= np.sqrt(np.where(take1, p1, p0))[:, None]
-    return SampleSet(state.n, outcomes, family=f"mps(chi={state.chi})")
+    return SampleSet(state.n, outcomes)
 
 
 def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> np.ndarray:

@@ -80,7 +80,7 @@ def test_criterion_01_product_sd_mean_tracks_closed_form():
     start = time.time()
     for n in N_FULL_RANGE:
         report = pairwise_loss_moments(
-            FamilySpec("product"), n, [("sd", None)], 10_000, RandomStream(411).child(n), 1
+            FamilySpec("product"), n, [("sd", None)], 10_000, RandomStream(411).child(n)
         )[0]
         expected = 2 * ((2 / 3) ** n - 2.0 ** -n)
         assert abs(report.mean - expected) <= 3 * report.se_mean, (n, report.mean, expected)
@@ -104,7 +104,7 @@ def test_criterion_02_dirichlet_sd_mean_tracks_closed_form():
     for n in N_FULL_RANGE:
         N = 1 << n
         report = pairwise_loss_moments(
-            FamilySpec("dirichlet"), n, [("sd", None)], 10_000, RandomStream(412).child(n), 1
+            FamilySpec("dirichlet"), n, [("sd", None)], 10_000, RandomStream(412).child(n)
         )[0]
         expected = 2 * (N - 1) / (N * (N + 1))
         assert abs(report.mean - expected) <= 3 * report.se_mean, (n, report.mean, expected)
@@ -158,7 +158,7 @@ def test_criterion_05_product_tail_matches_incomplete_gamma():
     grid = tuple(float(y) for y in np.geomspace(1e-3, 1.9, 10))
     for n in (4, 8, 12):
         curve = estimate_tail_curve(
-            FamilySpec("product"), n, grid, 100_000, RandomStream(102).child(n), 1
+            FamilySpec("product"), n, grid, 100_000, RandomStream(102).child(n)
         )
         for y, lo, hi in zip(curve.y_grid, curve.ci_low, curve.ci_high):
             exact = product_tail_exact(n, y)
@@ -170,7 +170,7 @@ def test_criterion_06_dirichlet_anticoncentrates():
     # second moment 2^{2n} E[p(x)^2] stays near 2, for n = 8, 10, 12
     for n in (8, 10, 12):
         report = anticoncentration_statistic(
-            FamilySpec("dirichlet"), n, 40_000, RandomStream(401).child(n), 1
+            FamilySpec("dirichlet"), n, 40_000, RandomStream(401).child(n)
         )
         assert 0.55 <= report.tail_at_half <= 0.66, (n, report.tail_at_half)
         assert 1.9 <= report.second_moment_statistic <= 2.1, (n, report.second_moment_statistic)
@@ -180,10 +180,10 @@ def test_criterion_07_peaked_sd_scales_inversely_with_support():
     # mean SD of the peaked family scales like 4/(K+1): shrinking the
     # support from K=64 to K=16 multiplies it by about 4 (n=12, 10^4 pairs)
     r16 = pairwise_loss_moments(
-        FamilySpec("peaked", k=16), 12, [("sd", None)], 10_000, RandomStream(402).child(16), 1
+        FamilySpec("peaked", k=16), 12, [("sd", None)], 10_000, RandomStream(402).child(16)
     )[0]
     r64 = pairwise_loss_moments(
-        FamilySpec("peaked", k=64), 12, [("sd", None)], 10_000, RandomStream(402).child(64), 1
+        FamilySpec("peaked", k=64), 12, [("sd", None)], 10_000, RandomStream(402).child(64)
     )[0]
     ratio = r16.mean / r64.mean
     assert 3.0 <= ratio <= 5.0, ratio
@@ -201,7 +201,7 @@ def test_criterion_08_dirichlet_l1_mean_and_variance():
         N = 1 << n
         pairs = max(128, N)
         report = pairwise_loss_moments(
-            FamilySpec("dirichlet"), n, [("l1", None)], pairs, RandomStream(301).child(n), 1
+            FamilySpec("dirichlet"), n, [("l1", None)], pairs, RandomStream(301).child(n)
         )[0]
         exact_mean = 2 * (N - 1) / (2 * N - 1)
         assert abs(report.mean - exact_mean) <= 3 * report.se_mean, (
@@ -255,7 +255,7 @@ def test_criterion_10_iqp_means_decay_exponentially():
         for n in N_FULL_RANGE:
             report = pairwise_loss_moments(
                 FamilySpec("iqp"), n, [(metric, sigma)], 10_000,
-                RandomStream(406).child(metric_idx).child(n), 1,
+                RandomStream(406).child(metric_idx).child(n),
             )[0]
             means.append(report.mean)
         slope, r2 = linear_fit(list(N_FULL_RANGE), means)
@@ -273,7 +273,7 @@ def test_criterion_11_large_bandwidth_flattens_product_iqp_decay():
         for n in N_FULL_RANGE:
             report = pairwise_loss_moments(
                 FamilySpec(kind), n, [("mmd2", float(n))], 4000,
-                RandomStream(407).child(family_idx).child(n), 1,
+                RandomStream(407).child(family_idx).child(n),
             )[0]
             means.append(report.mean)
         slopes[kind], _ = linear_fit(list(N_FULL_RANGE), means)
@@ -284,10 +284,10 @@ def test_criterion_12_mps_interpolates_between_product_and_iqp():
     # chi=1 matrix product states are product states: SD moments agree
     # within 3 SE; chi=n sits between the fitted product and IQP curves
     a = pairwise_loss_moments(
-        FamilySpec("mps", chi=1), 6, [("sd", None)], 4000, RandomStream(404).child(1), 1
+        FamilySpec("mps", chi=1), 6, [("sd", None)], 4000, RandomStream(404).child(1)
     )[0]
     b = pairwise_loss_moments(
-        FamilySpec("product"), 6, [("sd", None)], 4000, RandomStream(404).child(2), 1
+        FamilySpec("product"), 6, [("sd", None)], 4000, RandomStream(404).child(2)
     )[0]
     assert abs(a.mean - b.mean) <= 3 * math.hypot(a.se_mean, b.se_mean)
     assert abs(a.variance - b.variance) <= 3 * math.hypot(a.se_variance, b.se_variance)
@@ -299,7 +299,7 @@ def test_criterion_12_mps_interpolates_between_product_and_iqp():
         for n in ns:
             family = FamilySpec("mps", chi=n) if kind == "mps" else FamilySpec(kind)
             report = pairwise_loss_moments(
-                family, n, [("sd", None)], 3000, RandomStream(405).child(family_idx).child(n), 1
+                family, n, [("sd", None)], 3000, RandomStream(405).child(family_idx).child(n)
             )[0]
             values.append(report.mean)
         means[kind] = values
@@ -318,13 +318,13 @@ def test_criterion_13_observable_variance_contrast():
         N = 1 << n
         report = diagonal_observable_variance(
             FamilySpec("dirichlet"), n, SubsetMask.from_positions((1,), n),
-            4000, RandomStream(403).child(n), 1,
+            4000, RandomStream(403).child(n),
         )
         assert report.variance <= (1 / N) * (1 + 1 / N) * 1.1, (n, report.variance)
 
     report = diagonal_observable_variance(
         FamilySpec("product"), 8, SubsetMask.from_positions((1,), 8),
-        4000, RandomStream(403).child(99), 1,
+        4000, RandomStream(403).child(99),
     )
     assert abs(report.variance - 1 / 3) <= 3 * report.se_variance
 

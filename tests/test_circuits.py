@@ -194,10 +194,9 @@ def test_sample_prob_vector_deterministic_mass():
 
 def test_sample_prob_vector_frequencies():
     p = ProbVector(2, np.array([0.1875, 0.5625, 0.0625, 0.1875]))
-    s = sample_prob_vector(p, RandomStream(8), 20000, family="product")
+    s = sample_prob_vector(p, RandomStream(8), 20000)
     counts = np.bincount(s.outcomes.astype(int), minlength=4)
     assert stats.chisquare(counts, 20000 * p.values).pvalue > 1e-3
-    assert s.family == "product"
 
 
 @settings(max_examples=40, deadline=None)

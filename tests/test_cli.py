@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bornlab import __version__
+from bornlab import __version__, lab
 from bornlab.cli import (
     CSV_HEADER,
     DESK_TRIALS,
@@ -77,13 +77,46 @@ def test_rerun_same_seed_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
+# one small config per experiment kind, each with several (family, n) cells
+WORKER_CONFIGS = {
+    "tails": dict(families=["dirichlet", "product"], n_min=5, n_max=7, trials=500),
+    "pairwise": dict(families=["dirichlet", "iqp"], n_min=3, n_max=5, trials=150,
+                     metrics=["sd", "mmd2", "l1", "tvd"], sigmas=["1", "n"]),
+    "mmdtest": dict(families=["dirichlet", "iqp"], n_min=3, n_max=4, trials=3, samples=30,
+                    sigmas=["1", "n"]),
+    "observable": dict(families=["product", "dirichlet"], n_min=3, n_max=5, trials=200,
+                       subset=[1, 2]),
+    "uniform_distance": dict(families=["dirichlet", "peaked"], n_min=3, n_max=5, trials=200),
+    "anticoncentration": dict(families=["dirichlet", "pareto:alpha=2"], n_min=4, n_max=6,
+                              trials=500),
+}
+
+
+@pytest.mark.parametrize("experiment", list(WORKER_CONFIGS))
+def test_worker_count_does_not_change_bytes(tmp_path, experiment):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(WORKER_CONFIGS[experiment], experiment=experiment, seed=11)))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["tails", "--family", "dirichlet", "--n-min", "5", "--n-max", "7",
-            "--trials", "500", "--seed", "11"]
-    run_cli(args + ["--workers", "1", "--out", a])
-    run_cli(args + ["--workers", "3", "--out", b])
+    assert run_cli(["run", "--config", cfg_path, "--workers", "1", "--out", a]) == 0
+    assert run_cli(["run", "--config", cfg_path, "--workers", "2", "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_config_opens_one_pool(tmp_path, monkeypatch):
+    # six cells of two chunks each: one Pool serves them all
+    opened = []
+    pool = lab.multiprocessing.Pool
+
+    def counting_pool(processes=None, *args, **kwargs):
+        opened.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(lab.multiprocessing, "Pool", counting_pool)
+    out = tmp_path / "t.csv"
+    assert run_cli(["tails", "--family", "product,dirichlet", "--n-min", "4", "--n-max", "6",
+                    "--trials", "131072", "--workers", "2", "--out", out]) == 0
+    assert opened == [2]
+    assert len(read_rows(out)) == 2 * 3 * 10
 
 
 def test_manifest_round_trip_reproduces_run(tmp_path):
@@ -297,6 +330,17 @@ def test_config_validation():
         ExperimentConfig("tails", ("product", "pareto"), n_min=2, n_max=4, trials=100, seed=0)
     with pytest.raises(CliError, match="support k=8"):
         ExperimentConfig("tails", ("peaked:k=8",), n_min=2, n_max=4, trials=100, seed=0)
+    # so are the worker count, the y grid and the observable's qubit positions
+    for workers in (0, -1):
+        with pytest.raises(CliError, match="workers must be at least 1"):
+            ExperimentConfig("tails", **dict(ok, workers=workers))
+    for grid in ((), ("abc",), (0.5, math.inf), (math.nan,), (None,)):
+        with pytest.raises(CliError, match="y_grid must be a non-empty list of finite numbers"):
+            ExperimentConfig("tails", **dict(ok, y_grid=grid))
+    for subset in ((), (0,), (3,), (1, 5), (1.0,)):
+        with pytest.raises(CliError, match=r"subset must hold qubit positions in 1\.\.2"):
+            ExperimentConfig("observable", **dict(ok, subset=subset))
+    ExperimentConfig("observable", **dict(ok, subset=(1, 2), y_grid=(0.5, 2)))
 
 
 @pytest.mark.parametrize(
@@ -331,6 +375,8 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
         (["pairwise", "--metric", "mmd2", "--sigma=-1"], "bad sigma '-1'"),
         (["pairwise", "--pairs", "99"], "pairwise needs at least 100 trials, got 99"),
         (["tails", "--trials", "50"], "tails needs at least 100 trials, got 50"),
+        (["tails", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["tails", "--workers=-1"], "workers must be at least 1, got -1"),
     ],
 )
 def test_bad_config_rejected_before_any_cell_runs(tmp_path, capsys, args, message):
@@ -352,6 +398,28 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
     assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert str(cfg_path) in err and f"{experiment} needs at least 100 trials" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("y_grid", ["abc"], "y_grid must be a non-empty list of finite numbers"),
+        ("y_grid", [], "y_grid must be a non-empty list of finite numbers"),
+        ("y_grid", 5, "not iterable"),
+        ("subset", [5], "subset must hold qubit positions in 1..2"),
+        ("workers", 0, "workers must be at least 1"),
+    ],
+)
+def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):
+    cfg = {"experiment": "observable", "families": ["dirichlet"], "n_min": 2, "n_max": 3,
+           "trials": 50, "seed": 0, field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and message in err
     assert not out.exists()
 
 

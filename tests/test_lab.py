@@ -172,20 +172,6 @@ def test_pairwise_validation():
         pairwise_loss_moments(FamilySpec("product"), 4, [("sd", None)], pairs=10, stream=STREAM)
 
 
-def test_worker_count_does_not_change_results():
-    for workers in (1, 2, 4):
-        values = pairwise_loss_values(
-            FamilySpec("dirichlet"), 6, [("sd", None)], pairs=2500, stream=RandomStream(15), workers=workers
-        )[0]
-        if workers == 1:
-            baseline = values
-        else:
-            np.testing.assert_array_equal(values, baseline)
-    a = estimate_tail_curve(FamilySpec("product"), 6, [0.5, 1.0], 3000, RandomStream(16), workers=1)
-    b = estimate_tail_curve(FamilySpec("product"), 6, [0.5, 1.0], 3000, RandomStream(16), workers=3)
-    assert a == b
-
-
 def test_anticoncentration_reports():
     uniform = anticoncentration_statistic(FamilySpec("uniform"), 6, 500, RandomStream(17))
     assert uniform.second_moment_statistic == pytest.approx(1.0)

@@ -77,7 +77,6 @@ def test_sampler_matches_dense_distribution():
         obs = np.append(counts[big], counts[~big].sum())
         exp = np.append(expected[big], expected[~big].sum())
     assert stats.chisquare(obs, exp).pvalue > 1e-3
-    assert s.family == "mps(chi=6)"
 
 
 def test_sampler_single_qubit_marginals():
