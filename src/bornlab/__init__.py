@@ -6,7 +6,7 @@ distance, MMD^2, 1-norm); and the Monte Carlo machinery for tail curves,
 pairwise-loss moments and anticoncentration statistics.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bitmath import (
     BitString,

@@ -5,6 +5,10 @@ Walsh-Hadamard transform, validated probability vectors and deterministic
 random-stream derivation. Everything downstream (distribution families,
 kernels, experiments) is built on these.
 
+The transform applies H_{2^n} as Kronecker factors of small Hadamard
+matrices, each one BLAS matmul over blocks of rows, in place in the output;
+complex input goes through as its real and imaginary planes.
+
 Conventions used throughout the package:
 
 * Outcomes x in {0,1}^n are stored as the integer sum_i x_i 2^(i-1), so
@@ -35,6 +39,12 @@ MAX_KERNEL_SUM_QUBITS = 13
 # |sum(p) - 1| above this rejects the vector. Normalizing 2^26 positive
 # doubles accumulates rounding well below 1e-9.
 NORMALIZATION_ATOL = 1e-9
+
+# fwht's Kronecker factors are at most 2^_FACTOR_BITS wide, and each matmul
+# takes a block of about _BLOCK_BYTES (tuned on 2^10..2^20 outcomes; see
+# CHANGES.md): 16 x 16 factors and 256 KiB blocks, which stay in cache
+_FACTOR_BITS = 4
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,30 +165,77 @@ def fourier_character(S: SubsetMask, x: BitString) -> int:
     return -1 if (S.mask & x.bits).bit_count() & 1 else 1
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+@functools.cache
+def _hadamard(k: int) -> np.ndarray:
+    """The k x k Sylvester-Hadamard matrix, H[S, x] = (-1)^popcount(S & x)."""
+    i = np.arange(k, dtype=np.uint64)
+    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i[None, :]) & 1)
+    h.flags.writeable = False
+    return h
 
-    out[S] = sum_x a[x] * (-1)^popcount(S & x), in O(N log N). Works on
-    batched (..., N) arrays of float or complex; N must be a power of two.
-    The transform is an involution up to the factor N.
+
+def _factor_sizes(n: int) -> list[int]:
+    """Sizes 2^s, s <= _FACTOR_BITS and as even as possible, with product 2^n."""
+    count = max(1, -(-n // _FACTOR_BITS))
+    base, extra = divmod(n, count)
+    return [1 << (base + 1)] * extra + [1 << base] * (count - extra)
+
+
+def _apply_factor(v: np.ndarray, h: np.ndarray) -> None:
+    """v[r] = h @ v[r] in place for a (rows, k, lo) view, in chunks of
+    _BLOCK_BYTES. At lo = 1 the chunk is one GEMM, rows @ h (h is symmetric)."""
+    rows, k, lo = v.shape
+    if lo == 1:
+        v = v.reshape(rows, k)
+        step = max(1, _BLOCK_BYTES // (8 * k))
+        for r in range(0, rows, step):
+            v[r : r + step] = v[r : r + step] @ h
+        return
+    step = max(1, _BLOCK_BYTES // (8 * k * lo))
+    width = min(lo, max(1, _BLOCK_BYTES // (8 * k)))
+    for r in range(0, rows, step):
+        for c in range(0, lo, width):
+            block = v[r : r + step, :, c : c + width]
+            block[...] = np.matmul(h, block)
+
+
+def fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis.
+
+    out[S] = sum_x a[x] * (-1)^popcount(S & x). Works on batched (..., N)
+    arrays of float or complex; N must be a power of two. The transform is
+    an involution up to the factor N.
+
+    H_N is the Kronecker product of Hadamard matrices of at most
+    2^_FACTOR_BITS, one per group of index bits. Each factor is one BLAS
+    matmul over the output, applied in place in blocks of about
+    _BLOCK_BYTES, and costs k multiply-adds per entry, so the whole
+    transform is O(N log N). The factor on the lowest bits is a plain GEMM,
+    rows @ H. Complex input is transformed as the stacked real batch of its
+    real and imaginary planes. Sums of +-1 multiples of integers are exact,
+    so integer-valued input (below 2^53) gives exact coefficients.
     """
     a = np.asarray(a)
     N = a.shape[-1]
     if N == 0 or N & (N - 1):
         raise ValueError(f"length {N} is not a power of two")
-    dtype = np.result_type(a.dtype, np.float64)
-    out = np.array(a, dtype=dtype, copy=True)
-    h = 1
-    while h < N:
-        # in-place butterfly on blocks of width h; one half-size temporary at a time
-        view = out.reshape(out.shape[:-1] + (N // (2 * h), 2, h))
-        top, bot = view[..., 0, :], view[..., 1, :]
-        diff = top - bot
-        top += bot
-        bot[...] = diff
-        del diff
-        h *= 2
-    return out
+    if np.iscomplexobj(a):
+        planes = np.empty((2,) + a.shape)
+        planes[0], planes[1] = a.real, a.imag
+        re, im = _transform(planes)
+        out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.complex128))
+        out.real, out.imag = re, im
+        return out
+    return _transform(np.array(a, dtype=np.result_type(a.dtype, np.float64), order="C"))
+
+
+def _transform(x: np.ndarray) -> np.ndarray:
+    """fwht of a C-contiguous float64 (..., N) array, in place; returns x."""
+    flat, lo = x.reshape(-1), 1  # a view, since x is C-contiguous
+    for k in _factor_sizes(x.shape[-1].bit_length() - 1):
+        _apply_factor(flat.reshape(-1, k, lo), _hadamard(k))
+        lo *= k
+    return x
 
 
 def walsh_hadamard(p: ProbVector) -> np.ndarray:

@@ -8,7 +8,8 @@ with generator chi_S, so the accumulated phase on basis state z is
 
 and the output amplitude is the Walsh-Hadamard transform of e^(i phi)
 divided by 2^n. One weight-1 gate on a single qubit gives p(1) = sin^2(theta),
-which pins the convention.
+which pins the convention. The batched generator transforms the real planes
+cos(phi) and sin(phi) in one call instead of the complex e^(i phi).
 
 The statevector route is dense and capped at n = 16: iqp_state_vector
 returns the amplitude array of one circuit and iqp_prob_values the output
@@ -106,13 +107,22 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
 
     Same ensemble as random_iqp_circuit + iqp_prob_vector, vectorized: the
     per-instance phases are a matmul against the shared character table,
-    one block of outcomes at a time.
+    one block of outcomes at a time. No complex array is made: cos(phi) and
+    sin(phi) are two real planes, transformed in one call, and
+    p = re^2 + im^2 of the transformed planes.
     """
     check_statevector_cap(n)
     masks = all_weight_le2_masks(n)
     thetas = rng.uniform(0.0, 2.0 * math.pi, (batch, masks.size))
+    phase = _phases(masks, thetas, n)
+    planes = np.empty((2,) + phase.shape)
+    np.cos(phase, out=planes[0])
+    np.sin(phase, out=planes[1])
+    del phase
     # the amplitudes' 1/2^n is a power of two, which normalizing drops exactly
-    p = np.abs(fwht(np.exp(1j * _phases(masks, thetas, n)))) ** 2
+    re, im = fwht(planes)
+    del planes
+    p = re * re + im * im
     return p / p.sum(axis=1, keepdims=True)
 
 

@@ -29,11 +29,12 @@ alone, and every kernel shares that route's transform or histograms:
   kernel sum is (rho^0..rho^n) @ h. Cost m(m+1)/2 + l(l+1)/2 + m l cells.
   This route covers outcomes up to 64 bits.
 
-The counts route runs when it is the cheaper one (both cost 5-10 ns a
-unit) and its working memory, about 40 bytes per outcome, fits
-MMD_MEMORY_BYTES; the distance route works in row blocks of 8 bytes a
-cell that fit the same budget (or in one row, if that is larger). Neither
-allocates anything of size m x m.
+The counts route runs when it has no more units than the distance route
+(the rule weighs the units alike, though on one core a counts unit costs
+about 1 ns and a distance cell 4-6 ns) and its working memory, 40 bytes
+per outcome, fits MMD_MEMORY_BYTES; the distance route works in row blocks
+of 8 bytes a cell that fit the same budget (or in one row, if that is
+larger). Neither allocates anything of size m x m.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ from .bitmath import MAX_KERNEL_SUM_QUBITS, ProbVector, SampleSet, fwht, popcoun
 # bytes (or in one row of the distance route, if that is larger)
 MMD_MEMORY_BYTES = 1 << 26
 
-# the counts route's peak per outcome (tracemalloc, n = 20): the two float64
-# histograms, their transformed copy, and the transform's half-size
-# temporary of one butterfly stage
-_COUNTS_BYTES_PER_OUTCOME = 40.2
+# the counts route's peak per outcome (tracemalloc, n = 20: 40.0015): the two
+# transformed float64 histograms, one kernel's square-rooted eigenvalues and
+# that kernel's weighted copy of the histograms. The transform itself peaks
+# lower (32.25), at the histograms, their copy and one matmul block.
+_COUNTS_BYTES_PER_OUTCOME = 40.0
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,54 @@ def test_fwht_matches_direct_character_sum():
         np.testing.assert_allclose(out, chi @ v, atol=1e-10)
 
 
+def _butterfly_fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+
+    out[S] = sum_x a[x] * (-1)^popcount(S & x), in O(N log N). Works on
+    batched (..., N) arrays of float or complex; N must be a power of two.
+    The transform is an involution up to the factor N.
+    """
+    a = np.asarray(a)
+    N = a.shape[-1]
+    if N == 0 or N & (N - 1):
+        raise ValueError(f"length {N} is not a power of two")
+    dtype = np.result_type(a.dtype, np.float64)
+    out = np.array(a, dtype=dtype, copy=True)
+    h = 1
+    while h < N:
+        # in-place butterfly on blocks of width h; one half-size temporary at a time
+        view = out.reshape(out.shape[:-1] + (N // (2 * h), 2, h))
+        top, bot = view[..., 0, :], view[..., 1, :]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+        del diff
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fwht_matches_butterfly_oracle(n):
+    rng = np.random.default_rng(n)
+    leads = [(), (3,), (2, 3)]
+    if n == 10:
+        leads.append((130,))  # 130 rows of 8 KiB straddle the matmul blocks
+    for lead in leads:
+        shape = lead + (1 << n,)
+        real = rng.standard_normal(shape)
+        cplx = real + 1j * rng.standard_normal(shape)
+        for a in (real, cplx, np.asfortranarray(real), np.asfortranarray(cplx)):
+            out, expect = fwht(a), _butterfly_fwht(a)
+            assert out.shape == expect.shape and out.dtype == expect.dtype
+            assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect))
+        # +-1 sums of integers are exact, so integer-valued input matches bitwise
+        ints = rng.integers(-1000, 1000, shape)
+        for a in (ints, ints.astype(np.float64)):
+            out, expect = fwht(a), _butterfly_fwht(a)
+            assert out.dtype == expect.dtype == np.float64
+            assert np.array_equal(out, expect)
+
+
 def test_fwht_batched_and_complex():
     rng = np.random.default_rng(2)
     batch = rng.standard_normal((7, 16)) + 1j * rng.standard_normal((7, 16))

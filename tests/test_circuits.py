@@ -22,6 +22,7 @@ from bornlab.circuits import (
 )
 from bornlab.families import ProductParams, product_prob_vector
 from bornlab.lab import FamilySpec, instance_prob_values
+from test_bitmath import _butterfly_fwht
 
 
 def test_single_gate_probability_is_sine_squared():
@@ -98,6 +99,20 @@ def test_batched_matches_single_route():
     single = iqp_prob_vector(random_iqp_circuit(5, RandomStream(77))).values
     batched = iqp_prob_values(5, 1, RandomStream(77).generator)[0]
     np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def test_iqp_prob_values_matches_complex_exp_oracle():
+    # the cos/sin planes route against |butterfly(e^{i phi})|^2 with the
+    # phases summed over the whole character table at once
+    for n in range(1, 15):
+        masks = all_weight_le2_masks(n)
+        z = np.arange(1 << n, dtype=np.uint64)
+        chi = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & z[None, :]) % 2)
+        p = iqp_prob_values(n, 3, np.random.default_rng(n))
+        thetas = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, (3, masks.size))
+        expect = np.abs(_butterfly_fwht(np.exp(1j * (thetas @ chi)))) ** 2
+        expect /= expect.sum(axis=1, keepdims=True)
+        assert np.all(np.abs(p - expect) <= 1e-12 * expect.max(axis=1, keepdims=True)), n
 
 
 def test_batched_phase_table_is_built_in_blocks():

@@ -605,7 +605,7 @@ def test_metric_order_does_not_change_rows(tmp_path):
     assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
 
 
-@pytest.mark.parametrize("version", ["0.1.0", "0.2.0"])
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0"])
 def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     first = tmp_path / "first.csv"
     run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",

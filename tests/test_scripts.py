@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import bornlab.cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,22 @@ def test_reproduce_figures_writes_csv_and_manifest(tmp_path, monkeypatch):
     assert {r["experiment"] for r in rows} == {"tails"}
     assert {r["trials"] for r in rows} == {"200"}
     assert (tmp_path / "fig2.csv.manifest.json").exists()
+
+
+def _figure_kinds(args, monkeypatch):
+    """The kinds reproduce_figures.py asks `bornlab figures` for, without running them."""
+    kinds = []
+
+    def fake_main(cli_args):
+        kinds.append(cli_args[1])
+        return 0
+
+    monkeypatch.setattr(bornlab.cli, "main", fake_main)
+    assert run_script("reproduce_figures.py", args, monkeypatch) == 0
+    return kinds
+
+
+def test_reproduce_figures_default_skips_fig6_which_repeats_fig5(tmp_path, monkeypatch):
+    kinds = _figure_kinds(["--outdir", tmp_path], monkeypatch)
+    assert kinds == ["fig2", "fig4", "fig5", "fig7", "fig8", "fig9"]
+    assert _figure_kinds(["--outdir", tmp_path, "--only", "fig6"], monkeypatch) == ["fig6"]
