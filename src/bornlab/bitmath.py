@@ -1,13 +1,14 @@
 """Bit-domain primitives.
 
-Bitstrings over F_2^n, Hamming distance, Fourier characters, the fast
-Walsh-Hadamard transform, validated probability vectors and deterministic
-random-stream derivation. Everything downstream (distribution families,
-kernels, experiments) is built on these.
+Subset masks over F_2^n, the fast Walsh-Hadamard transform, validated
+probability vectors, sample sets, deterministic random-stream derivation and
+the resource caps. Everything downstream (distribution families, kernels,
+experiments) is built on these.
 
 The transform applies H_{2^n} as Kronecker factors of small Hadamard
-matrices, each one BLAS matmul over blocks of rows, in place in the output;
-complex input goes through as its real and imaginary planes.
+matrices, each one BLAS matmul over blocks of rows, in place in the output.
+The package's callers pass it real arrays only; IQP amplitudes go through as
+their real cos and sin planes.
 
 Conventions used throughout the package:
 
@@ -33,9 +34,6 @@ MAX_DENSE_QUBITS = 26
 # stop here; above it they are deliberately unsupported.
 MAX_STATEVECTOR_QUBITS = 16
 
-# the MMD^2 kernel double sum is O(4^n); past this, use the Fourier form
-MAX_KERNEL_SUM_QUBITS = 13
-
 # |sum(p) - 1| above this rejects the vector. Normalizing 2^26 positive
 # doubles accumulates rounding well below 1e-9.
 NORMALIZATION_ATOL = 1e-9
@@ -45,29 +43,6 @@ NORMALIZATION_ATOL = 1e-9
 # CHANGES.md): 16 x 16 factors and 256 KiB blocks, which stay in cache
 _FACTOR_BITS = 4
 _BLOCK_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class BitString:
-    """An n-bit outcome stored as an unsigned integer.
-
-    bits is the outcome index; bit (i-1) of it is the value of qubit i.
-    """
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_DENSE_QUBITS}], got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits {self.bits} out of range for n={self.n}")
-
-    def bit(self, i: int) -> int:
-        """Value of qubit i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"qubit index {i} out of range for n={self.n}")
-        return (self.bits >> (i - 1)) & 1
 
 
 @dataclass(frozen=True)
@@ -151,20 +126,6 @@ def check_statevector_cap(n: int) -> None:
         )
 
 
-def hamming_distance(x: BitString, y: BitString) -> int:
-    """Number of positions where x and y differ."""
-    if x.n != y.n:
-        raise ValueError(f"dimension error: n mismatch {x.n} != {y.n}")
-    return (x.bits ^ y.bits).bit_count()
-
-
-def fourier_character(S: SubsetMask, x: BitString) -> int:
-    """chi_S(x) = (-1)^(sum of x_i over i in S), either +1 or -1."""
-    if S.n != x.n:
-        raise ValueError(f"dimension error: n mismatch {S.n} != {x.n}")
-    return -1 if (S.mask & x.bits).bit_count() & 1 else 1
-
-
 @functools.cache
 def _hadamard(k: int) -> np.ndarray:
     """The k x k Sylvester-Hadamard matrix, H[S, x] = (-1)^popcount(S & x)."""
@@ -203,53 +164,28 @@ def fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
     out[S] = sum_x a[x] * (-1)^popcount(S & x). Works on batched (..., N)
-    arrays of float or complex; N must be a power of two. The transform is
-    an involution up to the factor N.
+    arrays; N must be a power of two. The transform is an involution up to
+    the factor N.
 
     H_N is the Kronecker product of Hadamard matrices of at most
     2^_FACTOR_BITS, one per group of index bits. Each factor is one BLAS
     matmul over the output, applied in place in blocks of about
     _BLOCK_BYTES, and costs k multiply-adds per entry, so the whole
     transform is O(N log N). The factor on the lowest bits is a plain GEMM,
-    rows @ H. Complex input is transformed as the stacked real batch of its
-    real and imaginary planes. Sums of +-1 multiples of integers are exact,
-    so integer-valued input (below 2^53) gives exact coefficients.
+    rows @ H. Complex input comes out complex, since the matmuls promote H.
+    Sums of +-1 multiples of integers are exact, so integer-valued input
+    (below 2^53) gives exact coefficients.
     """
     a = np.asarray(a)
     N = a.shape[-1]
     if N == 0 or N & (N - 1):
         raise ValueError(f"length {N} is not a power of two")
-    if np.iscomplexobj(a):
-        planes = np.empty((2,) + a.shape)
-        planes[0], planes[1] = a.real, a.imag
-        re, im = _transform(planes)
-        out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.complex128))
-        out.real, out.imag = re, im
-        return out
-    return _transform(np.array(a, dtype=np.result_type(a.dtype, np.float64), order="C"))
-
-
-def _transform(x: np.ndarray) -> np.ndarray:
-    """fwht of a C-contiguous float64 (..., N) array, in place; returns x."""
+    x = np.array(a, dtype=np.result_type(a.dtype, np.float64), order="C")
     flat, lo = x.reshape(-1), 1  # a view, since x is C-contiguous
     for k in _factor_sizes(x.shape[-1].bit_length() - 1):
         _apply_factor(flat.reshape(-1, k, lo), _hadamard(k))
         lo *= k
     return x
-
-
-def walsh_hadamard(p: ProbVector) -> np.ndarray:
-    """All 2^n Fourier characters P_hat(S) of a distribution.
-
-    P_hat(0) = 1 for any normalized input and |P_hat(S)| <= 1 throughout.
-    """
-    return fwht(p.values)
-
-
-def walsh_hadamard_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Invert walsh_hadamard: p(x) = 2^-n sum_S coeffs[S] chi_S(x)."""
-    coeffs = np.asarray(coeffs)
-    return fwht(coeffs) / coeffs.shape[-1]
 
 
 def popcounts(n: int) -> np.ndarray:
@@ -264,7 +200,7 @@ class RandomStream:
     Streams are derived counter-style from (master_seed, path): equal pairs
     replay the identical sequence, distinct pairs are statistically
     independent. path is a tuple so nested fan-out (experiment -> chunk ->
-    instance) never collides; derive_stream starts a path with one index.
+    instance) never collides.
     """
 
     master_seed: int
@@ -278,11 +214,6 @@ class RandomStream:
     def child(self, index: int) -> "RandomStream":
         """Derive the index-th substream; deterministic and collision-free."""
         return RandomStream(self.master_seed, self.path + (int(index),))
-
-
-def derive_stream(master_seed: int, index: int) -> RandomStream:
-    """Stream number `index` under a master seed."""
-    return RandomStream(int(master_seed), (int(index),))
 
 
 def as_generator(stream) -> np.random.Generator:

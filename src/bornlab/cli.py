@@ -86,8 +86,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise CliError(f"unknown experiment {self.experiment!r}; known: {tuple(EXPERIMENTS)}")
+        integers = ["n_min", "n_max", "n_step", "trials", "seed", "samples"]
+        if self.workers is not None:
+            integers.append("workers")
+        for name in integers:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CliError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise CliError(f"seed must be non-negative, got {self.seed}")
         if not self.families:
             raise CliError("at least one family is required")
+        if not all(isinstance(token, str) for token in self.families):
+            raise CliError(f"families must be family tokens, got {list(self.families)}")
         specs = [parse_family(token) for token in self.families]  # raises on bad syntax
         if not 1 <= self.n_min <= self.n_max:
             raise CliError(f"bad n range [{self.n_min}, {self.n_max}]")
@@ -390,6 +401,8 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         item = dict(item)
         try:
             for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
+                if isinstance(item.get(key), (str, dict)):  # iterable, but not a list
+                    raise CliError(f"{key} must be a list, got {item[key]!r}")
                 if key in item and item[key] is not None:
                     item[key] = tuple(item[key])
             configs.append(ExperimentConfig(**item))
@@ -430,15 +443,21 @@ def read_sample_file(path: str) -> SampleSet:
 
 
 def _resolve_seed(value: int | None) -> int:
+    """--seed, else $BORN_SEED, else 0; a seed is a non-negative integer."""
     if value is not None:
+        if value < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {value}")
         return value
     env = os.environ.get("BORN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"BORN_SEED must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise CliError(f"BORN_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -537,7 +556,7 @@ def _run_and_write(configs: list[ExperimentConfig], out: str) -> int:
 def cmd_run(args) -> int:
     configs = load_configs(args.config)
     if args.seed is not None:
-        configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
+        configs = [dataclasses.replace(c, seed=_resolve_seed(args.seed)) for c in configs]
     if args.workers is not None:
         configs = [dataclasses.replace(c, workers=args.workers) for c in configs]
     # worker count never changes the output bytes, so manifest reruns are
@@ -584,6 +603,8 @@ def cmd_figures(args) -> int:
 
 def cmd_mmdtest(args) -> int:
     spec = bandwidth_kernel(args.sigma)  # refuses a negative or non-finite sigma
+    if not 0.0 < args.alpha <= 1.0:
+        raise CliError(f"alpha must be in (0, 1], got {args.alpha:g}")
     X = read_sample_file(args.xfile)
     Y = read_sample_file(args.yfile)
     if X.n != Y.n:

@@ -1,9 +1,11 @@
-"""Loss functions between distributions over bit strings.
+"""Loss functions between distributions over bit strings, batched.
 
-Implements the squared distance, the maximum mean discrepancy (MMD^2) under
-the Gaussian-Hamming kernel in three interchangeable forms (kernel double
-sum, Fourier diagonalization, two-sample U-statistic), the associated
-two-sample test threshold, and 1-norm / total-variation distances.
+Implements the maximum mean discrepancy (MMD^2) under the Gaussian-Hamming
+kernel in its Fourier-diagonal form over batches of differences, the
+two-sample U-statistic and its test threshold. The pairwise experiments in
+lab take SD, L1 and TVD of a batch directly. The single-pair form of every
+metric, and the kernel double sum that checks the Fourier form, are test
+oracles (tests/oracles.py).
 
 The kernel k(x, y) = exp(-d_H(x, y)/(2 sigma^2)) = rho^{d_H} with
 rho = exp(-1/(2 sigma^2)) is diagonal in the character basis with
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import MAX_KERNEL_SUM_QUBITS, ProbVector, SampleSet, fwht, popcounts
+from .bitmath import SampleSet, fwht, popcounts
 
 # mmd2_unbiased's peak working memory: either route's arrays fit in this many
 # bytes (or in one row of the distance route, if that is larger)
@@ -88,57 +90,16 @@ def bandwidth_kernel(sigma: float) -> KernelSpec:
     return KernelSpec(rho=0.0) if sigma == 0.0 else KernelSpec(sigma=sigma)
 
 
-def _check_same_n(p: ProbVector, q: ProbVector):
-    if p.n != q.n:
-        raise ValueError(f"dimension error: n mismatch {p.n} != {q.n}")
-
-
-def squared_distance(p: ProbVector, q: ProbVector) -> float:
-    """sum_x (p(x) - q(x))^2."""
-    _check_same_n(p, q)
-    d = p.values - q.values
-    return float(d @ d)
-
-
 def fourier_weights(n: int, spec: KernelSpec) -> np.ndarray:
     """Kernel eigenvalue (1-rho)^|S| (1+rho)^{n-|S|} per subset mask."""
     k = np.arange(n + 1)
     return ((1.0 - spec.rho) ** k * (1.0 + spec.rho) ** (n - k))[popcounts(n)]
 
 
-def mmd2_fourier(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
-    """MMD^2 via two Walsh-Hadamard transforms, O(N log N)."""
-    _check_same_n(p, q)
-    ghat = fwht(p.values - q.values)
-    return float(fourier_weights(p.n, spec) @ ghat**2) / (1 << p.n)
-
-
 def mmd2_fourier_batch(diffs: np.ndarray, n: int, specs: tuple[KernelSpec, ...]) -> np.ndarray:
     """MMD^2 of diffs, shape (..., 2^n), under each kernel: one column per kernel."""
     power = fwht(np.asarray(diffs, dtype=float)) ** 2
     return np.stack([power @ fourier_weights(n, spec) / (1 << n) for spec in specs], axis=-1)
-
-
-def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
-    """Kernel double sum sum_{x,y} k(x,y) g(x) g(y), g = p - q.
-
-    Kept as the independent cross-check of mmd2_fourier; blocked so the
-    full N x N kernel matrix is never materialized.
-    """
-    _check_same_n(p, q)
-    if p.n > MAX_KERNEL_SUM_QUBITS:
-        raise ValueError(
-            f"resource error: n={p.n} exceeds the kernel double-sum cap "
-            f"{MAX_KERNEL_SUM_QUBITS}; use mmd2_fourier"
-        )
-    g = p.values - q.values
-    x = np.arange(1 << p.n, dtype=np.uint64)
-    total = 0.0
-    block = 1 << 9
-    for start in range(0, x.size, block):
-        d = np.bitwise_count(x[start : start + block, None] ^ x[None, :])
-        total += g[start : start + block] @ (spec.rho**d.astype(float)) @ g
-    return float(total)
 
 
 def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, specs) -> list[np.ndarray]:
@@ -230,16 +191,3 @@ def mmd_test_threshold(m: int, l: int, alpha: float, k_max: float = 1.0) -> floa
     return k_max * math.sqrt(8.0 * math.log(1.0 / alpha) / (m + l))
 
 
-def l1_distance(p: ProbVector, q: ProbVector) -> float:
-    """sum_x |p(x) - q(x)|, in [0, 2]."""
-    _check_same_n(p, q)
-    return float(np.abs(p.values - q.values).sum())
-
-
-def total_variation_distance(p: ProbVector, q: ProbVector) -> float:
-    """Half the 1-norm; the other common TVD convention.
-
-    Both values are reported downstream because the literature uses the
-    names interchangeably.
-    """
-    return 0.5 * l1_distance(p, q)

@@ -17,6 +17,9 @@ With left-canonical tensors the accumulated left environment is the
 identity, so suffix marginals are exact inner products and sampling walks
 site n -> 1 drawing each bit from its exact conditional given the bits
 already fixed. One sample costs O(n chi^2).
+
+mps_prob_values is the batched dense generator. The dense vector and the
+single-outcome probability of one state are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import (
-    BitString,
-    ProbVector,
-    SampleSet,
-    as_generator,
-    check_statevector_cap,
-    validate_prob_vector,
-)
+from .bitmath import SampleSet, as_generator, check_statevector_cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +98,6 @@ def _left_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def mps_probability(state: MpsState, x: BitString) -> float:
-    """|psi(x)|^2 by left-to-right contraction, O(n chi^2)."""
-    if x.n != state.n:
-        raise ValueError(f"dimension error: n mismatch {x.n} != {state.n}")
-    v = np.ones(1, dtype=np.complex128)
-    for i, t in enumerate(state.tensors):
-        v = v @ t[:, (x.bits >> i) & 1, :]
-    return float(abs(v[0]) ** 2)
-
-
 def _amplitudes(tensors: list[np.ndarray]) -> np.ndarray:
     """Amplitudes (B, 2^n) of chains of site tensors (B, D, 2, D'), one matmul a site."""
     batch, n = tensors[0].shape[0], len(tensors)
@@ -122,17 +108,6 @@ def _amplitudes(tensors: list[np.ndarray]) -> np.ndarray:
     # rows run over (x_1, ..., x_n) with x_1 slowest; reverse for LSB-first
     psi = T.reshape((batch,) + (2,) * n).transpose((0,) + tuple(range(n, 0, -1)))
     return psi.reshape(batch, -1)
-
-
-def mps_state_vector(state: MpsState) -> np.ndarray:
-    """Dense amplitudes, index bit (i-1) = qubit i. Capped at n = 16."""
-    check_statevector_cap(state.n)
-    return _amplitudes([t[None] for t in state.tensors])[0]
-
-
-def mps_prob_vector(state: MpsState) -> ProbVector:
-    p = np.abs(mps_state_vector(state)) ** 2
-    return validate_prob_vector(p / p.sum(), state.n)
 
 
 def mps_sample(state: MpsState, stream, count: int) -> SampleSet:
@@ -164,9 +139,10 @@ def mps_sample(state: MpsState, stream, count: int) -> SampleSet:
 def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Dense output distributions of `batch` random MPS, shape (batch, 2^n).
 
-    Same ensemble as random_mps + mps_prob_vector (in distribution, not in
-    stream order), contracted as drawn: the QR sweep only inserts R R^-1
-    between sites and drops one overall scalar, and p / sum(p) sees neither.
+    Same ensemble as random_mps + mps_prob_vector (tests/oracles.py), in
+    distribution, not in stream order. It is contracted as drawn: the QR
+    sweep only inserts R R^-1 between sites and drops one overall scalar,
+    and p / sum(p) sees neither.
     """
     check_statevector_cap(n)
     p = np.abs(_amplitudes(_gaussian_tensors(n, chi, (batch,), rng))) ** 2

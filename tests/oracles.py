@@ -1,0 +1,377 @@
+"""Reference routes the tests check the production code against.
+
+None of these is on a path that `bornlab.cli.main` takes: single-instance
+state vectors and probabilities, pairwise metrics of two distributions, the
+kernel double sum, and the closed-form tails and moment bounds that the
+families satisfy. They sit beside the tests so that src/bornlab holds only
+the production path, and so the command line never imports scipy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
+
+from bornlab.bitmath import (
+    MAX_DENSE_QUBITS,
+    ProbVector,
+    SubsetMask,
+    as_generator,
+    check_statevector_cap,
+    fwht,
+    validate_prob_vector,
+)
+from bornlab.circuits import _phases, all_weight_le2_masks
+from bornlab.families import ProductParams, product_prob_values
+from bornlab.metrics import KernelSpec, fourier_weights
+from bornlab.mps import MpsState, _amplitudes
+
+
+# ---------------------------------------------------------------------------
+# bit strings, and the kernel double sum's cap (from bitmath)
+
+
+# the MMD^2 kernel double sum is O(4^n); past this, use the Fourier form
+MAX_KERNEL_SUM_QUBITS = 13
+
+
+@dataclass(frozen=True)
+class BitString:
+    """An n-bit outcome stored as an unsigned integer.
+
+    bits is the outcome index; bit (i-1) of it is the value of qubit i.
+    """
+
+    bits: int
+    n: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_DENSE_QUBITS:
+            raise ValueError(f"n must be in [1, {MAX_DENSE_QUBITS}], got {self.n}")
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError(f"bits {self.bits} out of range for n={self.n}")
+
+    def bit(self, i: int) -> int:
+        """Value of qubit i (1-based)."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"qubit index {i} out of range for n={self.n}")
+        return (self.bits >> (i - 1)) & 1
+
+
+def hamming_distance(x: BitString, y: BitString) -> int:
+    """Number of positions where x and y differ."""
+    if x.n != y.n:
+        raise ValueError(f"dimension error: n mismatch {x.n} != {y.n}")
+    return (x.bits ^ y.bits).bit_count()
+
+
+def fourier_character(S: SubsetMask, x: BitString) -> int:
+    """chi_S(x) = (-1)^(sum of x_i over i in S), either +1 or -1."""
+    if S.n != x.n:
+        raise ValueError(f"dimension error: n mismatch {S.n} != {x.n}")
+    return -1 if (S.mask & x.bits).bit_count() & 1 else 1
+
+
+# ---------------------------------------------------------------------------
+# product-family vectors and the closed forms the families satisfy (from families)
+
+
+def product_prob_vector(params: ProductParams) -> ProbVector:
+    """Dense vector of the product distribution, qubit 1 = LSB of the index."""
+    values = product_prob_values(np.asarray(params.a, dtype=float)[None, :])[0]
+    return validate_prob_vector(values, params.n)
+
+
+def random_product_instance(n: int, stream) -> ProductParams:
+    """a_i iid uniform on [0, 1]."""
+    rng = as_generator(stream)
+    return ProductParams(tuple(rng.random(n)))
+
+
+def product_marginal_density(n: int, y: float) -> float:
+    """Density of p(x) at a fixed outcome under random product weights.
+
+    For a uniform weight vector the single-outcome mass is a product of n
+    uniforms, whose density is ln(1/y)^(n-1) / (n-1)! on (0, 1].
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0.0 < y <= 1.0:
+        raise ValueError(f"domain error: y must be in (0, 1], got {y}")
+    # log-space to survive n ln ln(1/y) overflow territory
+    if y == 1.0:
+        return 1.0 if n == 1 else 0.0
+    t = math.log(1.0 / y)
+    return math.exp((n - 1) * math.log(t) - math.lgamma(n))
+
+
+def product_tail_exact(n: int, y: float) -> float:
+    """Prob(p(x) >= y 2^-n) for the product family, exactly.
+
+    The mass at a fixed outcome is a product of n uniforms, so minus its log
+    is Gamma(n, 1) and the tail is the regularized lower incomplete gamma
+    gamma(n, n ln 2 - ln y) / Gamma(n). Decreases from 1 to 0 as y runs from
+    0 to 2^n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0.0 < y <= float(2**n):
+        raise ValueError(f"domain error: y must be in (0, 2^{n}], got {y}")
+    lam = n * math.log(2.0) - math.log(y)
+    return float(special.gammainc(n, lam))
+
+
+def product_tail_chernoff_bound(n: int, y: float) -> float:
+    """Chernoff upper bound on product_tail_exact.
+
+    The exact expression ((n ln 2 - ln y)/n)^n exp(n - n ln 2 + ln y) bounds
+    the lower Gamma tail only below the mean (lam <= n); past that point the
+    expression dips under the true tail, so the trivial bound 1 is returned
+    to keep bound >= exact everywhere on the domain.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0.0 < y <= float(2**n):
+        raise ValueError(f"domain error: y must be in (0, 2^{n}], got {y}")
+    lam = n * math.log(2.0) - math.log(y)
+    if lam <= 0.0:
+        return 0.0
+    if lam >= n:
+        return 1.0
+    return math.exp(n * math.log(lam / n) + n - lam)
+
+
+def pseudo_indep_anticoncentration_bound(
+    alpha: float, k: float, mu: float, sigma: float, N: float
+) -> float:
+    """Lower bound on Prob(p(x) >= alpha/N) for normalized iid vectors.
+
+    Returns (1 - alpha(1 + 1/k))^2 (1 - sigma^2 k^2 / (N mu^2)) mu^2/sigma^2.
+    Informative only while alpha(1 + 1/k) <= 1 and the deviation factor stays
+    positive; the value is returned as-is so callers can see it go vacuous.
+    N may be math.inf to read off the dimension-free limit.
+    """
+    if sigma <= 0:
+        raise ValueError("domain error: sigma must be positive")
+    if k <= 0:
+        raise ValueError("domain error: k must be positive")
+    prefactor = 1.0 - alpha * (1.0 + 1.0 / k)
+    deviation = 1.0 - (sigma**2 * k**2) / (N * mu**2)
+    return prefactor**2 * deviation * mu**2 / sigma**2
+
+
+def porter_thomas_survival(N: int, y: float, form: str = "exact") -> float:
+    """Survival Prob(p(x) >= y) of a Dirichlet(1) marginal.
+
+    form selects the expression:
+      "exact"        Beta(1, N-1) survival (1 - y)^(N-1)
+      "exponential"  the N -> inf Porter-Thomas approximation exp(-N y)
+      "power"        the cruder power-form approximation (1 - y)^N
+    """
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"domain error: y must be in [0, 1], got {y}")
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if form == "exact":
+        return (1.0 - y) ** (N - 1)
+    if form == "exponential":
+        return math.exp(-N * y)
+    if form == "power":
+        return (1.0 - y) ** N
+    raise ValueError(f"unknown form {form!r}")
+
+
+def peaked_tail_bound(n: int, k: int) -> float:
+    """Prob(p(x) >= y 2^-n) <= K/2^n for any y: mass misses the support."""
+    if k > (1 << n):
+        raise ValueError(f"domain error: support {k} exceeds 2^{n}")
+    return k / float(1 << n)
+
+
+def gini_coefficient(underlying, stream, trials: int) -> tuple[float, float]:
+    """Monte Carlo estimate of E|Y - Y'| / (2 E[Y]) with its standard error.
+
+    Draws `trials` independent pairs; the ratio-of-means estimator gets a
+    delta-method standard error from the per-pair (|Y-Y'|, (Y+Y')/2)
+    covariance.
+    """
+    if trials < 2:
+        raise ValueError("trials must be at least 2")
+    rng = as_generator(stream)
+    y1 = underlying.sample(rng, trials)
+    y2 = underlying.sample(rng, trials)
+    absdiff = np.abs(y1 - y2)
+    pairmean = 0.5 * (y1 + y2)
+    A = float(absdiff.mean())
+    M = float(pairmean.mean())
+    if M == 0.0:
+        return 0.0, 0.0
+    g = A / (2.0 * M)
+    cov = np.cov(absdiff, pairmean)
+    var_g = (
+        cov[0, 0] / (2.0 * M) ** 2
+        - 2.0 * cov[0, 1] * A / (4.0 * M**3)
+        + cov[1, 1] * A**2 / (4.0 * M**4)
+    ) / trials
+    return g, math.sqrt(max(var_g, 0.0))
+
+
+def hypergeometric_overlap_moments(N: int, K: int) -> tuple[float, float]:
+    """Mean and variance of |S ∩ T| for independent uniform K-subsets of [N].
+
+    Mean K^2/N; variance (K^2/N) ((N-K)/N) ((N-K)/(N-1)).
+    """
+    if K > N:
+        raise ValueError(f"domain error: K={K} exceeds N={N}")
+    mean = K * K / N
+    if K == N or N == 1:
+        return mean, 0.0
+    var = mean * ((N - K) / N) * ((N - K) / (N - 1))
+    return mean, var
+
+
+# ---------------------------------------------------------------------------
+# single IQP circuits and their state vectors (from circuits)
+
+
+@dataclass(frozen=True)
+class IqpCircuit:
+    """Diagonal-gate list over n qubits; each gate is (subset mask, angle)."""
+
+    n: int
+    gates: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        gates = []
+        for mask, theta in self.gates:
+            mask = int(mask)
+            if mask == 0:
+                raise ValueError("gate mask must be non-empty")
+            if mask >= (1 << self.n):
+                raise ValueError(f"gate mask {mask} out of range for n={self.n}")
+            if mask.bit_count() > 2:
+                raise ValueError("gate weight above 2 is not supported")
+            gates.append((mask, float(theta)))
+        object.__setattr__(self, "gates", tuple(gates))
+
+
+def random_iqp_circuit(n: int, stream) -> IqpCircuit:
+    """All-to-all weight-<=2 gate set with iid uniform angles on [0, 2pi)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = as_generator(stream)
+    masks = all_weight_le2_masks(n)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, masks.size)
+    return IqpCircuit(n, tuple((int(m), float(t)) for m, t in zip(masks, thetas)))
+
+
+def iqp_state_vector(circuit: IqpCircuit) -> np.ndarray:
+    """Amplitudes of H^n D(theta) H^n |0>, computed as FWHT(e^{i phi}) / 2^n."""
+    check_statevector_cap(circuit.n)
+    masks = np.asarray([m for m, _ in circuit.gates], dtype=np.uint64)
+    thetas = np.asarray([t for _, t in circuit.gates], dtype=float)
+    phase = _phases(masks, thetas, circuit.n)  # zeros when there are no gates
+    return fwht(np.exp(1j * phase)) / (1 << circuit.n)
+
+
+def iqp_prob_vector(circuit: IqpCircuit) -> ProbVector:
+    """Output distribution of an IQP circuit (statevector route, n <= 16)."""
+    p = np.abs(iqp_state_vector(circuit)) ** 2
+    return validate_prob_vector(p / p.sum(), circuit.n)
+
+
+def diagonal_pauli_expectation(p: ProbVector, S: SubsetMask) -> float:
+    """<Z_S> = sum_x chi_S(x) p(x), the S-th Fourier character of p."""
+    if S.n != p.n:
+        raise ValueError(f"dimension error: n mismatch {S.n} != {p.n}")
+    x = np.arange(1 << p.n, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
+    return float(signs @ p.values)
+
+
+# ---------------------------------------------------------------------------
+# single MPS states, contracted outcome by outcome or densely (from mps)
+
+
+def mps_probability(state: MpsState, x: BitString) -> float:
+    """|psi(x)|^2 by left-to-right contraction, O(n chi^2)."""
+    if x.n != state.n:
+        raise ValueError(f"dimension error: n mismatch {x.n} != {state.n}")
+    v = np.ones(1, dtype=np.complex128)
+    for i, t in enumerate(state.tensors):
+        v = v @ t[:, (x.bits >> i) & 1, :]
+    return float(abs(v[0]) ** 2)
+
+
+def mps_state_vector(state: MpsState) -> np.ndarray:
+    """Dense amplitudes, index bit (i-1) = qubit i. Capped at n = 16."""
+    check_statevector_cap(state.n)
+    return _amplitudes([t[None] for t in state.tensors])[0]
+
+
+def mps_prob_vector(state: MpsState) -> ProbVector:
+    p = np.abs(mps_state_vector(state)) ** 2
+    return validate_prob_vector(p / p.sum(), state.n)
+
+
+# ---------------------------------------------------------------------------
+# pairwise metrics of two distributions (from metrics)
+
+
+def _check_same_n(p: ProbVector, q: ProbVector):
+    if p.n != q.n:
+        raise ValueError(f"dimension error: n mismatch {p.n} != {q.n}")
+
+
+def squared_distance(p: ProbVector, q: ProbVector) -> float:
+    """sum_x (p(x) - q(x))^2."""
+    _check_same_n(p, q)
+    d = p.values - q.values
+    return float(d @ d)
+
+
+def mmd2_fourier(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
+    """MMD^2 via two Walsh-Hadamard transforms, O(N log N)."""
+    _check_same_n(p, q)
+    ghat = fwht(p.values - q.values)
+    return float(fourier_weights(p.n, spec) @ ghat**2) / (1 << p.n)
+
+
+def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
+    """Kernel double sum sum_{x,y} k(x,y) g(x) g(y), g = p - q.
+
+    Kept as the independent cross-check of mmd2_fourier; blocked so the
+    full N x N kernel matrix is never materialized.
+    """
+    _check_same_n(p, q)
+    if p.n > MAX_KERNEL_SUM_QUBITS:
+        raise ValueError(
+            f"resource error: n={p.n} exceeds the kernel double-sum cap "
+            f"{MAX_KERNEL_SUM_QUBITS}; use mmd2_fourier"
+        )
+    g = p.values - q.values
+    x = np.arange(1 << p.n, dtype=np.uint64)
+    total = 0.0
+    block = 1 << 9
+    for start in range(0, x.size, block):
+        d = np.bitwise_count(x[start : start + block, None] ^ x[None, :])
+        total += g[start : start + block] @ (spec.rho**d.astype(float)) @ g
+    return float(total)
+
+
+def l1_distance(p: ProbVector, q: ProbVector) -> float:
+    """sum_x |p(x) - q(x)|, in [0, 2]."""
+    _check_same_n(p, q)
+    return float(np.abs(p.values - q.values).sum())
+
+
+def total_variation_distance(p: ProbVector, q: ProbVector) -> float:
+    """Half the 1-norm; the other common TVD convention.
+
+    Both values are reported downstream because the literature uses the
+    names interchangeably.
+    """
+    return 0.5 * l1_distance(p, q)

@@ -22,8 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from bornlab.bitmath import RandomStream, SampleSet, SubsetMask, fwht, validate_prob_vector
-from bornlab.families import product_tail_exact
+from bornlab.bitmath import RandomStream, SampleSet, SubsetMask, validate_prob_vector
 from bornlab.lab import (
     FamilySpec,
     anticoncentration_statistic,
@@ -32,16 +31,8 @@ from bornlab.lab import (
     instance_prob_values,
     pairwise_loss_moments,
 )
-from bornlab.metrics import (
-    KernelSpec,
-    fourier_weights,
-    mmd2_fourier,
-    mmd2_fourier_batch,
-    mmd2_population,
-    mmd2_unbiased,
-    mmd_test_threshold,
-    squared_distance,
-)
+from bornlab.metrics import KernelSpec, mmd2_fourier_batch, mmd2_unbiased, mmd_test_threshold
+from oracles import mmd2_fourier, mmd2_population, product_tail_exact
 
 N_FULL_RANGE = range(2, 13)
 

@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bornlab.bitmath import ProbVector, RandomStream, SubsetMask, walsh_hadamard
-from bornlab.circuits import (
+from bornlab.bitmath import ProbVector, RandomStream, SubsetMask, fwht
+from bornlab.circuits import all_weight_le2_masks, iqp_prob_values, sample_prob_vector
+from bornlab.families import ProductParams
+from bornlab.lab import FamilySpec, instance_prob_values
+from oracles import (
     IqpCircuit,
-    all_weight_le2_masks,
     diagonal_pauli_expectation,
-    iqp_prob_values,
     iqp_prob_vector,
     iqp_state_vector,
+    product_prob_vector,
     random_iqp_circuit,
-    sample_prob_vector,
 )
-from bornlab.families import ProductParams, product_prob_vector
-from bornlab.lab import FamilySpec, instance_prob_values
 from test_bitmath import _butterfly_fwht
 
 
@@ -138,7 +137,7 @@ def test_iqp_fourier_weights_depend_only_on_degree():
     # ensemble mean of the squared spectrum is symmetric under relabeling
     rng = RandomStream(41).generator
     p = iqp_prob_values(4, 4000, rng)
-    coeffs = np.apply_along_axis(lambda row: walsh_hadamard(ProbVector(4, row)), 1, p)
+    coeffs = np.apply_along_axis(lambda row: fwht(ProbVector(4, row).values), 1, p)
     mean_sq = (coeffs**2).mean(axis=0)
     weights = np.bitwise_count(np.arange(16, dtype=np.uint64))
     for w in range(1, 5):

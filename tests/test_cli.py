@@ -153,6 +153,24 @@ def test_bad_born_seed_is_rejected(tmp_path, monkeypatch, capsys):
     assert "BORN_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_is_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("BORN_SEED", "-2")
+    rc = run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
+                  "--pairs", "100", "--out", out])
+    assert rc == 2
+    assert "BORN_SEED must be a non-negative integer, got '-2'" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.delenv("BORN_SEED")
+    run_cli(["tails", "--family", "uniform", "--n-min", "3", "--n-max", "3",
+             "--trials", "100", "--out", out])
+    rc = run_cli(["run", "--config", f"{out}.manifest.json", "--seed=-1",
+                  "--out", tmp_path / "again.csv"])
+    assert rc == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "again.csv").exists()
+
+
 def test_product_sd_means_track_closed_form(tmp_path):
     # pairwise, product, SD, n=2..6, 10^4 pairs: means follow 2((2/3)^n - 2^-n)
     out = tmp_path / "prod.csv"
@@ -277,6 +295,15 @@ def test_mmdtest_rejects_bad_sigma(tmp_path, capsys, sigma):
     assert "estimate" not in captured.out
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+def test_mmdtest_checks_alpha_before_reading_files(tmp_path, capsys, alpha):
+    # the files do not exist: a bad alpha is refused before they are opened
+    rc = run_cli(["mmdtest", tmp_path / "x.txt", tmp_path / "y.txt", f"--alpha={alpha}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "alpha must be in (0, 1]" in err and "x.txt" not in err
+
+
 def test_sample_files_read_msb_first(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("100\n001\n\n")
@@ -377,6 +404,8 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
         (["tails", "--trials", "50"], "tails needs at least 100 trials, got 50"),
         (["tails", "--workers", "0"], "workers must be at least 1, got 0"),
         (["tails", "--workers=-1"], "workers must be at least 1, got -1"),
+        (["tails", "--seed=-1"], "--seed must be a non-negative integer, got -1"),
+        (["pairwise", "--seed=-1"], "--seed must be a non-negative integer, got -1"),
     ],
 )
 def test_bad_config_rejected_before_any_cell_runs(tmp_path, capsys, args, message):
@@ -409,6 +438,20 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
         ("y_grid", 5, "not iterable"),
         ("subset", [5], "subset must hold qubit positions in 1..2"),
         ("workers", 0, "workers must be at least 1"),
+        # a float, a bool or a string where an integer belongs is refused up
+        # front, not left to raise a TypeError mid-run
+        ("trials", 150.5, "trials must be an integer, got 150.5"),
+        ("n_min", 4.5, "n_min must be an integer, got 4.5"),
+        ("n_step", 1.5, "n_step must be an integer, got 1.5"),
+        ("n_max", True, "n_max must be an integer, got True"),
+        ("samples", 20.5, "samples must be an integer, got 20.5"),
+        ("workers", 1.5, "workers must be an integer, got 1.5"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+        # a string is iterable, but it is not the list of tokens it looks like
+        ("families", "dirichlet", "families must be a list, got 'dirichlet'"),
+        ("metrics", "sd", "metrics must be a list, got 'sd'"),
+        ("families", [1], "families must be family tokens, got [1]"),
     ],
 )
 def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):

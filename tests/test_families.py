@@ -8,26 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bornlab.bitmath import derive_stream
+from bornlab.bitmath import RandomStream
 from bornlab.cli import parse_family
-from bornlab.families import (
-    GammaLaw,
-    ParetoLaw,
-    ProductParams,
+from bornlab.families import GammaLaw, ParetoLaw, ProductParams, product_prob_values, sample_product
+from bornlab.lab import FamilySpec, _normalized_rows, _scatter_rows, instance_prob_values
+from oracles import (
     gini_coefficient,
     hypergeometric_overlap_moments,
     peaked_tail_bound,
     porter_thomas_survival,
     product_marginal_density,
-    product_prob_values,
     product_prob_vector,
     product_tail_chernoff_bound,
     product_tail_exact,
     pseudo_indep_anticoncentration_bound,
     random_product_instance,
-    sample_product,
 )
-from bornlab.lab import FamilySpec, _normalized_rows, _scatter_rows, instance_prob_values
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +62,21 @@ def test_product_params_validation():
 
 def test_sample_product_degenerate_weights():
     params = ProductParams((1.0, 0.0))  # x_1 = 0 always, x_2 = 1 always
-    s = sample_product(params, derive_stream(0, 0), 50)
+    s = sample_product(params, RandomStream(0).child(0), 50)
     assert set(s.outcomes.tolist()) == {2}
     assert s.bitstrings()[0] == "10"
 
 
 def test_sample_product_single_bit_frequency():
-    s = sample_product(ProductParams((0.5,)), derive_stream(1, 0), 100_000)
+    s = sample_product(ProductParams((0.5,)), RandomStream(1).child(0), 100_000)
     freq0 = np.mean(s.outcomes == 0)
     assert abs(freq0 - 0.5) < 0.01
 
 
 def test_sample_product_chi2_goodness_of_fit():
     # fixed seed: a 1%-level GOF test fails for ~1% of seeds by design
-    params = random_product_instance(4, derive_stream(7, 0))
-    s = sample_product(params, derive_stream(7, 1), 100_000)
+    params = random_product_instance(4, RandomStream(7).child(0))
+    s = sample_product(params, RandomStream(7).child(1), 100_000)
     counts = np.bincount(s.outcomes.astype(int), minlength=16)
     expected = product_prob_vector(params).values * len(s)
     _, pvalue = stats.chisquare(counts, expected)
@@ -88,7 +84,7 @@ def test_sample_product_chi2_goodness_of_fit():
 
 
 def test_random_product_instance_uniform_marginal():
-    stream = derive_stream(3, 0)
+    stream = RandomStream(3).child(0)
     a1 = np.array([random_product_instance(4, stream).a[0] for _ in range(20_000)])
     _, pvalue = stats.kstest(a1, "uniform")
     assert pvalue > 0.01
@@ -96,7 +92,7 @@ def test_random_product_instance_uniform_marginal():
 
 def test_random_product_instance_reference_mass_moments():
     # E[p(0..0)] = 2^-n and E[p(0..0)^2] = 3^-n over random weight vectors
-    rng = derive_stream(4, 0).generator
+    rng = RandomStream(4).child(0).generator
     n, T = 6, 200_000
     mass = rng.random((T, n)).prod(axis=1)
     for moment, target in ((mass, 2.0**-n), (mass**2, 3.0**-n)):
@@ -109,13 +105,13 @@ def test_random_product_instance_reference_mass_moments():
 
 
 def test_pseudo_indep_single_outcome():
-    p = instance_prob_values(FamilySpec("dirichlet"), 1, 1, derive_stream(0, 0).generator)
+    p = instance_prob_values(FamilySpec("dirichlet"), 1, 1, RandomStream(0).child(0).generator)
     assert p.sum() == pytest.approx(1.0)
 
 
 def test_pseudo_indep_marginal_is_beta():
     # Gamma(1,1) normalization gives Dirichlet(1); marginal Beta(1, N-1)
-    rng = derive_stream(5, 0).generator
+    rng = RandomStream(5).child(0).generator
     marginals = instance_prob_values(FamilySpec("dirichlet"), 8, 3000, rng)[:, 0]
     _, pvalue = stats.kstest(marginals, "beta", args=(1, 255))
     assert pvalue > 0.01
@@ -123,7 +119,7 @@ def test_pseudo_indep_marginal_is_beta():
 
 def test_pseudo_indep_second_moment():
     # E[sum_x p(x)^2] = 2/(N+1) for Dirichlet(1)
-    rng = derive_stream(6, 0).generator
+    rng = RandomStream(6).child(0).generator
     vals = np.sum(instance_prob_values(FamilySpec("dirichlet"), 6, 4000, rng) ** 2, axis=1)
     target = 2.0 / (64 + 1)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -145,7 +141,7 @@ class _ZeroThenGamma:
 
 def test_normalized_rows_redraw_zero_sum_rows():
     law = _ZeroThenGamma()
-    rng = derive_stream(0, 1).generator
+    rng = RandomStream(0).child(1).generator
     p = _normalized_rows(lambda size: law.sample(rng, size), (4, 8))
     assert law.calls == 2  # every row of the all-zero first draw was redrawn
     np.testing.assert_allclose(p.sum(axis=1), 1.0)
@@ -155,7 +151,7 @@ def test_pseudo_indep_approximate_independence():
     # |p(x) - Y_x/(mu N)| = p(x) |mu_hat - mu|/mu, so the Chebyshev event
     # "relative mean deviation <= k sigma/(mu sqrt(N))" must hold with
     # frequency >= 1 - 1/k^2
-    rng = derive_stream(8, 0).generator
+    rng = RandomStream(8).child(0).generator
     n, T = 10, 2000
     N = 1 << n
     draws = rng.gamma(1.0, 1.0, (T, N))
@@ -171,29 +167,29 @@ def test_pseudo_indep_approximate_independence():
 
 
 def test_peaked_support_size_and_values():
-    p = instance_prob_values(FamilySpec("peaked", k=16), 10, 20, derive_stream(9, 0).generator)
+    p = instance_prob_values(FamilySpec("peaked", k=16), 10, 20, RandomStream(9).child(0).generator)
     assert np.all(np.count_nonzero(p, axis=1) == 16)
     np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
 
 def test_peaked_point_mass_and_full_support():
-    point = instance_prob_values(FamilySpec("peaked", k=1), 4, 20, derive_stream(9, 1).generator)
+    point = instance_prob_values(FamilySpec("peaked", k=1), 4, 20, RandomStream(9).child(1).generator)
     assert np.all(np.count_nonzero(point, axis=1) == 1)
     np.testing.assert_allclose(point.max(axis=1), 1.0)
 
-    full = instance_prob_values(FamilySpec("peaked", k=16), 4, 20, derive_stream(9, 2).generator)
+    full = instance_prob_values(FamilySpec("peaked", k=16), 4, 20, RandomStream(9).child(2).generator)
     assert np.all(np.count_nonzero(full, axis=1) == 16)
 
 
 def test_peaked_support_positions_uniform():
     # the support is a uniform K-subset: chi-square over support-position
     # counts, then over all C(8, 2) = 28 subsets; fixed seeds, 1% level
-    rng = derive_stream(10, 0).generator
+    rng = RandomStream(10).child(0).generator
     counts = np.count_nonzero(instance_prob_values(FamilySpec("peaked", k=16), 10, 5000, rng), axis=0)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.01
 
-    rng = derive_stream(10, 1).generator
+    rng = RandomStream(10).child(1).generator
     support = instance_prob_values(FamilySpec("peaked", k=2), 3, 5000, rng) > 0
     assert np.all(support.sum(axis=1) == 2)
     _, subset_counts = np.unique(support @ (1 << np.arange(8)), return_counts=True)
@@ -222,7 +218,7 @@ def test_random_k_subset_properties():
 def test_peaked_full_support_matches_pseudo_indep():
     # K = N degenerates to the pseudo-independent family; two-sample KS on
     # the reference-outcome marginal
-    rng = derive_stream(11, 0).generator
+    rng = RandomStream(11).child(0).generator
     peaked = instance_prob_values(FamilySpec("peaked", k=32), 5, 2500, rng)[:, 0]
     plain = instance_prob_values(FamilySpec("dirichlet"), 5, 2500, rng)[:, 0]
     _, pvalue = stats.ks_2samp(peaked, plain)
@@ -275,7 +271,7 @@ def test_product_tail_exact_examples():
 
 def test_product_tail_matches_simulation():
     # fixed seed: 95% Wilson CI per point, checked at the y = 1/2 abscissa
-    rng = derive_stream(14, 0).generator
+    rng = RandomStream(14).child(0).generator
     n, T = 4, 40_000
     mass = rng.random((T, n)).prod(axis=1)
     y = 0.5
@@ -322,7 +318,7 @@ def test_anticoncentration_bound_examples():
 
 def test_anticoncentration_bound_below_empirical():
     # Dirichlet(1) marginal is Beta(1, N-1); compare bound to simulation
-    rng = derive_stream(15, 0).generator
+    rng = RandomStream(15).child(0).generator
     for n in (8, 12):
         N = 1 << n
         T = 30_000
@@ -368,7 +364,7 @@ def test_peaked_tail_bound_examples():
 
 def test_peaked_tail_bound_dominates_simulation():
     T = 4000
-    rng = derive_stream(16, 0).generator
+    rng = RandomStream(16).child(0).generator
     mass = instance_prob_values(FamilySpec("peaked", k=16), 10, T, rng)[:, 0]
     bound = peaked_tail_bound(10, 16)
     for y in (0.25, 0.5, 1.0, 2.0):
@@ -387,20 +383,20 @@ class _ConstantLaw:
 
 
 def test_gini_gamma():
-    g, se = gini_coefficient(GammaLaw(1.0), derive_stream(17, 0), 200_000)
+    g, se = gini_coefficient(GammaLaw(1.0), RandomStream(17).child(0), 200_000)
     assert abs(g - 0.5) < 3 * se
     assert se < 0.01
 
 
 def test_gini_degenerate():
-    g, se = gini_coefficient(_ConstantLaw(), derive_stream(17, 1), 1000)
+    g, se = gini_coefficient(_ConstantLaw(), RandomStream(17).child(1), 1000)
     assert g == 0.0
 
 
 def test_gini_pareto():
     # survival S(x) = (1+x)^-alpha gives G = 1 - int S^2 / int S
     #               = 1 - (alpha-1)/(2 alpha - 1) = alpha/(2 alpha - 1) = 2/3
-    g, se = gini_coefficient(ParetoLaw(2.0), derive_stream(17, 2), 400_000)
+    g, se = gini_coefficient(ParetoLaw(2.0), RandomStream(17).child(2), 400_000)
     assert abs(g - 2.0 / 3.0) < 3 * se
     assert se < 0.01
 
@@ -451,7 +447,7 @@ def test_law_moments():
 
 
 def test_pareto_sampler_matches_survival():
-    rng = derive_stream(19, 0).generator
+    rng = RandomStream(19).child(0).generator
     x = ParetoLaw(2.0).sample(rng, 100_000)
     assert x.min() >= 0.0
     # empirical survival at a few abscissae vs (1+x)^-2
@@ -492,7 +488,7 @@ def test_family_spec_defaults():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8))
 def test_generated_vectors_are_valid(seed, n):
-    stream = derive_stream(seed, 0)
+    stream = RandomStream(seed).child(0)
     vecs = [
         product_prob_vector(random_product_instance(n, stream)).values[None, :],
         instance_prob_values(FamilySpec("dirichlet"), n, 1, stream.generator),

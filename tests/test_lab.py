@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bornlab.bitmath import RandomStream, SubsetMask
-from bornlab.families import porter_thomas_survival, product_tail_exact
 from bornlab.lab import (
     FAMILIES,
     FamilySpec,
@@ -20,6 +19,7 @@ from bornlab.lab import (
     reference_mass_values,
     wilson_interval,
 )
+from oracles import porter_thomas_survival, product_tail_exact
 
 STREAM = RandomStream(424242)
 

@@ -1,0 +1,125 @@
+"""The package holds the production path and nothing else.
+
+A top-level name stays in src/bornlab only if `bornlab.cli.main` reaches it;
+the oracles that tests check the production routes against live in
+tests/oracles.py. Importing and running the command line loads no scipy.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bornlab"
+
+# Samplers that no production path calls yet, each kept for the ROADMAP item
+# that will give it one (item 3: two-sample tests from perfect samplers).
+AWAITING_CALLER = {
+    "families.ProductParams": "ROADMAP item 3, the argument of sample_product",
+    "families.sample_product": "ROADMAP item 3, the product and iqp_product sampler",
+    "mps.MpsState": "ROADMAP item 3, the state that mps_sample walks",
+    "mps.random_mps": "ROADMAP item 3, the mps sampler's instances",
+    "mps._left_canonicalize": "ROADMAP item 3, the canonical form mps_sample needs",
+    "mps.mps_sample": "ROADMAP item 3, the mps sampler",
+}
+
+
+def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
+    """Top-level name -> the statements that bind it."""
+    found: dict[str, list[ast.AST]] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            found.setdefault(name, []).append(node)
+    return found
+
+
+def _imports(tree: ast.Module, modules: set[str]) -> dict[str, tuple[str, str | None]]:
+    """Local alias -> (module, name) for the package's relative imports;
+    name is None when the alias is a module of the package."""
+    aliases = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module is not None:
+                aliases[local] = (node.module, alias.name)
+            elif alias.name in modules:
+                aliases[local] = (alias.name, None)
+            else:
+                aliases[local] = ("__init__", alias.name)
+    return aliases
+
+
+def unreached_names() -> list[str]:
+    """'module.name' of every top-level definition that cli.main does not reach."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    definitions = {mod: _definitions(tree) for mod, tree in trees.items()}
+    imports = {mod: _imports(tree, set(trees)) for mod, tree in trees.items()}
+
+    def references(mod: str, node: ast.AST):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if sub.id in definitions[mod]:
+                    yield mod, sub.id
+                elif sub.id in imports[mod] and imports[mod][sub.id][1] is not None:
+                    yield imports[mod][sub.id]
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = imports[mod].get(sub.value.id)
+                if target is not None and target[1] is None:
+                    yield target[0], sub.attr
+
+    reached, frontier = set(), [("cli", "main")]
+    while frontier:
+        key = frontier.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        mod, name = key
+        for node in definitions.get(mod, {}).get(name, []):
+            frontier.extend(references(mod, node))
+    return sorted(
+        f"{mod}.{name}"
+        for mod, names in definitions.items()
+        for name in names
+        if (mod, name) not in reached
+    )
+
+
+def test_src_holds_only_the_production_path():
+    unreached = unreached_names()
+    test_only = [name for name in unreached if name not in AWAITING_CALLER]
+    assert not test_only, (
+        "defined in src/bornlab but reached from no path out of cli.main "
+        f"(move test-only code to tests/oracles.py): {test_only}"
+    )
+    # a kept sampler that gains a caller leaves the exemption
+    assert unreached == sorted(AWAITING_CALLER)
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    program = (
+        "import sys\n"
+        "from bornlab.cli import main\n"
+        "status = main(['tails', '--family', 'product,dirichlet', '--n-min', '4',\n"
+        "               '--n-max', '5', '--trials', '200', '--workers', '1',\n"
+        f"               '--out', {str(tmp_path / 'tails.csv')!r}])\n"
+        "assert status == 0, status\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    paths = [p for p in [os.environ.get("PYTHONPATH")] if p]
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), *paths])},
+    )
+    assert result.stdout.splitlines()[-1] == "[]", result.stdout

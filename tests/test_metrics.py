@@ -23,16 +23,18 @@ from bornlab.metrics import (
     KernelSpec,
     bandwidth_kernel,
     fourier_weights,
-    l1_distance,
-    mmd2_fourier,
     mmd2_fourier_batch,
-    mmd2_population,
     mmd2_unbiased,
     mmd_test_threshold,
+)
+from bornlab.mps import mps_prob_values
+from oracles import (
+    l1_distance,
+    mmd2_fourier,
+    mmd2_population,
     squared_distance,
     total_variation_distance,
 )
-from bornlab.mps import mps_prob_values
 from test_acceptance import unbiased_from_counts
 
 

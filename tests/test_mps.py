@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bornlab.bitmath import BitString, RandomStream
-from bornlab.families import ProductParams, product_prob_vector
+from bornlab.bitmath import RandomStream
+from bornlab.families import ProductParams
 from bornlab.mps import (
     MpsState,
     _left_canonicalize,
     bond_dims,
     mps_prob_values,
+    mps_sample,
+    random_mps,
+)
+from oracles import (
+    BitString,
     mps_prob_vector,
     mps_probability,
-    mps_sample,
     mps_state_vector,
-    random_mps,
+    product_prob_vector,
 )
 
 
