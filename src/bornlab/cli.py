@@ -122,8 +122,9 @@ class ExperimentConfig:
             _resolve_sigma(token, self.n_min)
         if self.n_step < 1:
             raise CliError("n_step must be at least 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise CliError("alpha must be in (0, 1]")
+        if not (isinstance(self.alpha, (int, float)) and not isinstance(self.alpha, bool)
+                and 0.0 < self.alpha <= 1.0):
+            raise CliError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if self.samples < 2:
             raise CliError("samples must be at least 2")
         if self.workers is not None and self.workers < 1:
@@ -208,7 +209,7 @@ def _resolve_sigma(token: str, n: int) -> float:
         return float(n)
     try:
         sigma = float(token)
-    except ValueError:
+    except (TypeError, ValueError):  # a JSON null, list or object, or a bad string
         sigma = math.nan
     if not 0.0 <= sigma < math.inf:
         raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')")
@@ -401,10 +402,15 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         item = dict(item)
         try:
             for key in ("families", "metrics", "sigmas", "y_grid", "subset"):
-                if isinstance(item.get(key), (str, dict)):  # iterable, but not a list
-                    raise CliError(f"{key} must be a list, got {item[key]!r}")
-                if key in item and item[key] is not None:
-                    item[key] = tuple(item[key])
+                if key not in item:
+                    continue
+                if not isinstance(item[key], list):  # a string or an object is iterable
+                    scalar = not isinstance(item[key], (str, dict))
+                    raise CliError(
+                        f"{key} must be a list, got {item[key]!r}"
+                        + (", which is not iterable" if scalar else "")
+                    )
+                item[key] = tuple(item[key])
             configs.append(ExperimentConfig(**item))
         except (TypeError, CliError) as e:  # an unknown or missing key, a bad value
             raise CliError(f"{path}: {e}") from e

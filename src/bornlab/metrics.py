@@ -31,11 +31,10 @@ alone, and every kernel shares that route's transform or histograms:
   kernel sum is (rho^0..rho^n) @ h. Cost m(m+1)/2 + l(l+1)/2 + m l cells.
   This route covers outcomes up to 64 bits.
 
-The counts route runs when it has no more units than the distance route
-(the rule weighs the units alike, though on one core a counts unit costs
-about 1 ns and a distance cell 4-6 ns) and its working memory, 40 bytes
-per outcome, fits MMD_MEMORY_BYTES; the distance route works in row blocks
-of 8 bytes a cell that fit the same budget (or in one row, if that is
+The counts route runs when its units number at most _DISTANCE_CELL_UNITS
+times the distance route's cells, and its working memory, 40 bytes per
+outcome, fits MMD_MEMORY_BYTES; the distance route works in row blocks of
+8 bytes a cell that fit the same budget (or in one row, if that is
 larger). Neither allocates anything of size m x m.
 """
 
@@ -51,6 +50,16 @@ from .bitmath import SampleSet, fwht, popcounts
 # mmd2_unbiased's peak working memory: either route's arrays fit in this many
 # bytes (or in one row of the distance route, if that is larger)
 MMD_MEMORY_BYTES = 1 << 26
+
+# what a distance cell costs in counts units, as mmd2_unbiased's route rule
+# weighs them. On one core a counts unit costs about 1 ns and a distance cell
+# 4-6 ns; timed over m = l, the counts route wins below 2 n 2^n / cells of
+# about 4-5 at n = 16..20, and at every ratio up to 20 for n <= 14, where the
+# distance route's row blocks cost more than its cells (scan in CHANGES.md).
+# The weight stays below that crossover so that the shapes the route tests
+# pin to distances (n <= 12, ratios 2.56 to 3.4) keep their route; raising it
+# changes rows, so it waits for a version bump.
+_DISTANCE_CELL_UNITS = 2.5
 
 # the counts route's peak per outcome (tracemalloc, n = 20: 40.0015): the two
 # transformed float64 histograms, one kernel's square-rooted eigenvalues and
@@ -169,7 +178,8 @@ def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> 
     if m < 2 or l < 2:
         raise ValueError("domain error: need at least 2 samples on each side")
     N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
-    if 2 * n * N <= pair_cells and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES:
+    counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
+    if counts_cheaper and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES:
         sums = _counts_kernel_sums(X.outcomes, Y.outcomes, n, specs)
     else:
         hists = (

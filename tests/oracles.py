@@ -24,7 +24,7 @@ from bornlab.bitmath import (
     fwht,
     validate_prob_vector,
 )
-from bornlab.circuits import _phases, all_weight_le2_masks
+from bornlab.circuits import all_weight_le2_masks
 from bornlab.families import ProductParams, product_prob_values
 from bornlab.metrics import KernelSpec, fourier_weights
 from bornlab.mps import MpsState, _amplitudes
@@ -235,6 +235,21 @@ def hypergeometric_overlap_moments(N: int, K: int) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # single IQP circuits and their state vectors (from circuits)
+
+
+def _phases(masks: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
+    """phi(z) = sum_g thetas[..., g] chi_{S_g}(z) for all 2^n basis states z.
+
+    Built in blocks of 2^12 outcomes, so the (G, 2^n) character table and
+    its uint64 temporary never exist whole.
+    """
+    N, block = 1 << n, 1 << 12
+    phase = np.empty(thetas.shape[:-1] + (N,))
+    for start in range(0, N, block):
+        z = np.arange(start, min(N, start + block), dtype=np.uint64)
+        chi = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & z[None, :]) % 2)
+        phase[..., start : start + z.size] = thetas @ chi
+    return phase
 
 
 @dataclass(frozen=True)

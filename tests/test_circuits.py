@@ -15,6 +15,7 @@ from bornlab.families import ProductParams
 from bornlab.lab import FamilySpec, instance_prob_values
 from oracles import (
     IqpCircuit,
+    _phases,
     diagonal_pauli_expectation,
     iqp_prob_vector,
     iqp_state_vector,
@@ -101,29 +102,39 @@ def test_batched_matches_single_route():
 
 
 def test_iqp_prob_values_matches_complex_exp_oracle():
-    # the cos/sin planes route against |butterfly(e^{i phi})|^2 with the
-    # phases summed over the whole character table at once
-    for n in range(1, 15):
+    # the phasor product route against |butterfly(e^{i phi})|^2 with the
+    # phases summed over the character table, at every n up to the cap
+    for n in range(1, 17):
         masks = all_weight_le2_masks(n)
-        z = np.arange(1 << n, dtype=np.uint64)
-        chi = 1.0 - 2.0 * (np.bitwise_count(masks[:, None] & z[None, :]) % 2)
         p = iqp_prob_values(n, 3, np.random.default_rng(n))
         thetas = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, (3, masks.size))
-        expect = np.abs(_butterfly_fwht(np.exp(1j * (thetas @ chi)))) ** 2
+        expect = np.abs(_butterfly_fwht(np.exp(1j * _phases(masks, thetas, n)))) ** 2
         expect /= expect.sum(axis=1, keepdims=True)
         assert np.all(np.abs(p - expect) <= 1e-12 * expect.max(axis=1, keepdims=True)), n
 
 
+def test_iqp_prob_values_draws_only_the_gate_angles():
+    # one (batch, G) uniform draw and nothing else, so every later draw on
+    # the same generator (peaked_iqp's scatter keys, the next chunk) is fixed
+    for n, batch in ((1, 5), (3, 2048), (7, 40)):
+        rng, expect = np.random.default_rng(n), np.random.default_rng(n)
+        iqp_prob_values(n, batch, rng)
+        expect.uniform(size=(batch, n * (n + 1) // 2))
+        assert rng.bit_generator.state == expect.bit_generator.state, n
+
+
 def test_batched_phase_table_is_built_in_blocks():
-    # the whole (G, 2^16) character table and its uint64 temporary would
-    # take about 145 MB
+    # the product build holds the (2^16, 2) phasors, a half-size doubling
+    # buffer and the real planes, about 34 bytes an outcome (4.5 MB); the
+    # whole (G, 2^16) character table and its uint64 temporary would take
+    # about 145 MB, and the blocked phase route peaked at 15 MB
     tracemalloc.start()
     try:
         iqp_prob_values(16, 2, RandomStream(4).generator)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, peak
+    assert peak < 8e6, peak
 
 
 def test_batched_rows_are_distributions():

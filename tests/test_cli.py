@@ -452,6 +452,11 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
         ("families", "dirichlet", "families must be a list, got 'dirichlet'"),
         ("metrics", "sd", "metrics must be a list, got 'sd'"),
         ("families", [1], "families must be family tokens, got [1]"),
+        # a JSON type that Python's own message would not tie to the field
+        ("alpha", "x", "alpha must be in (0, 1], got 'x'"),
+        ("metrics", None, "metrics must be a list, got None, which is not iterable"),
+        ("y_grid", 5, "y_grid must be a list, got 5, which is not iterable"),
+        ("sigmas", [None], "bad sigma None"),
     ],
 )
 def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):

@@ -351,6 +351,25 @@ def test_unbiased_memory_stays_within_budget(routes, n, m, route):
     assert peak <= MMD_MEMORY_BYTES + (1 << 20), peak
 
 
+@pytest.mark.parametrize(
+    "n, m, route",
+    [
+        # the rule weighs a distance cell as 2.5 counts units: these shapes
+        # took distances when it weighed them alike, at two to three times the time
+        (16, 700, "counts"),
+        (18, 1500, "counts"),
+        (20, 3000, "counts"),
+        (21, 5000, "distances"),  # counts would be cheaper but needs 80 MiB
+    ],
+)
+def test_unbiased_route_rule_weighs_distance_cells(routes, n, m, route):
+    rng = np.random.default_rng(n)
+    X = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
+    Y = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
+    mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))
+    assert set(routes) == {route}
+
+
 def _mmdtest(tmp_path, capsys, x_lines, y_lines, sigma):
     x, y = tmp_path / "x.txt", tmp_path / "y.txt"
     x.write_text("\n".join(x_lines) + "\n")
