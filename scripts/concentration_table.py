@@ -6,6 +6,11 @@ decay rate together with the anticoncentration statistics at the largest n:
 the normalized second moment 2^{2n} E[p(x)^2] and Prob(p(x) >= 1/(2N)).
 Families whose mean loss decays like 2^{-cn} while the second moment stays
 O(1) are the concentrated-but-anticoncentrated cases.
+
+The table runs two configs through bornlab.cli.run_config, a `pairwise` SD
+config over n_min..n_max and an `anticoncentration` config at n_max, over
+the same families and seed, so every number in it comes from the rows that
+`bornlab run` writes for those configs.
 """
 
 import argparse
@@ -13,9 +18,7 @@ import sys
 
 import numpy as np
 
-from bornlab.bitmath import RandomStream
-from bornlab.cli import parse_family
-from bornlab.lab import anticoncentration_statistic, pairwise_loss_moments
+from bornlab.cli import ExperimentConfig, run_config
 
 DEFAULT_FAMILIES = (
     "product",
@@ -38,25 +41,25 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    ns = np.arange(args.n_min, args.n_max + 1)
-    root = RandomStream(args.seed)
+    families = tuple(args.families)
+    pairwise = ExperimentConfig("pairwise", families, n_min=args.n_min, n_max=args.n_max,
+                                trials=args.pairs, seed=args.seed, metrics=("sd",))
+    anti = ExperimentConfig("anticoncentration", families, n_min=args.n_max, n_max=args.n_max,
+                            trials=args.trials, seed=args.seed)
+    # rows come back family-major, so each family's means are one row of this
+    means = np.array([r.value for r in run_config(pairwise) if r.statistic == "mean"])
+    means = means.reshape(len(families), len(pairwise.n_values))
+    anti_rows = run_config(anti)
+    second = [r for r in anti_rows if r.statistic == "second_moment"]
+    tail = [r for r in anti_rows if r.statistic == "tail@y=0.5"]
+
     header = f"{'family':<14} {'SD slope':>9} {'halving/n':>10} {'2^2n E[p^2]':>12} {'P[p>=1/2N]':>11}"
     print(header)
     print("-" * len(header))
-    for idx, token in enumerate(args.families):
-        family = parse_family(token)
-        means = []
-        for n in ns:
-            report = pairwise_loss_moments(
-                family, int(n), [("sd", None)], args.pairs, root.child(idx).child(int(n))
-            )[0]
-            means.append(report.mean)
-        slope = np.polyfit(ns, np.log(means), 1)[0]
-        anti = anticoncentration_statistic(
-            family, int(args.n_max), args.trials, root.child(idx).child(0),
-        )
-        print(f"{family.label():<14} {slope:>9.3f} {slope / np.log(2):>10.3f} "
-              f"{anti.second_moment_statistic:>12.3f} {anti.tail_at_half:>11.3f}")
+    for family_means, m2, t in zip(means, second, tail):
+        slope = np.polyfit(pairwise.n_values, np.log(family_means), 1)[0]
+        print(f"{m2.family:<14} {slope:>9.3f} {slope / np.log(2):>10.3f} "
+              f"{m2.value:>12.3f} {t.value:>11.3f}")
     return 0
 
 

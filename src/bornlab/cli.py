@@ -4,7 +4,8 @@ Subcommands
   run        execute an experiment config (JSON manifest) and write CSV
   tails      survival curves of the reference-outcome mass
   pairwise   Monte Carlo moments of a loss over instance pairs
-  figures    preset bundles reproducing the standard figure layouts
+  figures    preset bundles reproducing the standard figure layouts, one
+             CSV per kind named; fig6 repeats fig5's config
   mmdtest    two-sample MMD^2 test on bitstring sample files
 
 Every run writes two artifacts: a CSV with the fixed header
@@ -59,6 +60,8 @@ PAPER_TRIALS = 100_000
 FIGURE_FAMILIES = ("iqp_product", "mps", "iqp", "pareto:alpha=2", "peaked_iqp")
 
 DEFAULT_Y_GRID = tuple(float(y) for y in np.geomspace(1e-4, 2.0, 10))
+
+FIGURE_KINDS = ("fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
 
 
 class CliError(Exception):
@@ -118,8 +121,7 @@ class ExperimentConfig:
         for metric in self.metrics:
             if metric not in PAIR_METRICS:
                 raise CliError(f"unknown metric {metric!r}; known: {PAIR_METRICS}")
-        for token in self.sigmas:
-            _resolve_sigma(token, self.n_min)
+        self.sigma_values(self.n_min)  # raises on a token bandwidth_kernel refuses
         if self.n_step < 1:
             raise CliError("n_step must be at least 1")
         if not (isinstance(self.alpha, (int, float)) and not isinstance(self.alpha, bool)
@@ -137,10 +139,16 @@ class ExperimentConfig:
             isinstance(i, int) and 1 <= i <= self.n_min for i in self.subset
         ):
             raise CliError(f"subset must hold qubit positions in 1..{self.n_min}, got {self.subset}")
+        if not isinstance(self.out, str) or not self.out:
+            raise CliError(f"out must be a non-empty file path, got {self.out!r}")
 
     @property
     def n_values(self) -> tuple[int, ...]:
         return tuple(range(self.n_min, self.n_max + 1, self.n_step))
+
+    def sigma_values(self, n: int) -> list[float]:
+        """The bandwidths the config's sigma tokens name at n; 1 if it names none."""
+        return [_resolve_sigma(token, n) for token in self.sigmas or ("1",)]
 
 
 @dataclass(frozen=True)
@@ -205,14 +213,16 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
 
 
 def _resolve_sigma(token: str, n: int) -> float:
-    if token == "n":
-        return float(n)
+    """The bandwidth a sigma token names at n: a number, or 'n' for n itself.
+    A bandwidth that bandwidth_kernel would refuse is refused here."""
     try:
-        sigma = float(token)
+        sigma = float(n) if token == "n" else float(token)
     except (TypeError, ValueError):  # a JSON null, list or object, or a bad string
-        sigma = math.nan
-    if not 0.0 <= sigma < math.inf:
-        raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')")
+        raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')") from None
+    try:
+        bandwidth_kernel(sigma)
+    except ValueError as e:
+        raise CliError(f"bad sigma {token!r}: {e}") from None
     return sigma
 
 
@@ -220,7 +230,7 @@ def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, fl
     combos: list[tuple[str, float | None]] = []
     for metric in config.metrics:
         if metric == "mmd2":
-            combos.extend(("mmd2", _resolve_sigma(s, n)) for s in config.sigmas or ("1",))
+            combos.extend(("mmd2", sigma) for sigma in config.sigma_values(n))
         else:
             combos.append((metric, None))
     return combos
@@ -268,8 +278,8 @@ def _moment_rows(config: ExperimentConfig, report) -> list[ExperimentRow]:
     ]
 
 
-def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
-    curve = estimate_tail_curve(family, n, config.y_grid, config.trials, base.child(0))
+def _tails_rows(config, family, n, stream) -> list[ExperimentRow]:
+    curve = estimate_tail_curve(family, n, config.y_grid, config.trials, stream)
     return [
         ExperimentRow(
             "tails", curve.family, n, "mass", None,
@@ -279,15 +289,15 @@ def _tails_rows(config, family, n, base) -> list[ExperimentRow]:
     ]
 
 
-def _pairwise_rows(config, family, n, base) -> list[ExperimentRow]:
+def _pairwise_rows(config, family, n, stream) -> list[ExperimentRow]:
     reports = pairwise_loss_moments(
-        family, n, _metric_sigma_combos(config, n), config.trials, base.child(0)
+        family, n, _metric_sigma_combos(config, n), config.trials, stream
     )
     return [row for report in reports for row in _moment_rows(config, report)]
 
 
-def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
-    rep = anticoncentration_statistic(family, n, config.trials, base.child(0))
+def _anticoncentration_rows(config, family, n, stream) -> list[ExperimentRow]:
+    rep = anticoncentration_statistic(family, n, config.trials, stream)
     return [
         ExperimentRow(
             "anticoncentration", rep.family, n, "mass", None, "second_moment",
@@ -300,18 +310,16 @@ def _anticoncentration_rows(config, family, n, base) -> list[ExperimentRow]:
     ]
 
 
-def _observable_rows(config, family, n, base) -> list[ExperimentRow]:
+def _observable_rows(config, family, n, stream) -> list[ExperimentRow]:
     S = SubsetMask.from_positions(config.subset, n)
-    return _moment_rows(
-        config, diagonal_observable_variance(family, n, S, config.trials, base.child(0))
-    )
+    return _moment_rows(config, diagonal_observable_variance(family, n, S, config.trials, stream))
 
 
-def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
+def _mmdtest_rows(config, family, n, stream) -> list[ExperimentRow]:
     rows = []
-    sigmas = [_resolve_sigma(token, n) for token in config.sigmas or ("1",)]
+    sigmas = config.sigma_values(n)
     all_rates = _mmdtest_rejection_rates(
-        family, n, sigmas, config.alpha, config.samples, config.trials, base.child(0),
+        family, n, sigmas, config.alpha, config.samples, config.trials, stream,
     )
     for sigma, rates in zip(sigmas, all_rates):
         for stat, rate in zip(("reject_rate_equal", "reject_rate_distinct"), rates.tolist()):
@@ -323,10 +331,8 @@ def _mmdtest_rows(config, family, n, base) -> list[ExperimentRow]:
     return rows
 
 
-def _uniform_distance_rows(config, family, n, base) -> list[ExperimentRow]:
-    return _moment_rows(
-        config, distance_to_uniform_moments(family, n, config.trials, base.child(0))
-    )
+def _uniform_distance_rows(config, family, n, stream) -> list[ExperimentRow]:
+    return _moment_rows(config, distance_to_uniform_moments(family, n, config.trials, stream))
 
 
 @dataclass(frozen=True)
@@ -346,11 +352,15 @@ EXPERIMENTS = {
 
 
 def _cell_rows(cell) -> list[ExperimentRow]:
-    """Rows of one (config, family index, n) cell; module level so it pickles."""
+    """Rows of one (config, family index, n) cell; module level so it pickles.
+
+    The one place a cell's stream is derived; the row builders draw from the
+    stream they are given.
+    """
     config, fam_idx, n = cell
-    base = RandomStream(config.seed).child(fam_idx).child(n)
+    stream = RandomStream(config.seed).child(fam_idx).child(n).child(0)
     family = parse_family(config.families[fam_idx])
-    return EXPERIMENTS[config.experiment].rows(config, family, n, base)
+    return EXPERIMENTS[config.experiment].rows(config, family, n, stream)
 
 
 def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -370,15 +380,18 @@ def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
 
 def write_outputs(configs: list[ExperimentConfig], rows: list[ExperimentRow], out: str):
     csv_text = rows_to_csv(rows)
-    with open(out, "w", newline="") as f:
-        f.write(csv_text)
     manifest = {
         "version": __version__,
         "configs": [dataclasses.asdict(c) for c in configs],
     }
-    with open(out + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(out, "w", newline="") as f:
+            f.write(csv_text)
+        with open(out + ".manifest.json", "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as e:  # a missing directory, a directory, no permission
+        raise CliError(f"{e.filename}: {e.strerror}") from e
 
 
 def load_configs(path: str) -> list[ExperimentConfig]:
@@ -395,6 +408,8 @@ def load_configs(path: str) -> list[ExperimentConfig]:
     if version != __version__:
         raise CliError(f"{path}: written by bornlab {version}, not {__version__}; rows would differ")
     raw = record["configs"] if "configs" in record else [record["config"] if "config" in record else record]
+    if not isinstance(raw, list) or not raw:
+        raise CliError(f"{path}: configs must be a non-empty list, got {raw!r}")
     configs = []
     for item in raw:
         if not isinstance(item, dict):
@@ -511,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_count(p_pair, "--pairs", noun="pairs")
     _add_common(p_pair)
 
-    p_fig = sub.add_parser("figures", help="preset experiment bundles")
-    p_fig.add_argument("kind", choices=("fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"))
+    p_fig = sub.add_parser("figures", help="preset experiment bundles, one <kind>.csv each")
+    p_fig.add_argument("kinds", nargs="+", choices=FIGURE_KINDS, metavar="kind",
+                       help=f"one or more of {', '.join(FIGURE_KINDS)}")
     _add_count(p_fig, "--pairs", "--trials", noun="pairs or trials")
     _add_common(p_fig)
 
@@ -601,14 +617,18 @@ def cmd_pairwise(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    out = args.out or f"{args.kind}.csv"
-    configs = figure_configs(args.kind, args.count, _resolve_seed(args.seed), args.workers)
-    configs = [dataclasses.replace(c, out=out) for c in configs]
-    return _run_and_write(configs, out)
+    if args.out is not None and len(args.kinds) > 1:
+        raise CliError(f"--out names one file, but {len(args.kinds)} kinds were given")
+    seed = _resolve_seed(args.seed)
+    for kind in args.kinds:
+        out = args.out or f"{kind}.csv"
+        configs = figure_configs(kind, args.count, seed, args.workers)
+        _run_and_write([dataclasses.replace(c, out=out) for c in configs], out)
+    return 0
 
 
 def cmd_mmdtest(args) -> int:
-    spec = bandwidth_kernel(args.sigma)  # refuses a negative or non-finite sigma
+    spec = bandwidth_kernel(args.sigma)  # refuses a sigma that names no kernel
     if not 0.0 < args.alpha <= 1.0:
         raise CliError(f"alpha must be in (0, 1], got {args.alpha:g}")
     X = read_sample_file(args.xfile)

@@ -8,7 +8,9 @@ Three analytic families over n-bit outcomes:
   With Gamma(alpha, 1) draws the vector is symmetric Dirichlet(alpha) and
   the alpha = 1 marginal is Beta(1, N-1); a shifted Pareto underlying law
   (density alpha/(1+y)^(alpha+1) on [0, inf)) gives the heavy-tailed
-  variant;
+  variant. The Gamma shape is positive and the Pareto alpha above 1, both
+  finite; a parameter whose draws all underflow to 0 fails in lab with a
+  domain error after lab.MAX_REDRAW_ROUNDS redraws;
 * peaked: a pseudo-independent K-vector of masses scattered onto a uniformly
   random K-subset of the 2^n outcomes, zero elsewhere.
 
@@ -35,33 +37,23 @@ from .bitmath import SampleSet, as_generator
 
 @dataclass(frozen=True)
 class GammaLaw:
-    """Gamma(shape, rate 1). shape = 1 is the exponential / Dirichlet-1 case."""
+    """Gamma(shape, rate 1), shape positive and finite. shape = 1 is the
+    exponential / Dirichlet-1 case."""
 
     shape: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"Gamma shape must be positive, got {self.shape}")
+        if not 0.0 < self.shape < math.inf:
+            raise ValueError(f"Gamma shape must be positive and finite, got {self.shape}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.gamma(self.shape, 1.0, size)
 
-    @property
-    def mean(self) -> float:
-        return self.shape
-
-    @property
-    def variance(self) -> float:
-        return self.shape
-
-    @property
-    def second_moment(self) -> float:
-        return self.shape * (self.shape + 1.0)
-
 
 @dataclass(frozen=True)
 class ParetoLaw:
-    """Shifted Pareto with density alpha / (1 + y)^(alpha + 1) on [0, inf).
+    """Shifted Pareto with density alpha / (1 + y)^(alpha + 1) on [0, inf),
+    alpha finite and above 1.
 
     Mean exists for alpha > 1, variance only for alpha > 2; at alpha = 2 the
     variance is infinite, which is exactly the regime used to break the
@@ -71,29 +63,13 @@ class ParetoLaw:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise ValueError(f"Pareto alpha must exceed 1, got {self.alpha}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError(f"Pareto alpha must exceed 1 and be finite, got {self.alpha}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # inverse CDF of the survival (1 + y)^(-alpha)
         u = rng.random(size)
         return (1.0 - u) ** (-1.0 / self.alpha) - 1.0
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / (self.alpha - 1.0)
-
-    @property
-    def variance(self) -> float:
-        if self.alpha <= 2.0:
-            return math.inf
-        return self.alpha / ((self.alpha - 1.0) ** 2 * (self.alpha - 2.0))
-
-    @property
-    def second_moment(self) -> float:
-        if self.alpha <= 2.0:
-            return math.inf
-        return 2.0 / ((self.alpha - 1.0) * (self.alpha - 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -122,15 +122,32 @@ def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.nd
     return out
 
 
-def _normalized_rows(draw, shape) -> np.ndarray:
-    y = draw(shape)
+# how many times _normalized_rows redraws a row whose draws all underflowed to
+# 0 before it gives up. A Gamma(alpha) draw underflows with probability about
+# exp(-744 alpha), so at alpha >= 1e-3 even a one-draw row outlives 50 rounds
+# with probability below 1e-16. A law whose every draw is 0 (a Gamma alpha
+# near 1e-300, or a Pareto alpha above about 4e17, where (1 - u)^(-1/alpha)
+# rounds to 1) would otherwise redraw forever; the bound costs it 50 redraws
+# of a chunk, about 6 s on a chunk of 2^20 draws.
+MAX_REDRAW_ROUNDS = 50
+
+
+def _normalized_rows(law, rng, shape) -> np.ndarray:
+    """Rows of iid draws from law, each divided by its total; a row whose
+    total is not positive is drawn again, at most MAX_REDRAW_ROUNDS times."""
+    y = law.sample(rng, shape)
     totals = y.sum(axis=1)
-    while True:
+    for _ in range(MAX_REDRAW_ROUNDS):
         bad = np.flatnonzero(totals <= 0)
         if bad.size == 0:
             break
-        y[bad] = draw((bad.size, shape[1]))
+        y[bad] = law.sample(rng, (bad.size, shape[1]))
         totals[bad] = y[bad].sum(axis=1)
+    if np.any(totals <= 0):
+        raise ValueError(
+            f"domain error: a row of {shape[1]} draws from {law} held no positive "
+            f"value in {MAX_REDRAW_ROUNDS} redraws; the parameter is too extreme for float64"
+        )
     return y / totals[:, None]
 
 
@@ -229,8 +246,7 @@ def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
 
 def _law_rows(spec: FamilySpec, K: int, count: int, rng) -> np.ndarray:
     """`count` normalized K-vectors of iid draws from the family's law."""
-    law = spec.underlying()
-    return _normalized_rows(lambda s: law.sample(rng, s), (count, K))
+    return _normalized_rows(spec.underlying(), rng, (count, K))
 
 
 def _pareto_mass(spec, n, count, rng) -> np.ndarray:
@@ -441,7 +457,7 @@ def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
         return None
     if sigma is None:
         raise ValueError("domain error: mmd2 requires a bandwidth (sigma; 0 means rho=0)")
-    return bandwidth_kernel(float(sigma))
+    return bandwidth_kernel(sigma)
 
 
 def pairwise_loss_values(

@@ -16,6 +16,8 @@ eigenvalue (1-rho)^{|S|} (1+rho)^{n-|S|} / 2^n on chi_S, so
 At rho = 0 the weights collapse to 1 and Parseval turns this into the
 squared distance; that limit is accepted directly (rho=0, or sigma=0
 through bandwidth_kernel) even though no finite bandwidth reaches it.
+bandwidth_kernel is the only conversion from sigma to rho; it refuses a
+sigma so wide that rho rounds to 1 (above about 9.5e7), a constant kernel.
 mmd2_fourier_batch evaluates every requested bandwidth from one transform,
 and each column equals, bit for bit, a call with that kernel alone.
 
@@ -70,33 +72,44 @@ _COUNTS_BYTES_PER_OUTCOME = 40.0
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian-Hamming kernel, given either a bandwidth or rho directly.
+    """Gaussian-Hamming kernel rho^{d_H}, rho in [0, 1); bandwidth_kernel
+    builds one from a bandwidth.
 
     k(x, x) = 1, so the kernel bound K of mmd_test_threshold is 1.
     """
 
-    sigma: float | None = None
-    rho: float | None = None
+    rho: float
 
     def __post_init__(self):
-        if (self.sigma is None) == (self.rho is None):
-            raise ValueError("give exactly one of sigma, rho")
-        if self.sigma is not None:
-            if not 0.0 < self.sigma < math.inf:
-                raise ValueError(
-                    f"domain error: sigma must be positive and finite, got {self.sigma}"
-                )
-            object.__setattr__(self, "sigma", float(self.sigma))
-            object.__setattr__(self, "rho", math.exp(-1.0 / (2.0 * self.sigma**2)))
-        else:
-            if not 0.0 <= self.rho < 1.0:
-                raise ValueError(f"domain error: rho must lie in [0, 1), got {self.rho}")
-            object.__setattr__(self, "rho", float(self.rho))
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"domain error: rho must lie in [0, 1), got {self.rho}")
+        object.__setattr__(self, "rho", float(self.rho))
 
 
 def bandwidth_kernel(sigma: float) -> KernelSpec:
-    """The kernel of bandwidth sigma, where sigma = 0 stands for rho = 0."""
-    return KernelSpec(rho=0.0) if sigma == 0.0 else KernelSpec(sigma=sigma)
+    """The kernel of bandwidth sigma, rho = exp(-1/(2 sigma^2)): the one
+    conversion from a bandwidth to rho.
+
+    sigma = 0 stands for rho = 0, and so does a sigma whose square underflows
+    to 0, since rho underflows there too. A sigma so wide that rho rounds to 1
+    (above about 9.5e7), or whose square overflows, is refused: that kernel
+    is 1 everywhere, and every MMD^2 under it would read 0.
+    """
+    sigma = float(sigma)
+    if 0.0 <= sigma < math.inf:
+        try:
+            square = sigma**2
+        except OverflowError:
+            square = math.inf
+        if square == 0.0:
+            return KernelSpec(rho=0.0)
+        rho = math.exp(-1.0 / (2.0 * square))
+        if rho < 1.0:
+            return KernelSpec(rho=rho)
+    raise ValueError(
+        "domain error: sigma must be positive and finite (or 0, for rho = 0), "
+        f"with rho = exp(-1/(2 sigma^2)) below 1; got {sigma!r}"
+    )
 
 
 def fourier_weights(n: int, spec: KernelSpec) -> np.ndarray:

@@ -31,7 +31,13 @@ from bornlab.lab import (
     instance_prob_values,
     pairwise_loss_moments,
 )
-from bornlab.metrics import KernelSpec, mmd2_fourier_batch, mmd2_unbiased, mmd_test_threshold
+from bornlab.metrics import (
+    KernelSpec,
+    bandwidth_kernel,
+    mmd2_fourier_batch,
+    mmd2_unbiased,
+    mmd_test_threshold,
+)
 from oracles import mmd2_fourier, mmd2_population, product_tail_exact
 
 N_FULL_RANGE = range(2, 13)
@@ -133,7 +139,7 @@ def test_criterion_04_fourier_form_matches_kernel_double_sum():
     for idx, (family, n, pairs) in enumerate(pair_budget):
         rows = instance_prob_values(family, n, 2 * pairs, RandomStream(414).child(idx).generator)
         for sigma in (0.5, 1.0, float(n)):
-            spec = KernelSpec(sigma=sigma)
+            spec = bandwidth_kernel(sigma)
             for k in range(pairs):
                 p = validate_prob_vector(rows[2 * k], n)
                 q = validate_prob_vector(rows[2 * k + 1], n)
@@ -329,7 +335,7 @@ def test_criterion_14_estimator_concentrates_at_hoeffding_rate():
     masses = instance_prob_values(FamilySpec("dirichlet"), n, 2, rng)
     p = validate_prob_vector(masses[0], n)
     q = validate_prob_vector(masses[1], n)
-    population = mmd2_fourier(p, q, KernelSpec(sigma=1.0))
+    population = mmd2_fourier(p, q, bandwidth_kernel(1.0))
 
     K = hamming_kernel_table(n, rho)
     cx = rng.multinomial(m, p.values, size=reps)
@@ -339,7 +345,7 @@ def test_criterion_14_estimator_concentrates_at_hoeffding_rate():
     # route check: the count-based evaluation reproduces mmd2_unbiased
     X = SampleSet(n, np.repeat(np.arange(1 << n, dtype=np.uint64), cx[0]))
     Y = SampleSet(n, np.repeat(np.arange(1 << n, dtype=np.uint64), cy[0]))
-    direct = mmd2_unbiased(X, Y, (KernelSpec(sigma=1.0),))[0]
+    direct = mmd2_unbiased(X, Y, (bandwidth_kernel(1.0),))[0]
     assert abs(direct - estimates[0]) <= 1e-10
 
     deviations = np.abs(estimates - population)

@@ -284,15 +284,30 @@ def test_mmdtest_needs_two_samples_per_side(tmp_path, capsys):
     assert run_cli(["mmdtest", x, y]) == 2
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e8", "1e300"])
 def test_mmdtest_rejects_bad_sigma(tmp_path, capsys, sigma):
-    # sigma = 0 stands for rho = 0; a negative or non-finite sigma is no bandwidth
+    # sigma = 0 stands for rho = 0; a negative or non-finite sigma is no
+    # bandwidth, and neither is one so wide that rho rounds to 1 or sigma^2
+    # overflows
     path = tmp_path / "x.txt"
     write_samples(path, 4, [1, 2, 3, 4, 5])
     assert run_cli(["mmdtest", path, path, f"--sigma={sigma}"]) == 2
     captured = capsys.readouterr()
     assert "sigma must be positive and finite" in captured.err
     assert "estimate" not in captured.out
+
+
+def test_mmdtest_sigma_whose_square_underflows_runs_as_sigma_zero(tmp_path, capsys):
+    x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+    rng = np.random.default_rng(5)
+    write_samples(x, 6, rng.integers(0, 64, size=40))
+    write_samples(y, 6, rng.integers(0, 16, size=40))
+    estimates = []
+    for sigma in ("0", "1e-300"):
+        assert run_cli(["mmdtest", x, y, "--sigma", sigma]) == 0
+        estimates.append(capsys.readouterr().out.split("estimate: ")[1].split()[0])
+    assert estimates[0] == estimates[1]
+    assert float(estimates[0]) > 0
 
 
 @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
@@ -383,12 +398,20 @@ def test_config_validation():
         ("mps:k=2", "family mps does not take k (it takes chi)"),
         ("iqp:alpha=5", "family iqp does not take alpha (it takes no parameters)"),
         ("peaked_iqp:alpha=0.5", "family peaked_iqp does not take alpha (it takes k)"),
+        # a law parameter must be finite
+        ("pareto:alpha=inf", "Pareto alpha must exceed 1 and be finite, got inf"),
+        ("dirichlet:alpha=inf", "Gamma shape must be positive and finite, got inf"),
+        # every draw of these laws underflows to 0: the first chunk gives up
+        # after a bounded number of redraws instead of redrawing forever
+        ("dirichlet:alpha=1e-320", "draws from GammaLaw(shape=1e-320) held no positive value"),
+        ("peaked:alpha=1e-300", "draws from GammaLaw(shape=1e-300) held no positive value"),
+        ("peaked:k=4,alpha=1e-200", "draws from GammaLaw(shape=1e-200) held no positive value"),
     ],
 )
 def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family, message):
     out = tmp_path / "t.csv"
-    rc = run_cli(["tails", "--family", family, "--n-min", "4", "--n-max", "6",
-                  "--trials", "200", "--out", out])
+    rc = run_cli(["pairwise", "--family", family, "--n-min", "4", "--n-max", "6",
+                  "--pairs", "200", "--workers", "1", "--out", out])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -406,6 +429,9 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
         (["tails", "--workers=-1"], "workers must be at least 1, got -1"),
         (["tails", "--seed=-1"], "--seed must be a non-negative integer, got -1"),
         (["pairwise", "--seed=-1"], "--seed must be a non-negative integer, got -1"),
+        # so wide that rho rounds to 1, or that sigma^2 overflows
+        (["pairwise", "--metric", "mmd2", "--sigma", "1e8"], "bad sigma '1e8'"),
+        (["pairwise", "--metric", "mmd2", "--sigma", "1,1e300"], "bad sigma '1e300'"),
     ],
 )
 def test_bad_config_rejected_before_any_cell_runs(tmp_path, capsys, args, message):
@@ -457,6 +483,11 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
         ("metrics", None, "metrics must be a list, got None, which is not iterable"),
         ("y_grid", 5, "y_grid must be a list, got 5, which is not iterable"),
         ("sigmas", [None], "bad sigma None"),
+        ("sigmas", ["1e300"], "bad sigma '1e300'"),
+        ("out", 2, "out must be a non-empty file path, got 2"),
+        ("out", "", "out must be a non-empty file path, got ''"),
+        ("configs", 3, "configs must be a non-empty list, got 3"),
+        ("configs", [], "configs must be a non-empty list, got []"),
     ],
 )
 def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):
@@ -469,6 +500,17 @@ def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, val
     err = capsys.readouterr().err
     assert str(cfg_path) in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/r.csv", "."])
+def test_unwritable_out_names_the_path(tmp_path, capsys, target):
+    # a directory that does not exist, and a directory in place of a file
+    out = tmp_path / target
+    rc = run_cli(["tails", "--family", "product", "--n-min", "2", "--n-max", "3",
+                  "--trials", "100", "--workers", "1", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and ("No such file or directory" in err or "Is a directory" in err)
 
 
 def test_config_top_level_list_names_file(tmp_path, capsys):
@@ -702,6 +744,26 @@ def test_figure_count_has_two_spellings(tmp_path):
     assert run_cli(["figures", "fig2", "--pairs", "200", "--trials", "300", "--workers", "1",
                     "--out", out]) == 0
     assert {r["trials"] for r in read_rows(out)} == {"300"}
+
+
+def test_figures_writes_one_csv_and_manifest_per_kind(tmp_path, monkeypatch, capsys):
+    # several kinds write the files that one run per kind writes, byte for byte
+    args = ["--pairs", "200", "--seed", "3", "--workers", "1"]
+    for kinds, where in ((["fig2", "fig9"], "bundle"), (["fig2"], "fig2"), (["fig9"], "fig9")):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert run_cli(["figures", *kinds, *args]) == 0
+    for kind in ("fig2", "fig9"):
+        for name in (f"{kind}.csv", f"{kind}.csv.manifest.json"):
+            assert (tmp_path / "bundle" / name).read_bytes() == (tmp_path / kind / name).read_bytes()
+    rows = read_rows(tmp_path / "bundle" / "fig2.csv")
+    assert len(rows) == 3 * 10  # n = 4, 8, 12 over the default y grid
+    assert {r["experiment"] for r in rows} == {"tails"} and {r["trials"] for r in rows} == {"200"}
+    # --out names one file, so it takes one kind; nothing runs otherwise
+    out = tmp_path / "x.csv"
+    assert run_cli(["figures", "fig2", "fig9", *args, "--out", out]) == 2
+    assert "--out names one file, but 2 kinds were given" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_family_flag_takes_tokens_with_several_parameters(tmp_path):

@@ -11,7 +11,13 @@ from scipy import integrate, stats
 from bornlab.bitmath import RandomStream
 from bornlab.cli import parse_family
 from bornlab.families import GammaLaw, ParetoLaw, ProductParams, product_prob_values, sample_product
-from bornlab.lab import FamilySpec, _normalized_rows, _scatter_rows, instance_prob_values
+from bornlab.lab import (
+    MAX_REDRAW_ROUNDS,
+    FamilySpec,
+    _normalized_rows,
+    _scatter_rows,
+    instance_prob_values,
+)
 from oracles import (
     gini_coefficient,
     hypergeometric_overlap_moments,
@@ -127,24 +133,39 @@ def test_pseudo_indep_second_moment():
 
 
 class _ZeroThenGamma:
-    """Stub law whose first draw is all zeros, to exercise the resample path."""
+    """Stub law whose first `zero_draws` draws are all zeros, to exercise the
+    resample path."""
 
-    def __init__(self):
+    def __init__(self, zero_draws=1):
+        self.zero_draws = zero_draws
         self.calls = 0
 
     def sample(self, rng, size):
         self.calls += 1
-        if self.calls == 1:
+        if self.calls <= self.zero_draws:
             return np.zeros(size)
         return rng.gamma(1.0, 1.0, size)
+
+    def __repr__(self):
+        return f"_ZeroThenGamma(zero_draws={self.zero_draws})"
 
 
 def test_normalized_rows_redraw_zero_sum_rows():
     law = _ZeroThenGamma()
     rng = RandomStream(0).child(1).generator
-    p = _normalized_rows(lambda size: law.sample(rng, size), (4, 8))
+    p = _normalized_rows(law, rng, (4, 8))
     assert law.calls == 2  # every row of the all-zero first draw was redrawn
     np.testing.assert_allclose(p.sum(axis=1), 1.0)
+    # the last redraw the bound allows still fills the rows; one more zero
+    # draw, and the rows are refused instead of redrawn forever
+    law = _ZeroThenGamma(MAX_REDRAW_ROUNDS)
+    np.testing.assert_allclose(_normalized_rows(law, rng, (4, 8)).sum(axis=1), 1.0)
+    assert law.calls == MAX_REDRAW_ROUNDS + 1
+    law = _ZeroThenGamma(MAX_REDRAW_ROUNDS + 1)
+    with pytest.raises(ValueError, match=r"domain error: a row of 8 draws from "
+                       rf"_ZeroThenGamma\(zero_draws={MAX_REDRAW_ROUNDS + 1}\) held no"):
+        _normalized_rows(law, rng, (4, 8))
+    assert law.calls == MAX_REDRAW_ROUNDS + 1
 
 
 def test_pseudo_indep_approximate_independence():
@@ -433,17 +454,13 @@ def test_hypergeometric_overlap_simulation():
 
 
 def test_law_moments():
-    g = GammaLaw(2.5)
-    assert (g.mean, g.variance, g.second_moment) == (2.5, 2.5, 2.5 * 3.5)
-    p = ParetoLaw(3.0)
-    assert p.mean == pytest.approx(0.5)
-    assert p.variance == pytest.approx(3.0 / (4.0 * 1.0))
-    assert p.second_moment == pytest.approx(1.0)
-    assert ParetoLaw(2.0).variance == math.inf
-    with pytest.raises(ValueError):
-        ParetoLaw(1.0)
-    with pytest.raises(ValueError):
-        GammaLaw(0.0)
+    # each law refuses a parameter outside its domain, a non-finite one too
+    for bad in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Pareto alpha must exceed 1 and be finite"):
+            ParetoLaw(bad)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Gamma shape must be positive and finite"):
+            GammaLaw(bad)
 
 
 def test_pareto_sampler_matches_survival():

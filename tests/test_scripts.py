@@ -1,14 +1,14 @@
 """The scripts under scripts/, run in process as `python scripts/<name>.py` would."""
 
-import csv
 import math
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import bornlab.cli
+from bornlab.cli import ExperimentConfig, run_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,42 +25,24 @@ def test_concentration_table(monkeypatch, capsys):
     assert run_script("concentration_table.py", args, monkeypatch) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[0] == "family"
-    table = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}
+    table = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert list(table) == [
         "product", "iqp_product", "dirichlet", "pareto(2)", "peaked(K=16)", "iqp", "mps",
     ]
-    assert all(len(row) == 4 and all(map(math.isfinite, row)) for row in table.values())
+    assert all(len(row) == 4 and all(math.isfinite(float(x)) for x in row)
+               for row in table.values())
     # product-state SD decays like (2/3)^n, and flat Dirichlet's second
     # moment 2^{2n} E[p^2] is 2N/(N+1), about 2
-    assert table["product"][0] < 0
-    assert 1.8 <= table["dirichlet"][2] <= 2.2
-
-
-def test_reproduce_figures_writes_csv_and_manifest(tmp_path, monkeypatch):
-    args = ["--outdir", tmp_path, "--only", "fig2", "--pairs", "200"]
-    assert run_script("reproduce_figures.py", args, monkeypatch) == 0
-    with open(tmp_path / "fig2.csv") as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 3 * 10  # n = 4, 8, 12 over the default y grid
-    assert {r["experiment"] for r in rows} == {"tails"}
-    assert {r["trials"] for r in rows} == {"200"}
-    assert (tmp_path / "fig2.csv.manifest.json").exists()
-
-
-def _figure_kinds(args, monkeypatch):
-    """The kinds reproduce_figures.py asks `bornlab figures` for, without running them."""
-    kinds = []
-
-    def fake_main(cli_args):
-        kinds.append(cli_args[1])
-        return 0
-
-    monkeypatch.setattr(bornlab.cli, "main", fake_main)
-    assert run_script("reproduce_figures.py", args, monkeypatch) == 0
-    return kinds
-
-
-def test_reproduce_figures_default_skips_fig6_which_repeats_fig5(tmp_path, monkeypatch):
-    kinds = _figure_kinds(["--outdir", tmp_path], monkeypatch)
-    assert kinds == ["fig2", "fig4", "fig5", "fig7", "fig8", "fig9"]
-    assert _figure_kinds(["--outdir", tmp_path, "--only", "fig6"], monkeypatch) == ["fig6"]
+    assert float(table["product"][0]) < 0
+    assert 1.8 <= float(table["dirichlet"][2]) <= 2.2
+    # the slope is the fit of the mean rows that `bornlab run` writes for the
+    # same pairwise config, and the second moment is its anticoncentration row
+    families = runpy.run_path(str(SCRIPTS / "concentration_table.py"))["DEFAULT_FAMILIES"]
+    config = ExperimentConfig("pairwise", families, n_min=4, n_max=6, trials=200, seed=0)
+    means = [r.value for r in run_config(config) if r.statistic == "mean"]
+    anti = ExperimentConfig("anticoncentration", families, n_min=6, n_max=6, trials=2000, seed=0)
+    second = [r for r in run_config(anti) if r.statistic == "second_moment"]
+    for i, row in enumerate(table.values()):
+        slope = np.polyfit(config.n_values, np.log(means[3 * i : 3 * i + 3]), 1)[0]
+        assert row[0] == f"{slope:.3f}"
+        assert row[2] == f"{second[i].value:.3f}"
