@@ -378,8 +378,9 @@ def _parallel_map(fn, tasks: list, workers: int | None) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-        # cells are few, coarse and unequal in cost: hand them out one at a time
-        return pool.map(fn, tasks, chunksize=1)
+        # cells are few, coarse and unequal in cost: hand them out one at a time,
+        # collected in order, so the first failing cell ends the Pool at once
+        return list(pool.imap(fn, tasks, chunksize=1))
 
 
 def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:

@@ -58,10 +58,9 @@ MMD_MEMORY_BYTES = 1 << 26
 # 4-6 ns; timed over m = l, the counts route wins below 2 n 2^n / cells of
 # about 4-5 at n = 16..20, and at every ratio up to 20 for n <= 14, where the
 # distance route's row blocks cost more than its cells (scan in CHANGES.md).
-# The weight stays below that crossover so that the shapes the route tests
-# pin to distances (n <= 12, ratios 2.56 to 3.4) keep their route; raising it
-# changes rows, so it waits for a version bump.
-_DISTANCE_CELL_UNITS = 2.5
+# The weight sits at that crossover; moving it moves the rows of the cells
+# whose route flips, so it changes only with a version bump.
+_DISTANCE_CELL_UNITS = 4.5
 
 # the counts route's peak per outcome (tracemalloc, n = 20: 40.0015): the two
 # transformed float64 histograms, one kernel's square-rooted eigenvalues and

@@ -18,8 +18,19 @@ identity, so suffix marginals are exact inner products and sampling walks
 site n -> 1 drawing each bit from its exact conditional given the bits
 already fixed. One sample costs O(n chi^2).
 
-mps_prob_values is the batched dense generator. The dense vector and the
-single-outcome probability of one state are test oracles (tests/oracles.py).
+mps_prob_values is the batched dense generator. It contracts each chain
+from both ends and meets in the middle, at h = n // 2: sites 1..h give a
+(D_h, 2^h) block whose columns are the low bits, sites n..h+1 a
+(2^(n-h), D_h) block whose rows are the high bits, and one batched product
+of the two writes the amplitudes already in LSB-first order. Each half
+grows by one matmul a site against a permuted copy of the small site
+tensor, so nothing of size 2^n is permuted. At n = 12, chi = 12 this is
+about 20 2^n complex MACs an instance (12 2^n of them in the final
+product), against 43 2^n for one left-to-right sweep, whose last sites
+run skinny matmuls over 2^(n-1) rows.
+
+The dense vector and the single-outcome probability of one state, and that
+sweep, are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -99,15 +110,21 @@ def _left_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _amplitudes(tensors: list[np.ndarray]) -> np.ndarray:
-    """Amplitudes (B, 2^n) of chains of site tensors (B, D, 2, D'), one matmul a site."""
-    batch, n = tensors[0].shape[0], len(tensors)
-    T = np.ones((batch, 1, 1), dtype=np.complex128)
-    for t in tensors:
+    """Amplitudes (B, 2^n) of chains of site tensors (B, D, 2, D'), met in the middle.
+
+    L (B, D_h, 2^h) holds sites 1..h with each new bit as the slowest column;
+    R (B, 2^(n-h), D_h) holds sites n..h+1 with each new bit as the fastest
+    row. R @ L is then LSB-first as it stands.
+    """
+    batch, h = tensors[0].shape[0], len(tensors) // 2
+    L = R = np.ones((batch, 1, 1), dtype=np.complex128)
+    for t in tensors[:h]:
         _, dl, _, dr = t.shape
-        T = np.matmul(T, t.reshape(batch, dl, 2 * dr)).reshape(batch, -1, dr)
-    # rows run over (x_1, ..., x_n) with x_1 slowest; reverse for LSB-first
-    psi = T.reshape((batch,) + (2,) * n).transpose((0,) + tuple(range(n, 0, -1)))
-    return psi.reshape(batch, -1)
+        L = np.matmul(t.transpose(0, 3, 2, 1).reshape(batch, 2 * dr, dl), L).reshape(batch, dr, -1)
+    for t in reversed(tensors[h:]):
+        _, dl, _, dr = t.shape
+        R = np.matmul(R, t.transpose(0, 3, 2, 1).reshape(batch, dr, 2 * dl)).reshape(batch, -1, dl)
+    return np.matmul(R, L).reshape(batch, -1)
 
 
 def mps_sample(state: MpsState, stream, count: int) -> SampleSet:

@@ -27,7 +27,7 @@ from bornlab.bitmath import (
 from bornlab.circuits import all_weight_le2_masks
 from bornlab.families import ProductParams, product_prob_values
 from bornlab.metrics import KernelSpec, fourier_weights
-from bornlab.mps import MpsState, _amplitudes
+from bornlab.mps import MpsState
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,8 @@ def diagonal_pauli_expectation(p: ProbVector, S: SubsetMask) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single MPS states, contracted outcome by outcome or densely (from mps)
+# single MPS states, contracted outcome by outcome or by one left-to-right
+# sweep (from mps)
 
 
 def mps_probability(state: MpsState, x: BitString) -> float:
@@ -321,10 +322,22 @@ def mps_probability(state: MpsState, x: BitString) -> float:
     return float(abs(v[0]) ** 2)
 
 
+def _sweep_amplitudes(tensors: list[np.ndarray]) -> np.ndarray:
+    """Amplitudes (B, 2^n) of chains of site tensors (B, D, 2, D'), one matmul a site."""
+    batch, n = tensors[0].shape[0], len(tensors)
+    T = np.ones((batch, 1, 1), dtype=np.complex128)
+    for t in tensors:
+        _, dl, _, dr = t.shape
+        T = np.matmul(T, t.reshape(batch, dl, 2 * dr)).reshape(batch, -1, dr)
+    # rows run over (x_1, ..., x_n) with x_1 slowest; reverse for LSB-first
+    psi = T.reshape((batch,) + (2,) * n).transpose((0,) + tuple(range(n, 0, -1)))
+    return psi.reshape(batch, -1)
+
+
 def mps_state_vector(state: MpsState) -> np.ndarray:
     """Dense amplitudes, index bit (i-1) = qubit i. Capped at n = 16."""
     check_statevector_cap(state.n)
-    return _amplitudes([t[None] for t in state.tensors])[0]
+    return _sweep_amplitudes([t[None] for t in state.tensors])[0]
 
 
 def mps_prob_vector(state: MpsState) -> ProbVector:

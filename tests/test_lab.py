@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment engine."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bornlab.bitmath import RandomStream, SubsetMask
 from bornlab.lab import (
     FAMILIES,
     FamilySpec,
+    _parallel_map,
     anticoncentration_statistic,
     diagonal_observable_variance,
     distance_to_uniform_moments,
@@ -293,3 +295,19 @@ def test_sd_and_fourier_sd_decay_slopes_agree():
     mmd_slope = np.polyfit(ns, np.log(mmd_means), 1)[0]
     assert sd_slope < 0 and mmd_slope < 0
     assert abs(sd_slope - mmd_slope) < 0.2 * abs(sd_slope)
+
+
+def _fail_first(task):
+    if task == 0:
+        raise ValueError("cell 0 failed")
+    time.sleep(30)
+    return task
+
+
+def test_parallel_map_raises_at_the_first_failing_cell():
+    # the other cells would take 30 s each; the first one's error must end
+    # the Pool instead of waiting for them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cell 0 failed"):
+        _parallel_map(_fail_first, [0, 1, 2, 3], workers=2)
+    assert time.perf_counter() - start < 10

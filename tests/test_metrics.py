@@ -268,6 +268,17 @@ def _oracle(X, Y, rho):
     return unbiased_from_counts(cx, cy, K), xx + yy + 2 * xy
 
 
+# shapes that the route rule sent to the distance route while it weighed a
+# distance cell as 2.5 counts units; at 4.5 they take counts, so they keep the
+# previous weight and the distance route stays covered at these sizes
+_PREVIOUS_WEIGHT_SHAPES = {(3, 2, 3), (6, 15, 9), (12, 150, 90)}
+
+
+def _pin_previous_weight(monkeypatch, n, m, l):
+    if (n, m, l) in _PREVIOUS_WEIGHT_SHAPES:
+        monkeypatch.setattr(metrics, "_DISTANCE_CELL_UNITS", 2.5)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.0, "n"])
 @pytest.mark.parametrize(
     "n, m, l, route",
@@ -278,16 +289,20 @@ def _oracle(X, Y, rho):
         (6, 40, 25, "counts"),
         (12, 300, 200, "counts"),
         (16, 1500, 1100, "counts"),
-        (3, 2, 3, "distances"),
+        (3, 2, 2, "distances"),
         (6, 2, 5, "distances"),
+        (6, 10, 7, "distances"),
+        (12, 125, 75, "distances"),
+        (16, 500, 300, "distances"),
+        (3, 2, 3, "distances"),
         (6, 15, 9, "distances"),
         (12, 150, 90, "distances"),
-        (16, 500, 300, "distances"),
     ],
 )
-def test_unbiased_routes_match_count_oracle(routes, n, m, l, route, sigma):
+def test_unbiased_routes_match_count_oracle(monkeypatch, routes, n, m, l, route, sigma):
     # the route is picked from (n, m, l) alone; the U-statistic is a
     # difference of three O(1) terms, so the bound is on their magnitudes
+    _pin_previous_weight(monkeypatch, n, m, l)
     sigma = float(n) if sigma == "n" else sigma
     spec = bandwidth_kernel(sigma)
     X, Y = _support_samples(n, m, l, seed=1000 * n + m + l)
@@ -303,15 +318,18 @@ def test_unbiased_routes_match_count_oracle(routes, n, m, l, route, sigma):
         (6, 40, 25, "counts"),
         (12, 300, 200, "counts"),
         (16, 1500, 1100, "counts"),
-        (6, 15, 9, "distances"),
-        (12, 150, 90, "distances"),
+        (6, 10, 7, "distances"),
+        (12, 125, 75, "distances"),
         (16, 500, 300, "distances"),
         (30, 400, 300, "distances"),
+        (6, 15, 9, "distances"),
+        (12, 150, 90, "distances"),
     ],
 )
-def test_unbiased_kernels_share_one_pass(routes, n, m, l, route):
+def test_unbiased_kernels_share_one_pass(monkeypatch, routes, n, m, l, route):
     # several kernels cost one histogram pass, and each estimate is the
     # one-kernel call's, bit for bit
+    _pin_previous_weight(monkeypatch, n, m, l)
     specs = tuple(bandwidth_kernel(sigma) for sigma in (0.0, 1.0, 2.5, float(n)))
     X, Y = _support_samples(n, m, l, seed=7 * n + m)
     values = mmd2_unbiased(X, Y, specs)
@@ -348,7 +366,7 @@ def test_unbiased_memory_stays_within_budget(routes, n, m, route):
 @pytest.mark.parametrize(
     "n, m, route",
     [
-        # the rule weighs a distance cell as 2.5 counts units: these shapes
+        # the rule weighs a distance cell as 4.5 counts units: these shapes
         # took distances when it weighed them alike, at two to three times the time
         (16, 700, "counts"),
         (18, 1500, "counts"),

@@ -1,6 +1,7 @@
 """Tests for random matrix product states and perfect sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from bornlab.bitmath import RandomStream
 from bornlab.families import ProductParams
 from bornlab.mps import (
     MpsState,
+    _amplitudes,
+    _gaussian_tensors,
     _left_canonicalize,
     bond_dims,
     mps_prob_values,
@@ -20,6 +23,7 @@ from bornlab.mps import (
 )
 from oracles import (
     BitString,
+    _sweep_amplitudes,
     mps_prob_vector,
     mps_probability,
     mps_state_vector,
@@ -138,6 +142,32 @@ def test_batched_rows_equal_canonicalized_draws(n):
             ref = np.array([mps_probability(state, BitString(x, n)) for x in range(1 << n)])
             ref /= ref.sum()
             assert np.abs(rows[b] - ref).max() <= 1e-12 * ref.max(), (n, chi, b)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_amplitudes_match_the_sweep(n):
+    # the two halves meet at h = n // 2 (h = 0 at n = 1, where the left half
+    # is empty); summed in another order, so equal up to rounding
+    batch = 3 if n <= 13 else 1
+    for chi in sorted({1, 2, 3, n, 64}):
+        tensors = _gaussian_tensors(n, chi, (batch,), RandomStream(700 + n, (chi,)).generator)
+        got, ref = _amplitudes(tensors), _sweep_amplitudes(tensors)
+        assert got.shape == ref.shape == (batch, 1 << n)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), (n, chi)
+
+
+def test_batched_rows_hold_no_permuted_copy():
+    # the amplitudes and their |.|^2 are 1.5x the complex amplitudes' bytes;
+    # the sweep's 2^n axis reversal took this to 2.18x
+    n, batch = 14, 16
+    tracemalloc.start()
+    try:
+        mps_prob_values(n, n, batch, RandomStream(5).generator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 16 * batch * (1 << n), peak
 
 
 def test_batched_ensemble_matches_single_route():
