@@ -34,6 +34,9 @@ MAX_DENSE_QUBITS = 26
 # stop here; above it they are deliberately unsupported.
 MAX_STATEVECTOR_QUBITS = 16
 
+# Outcomes are uint64 indices, so sample files and the mass routes stop here.
+MAX_OUTCOME_BITS = 64
+
 # |sum(p) - 1| above this rejects the vector. Normalizing 2^26 positive
 # doubles accumulates rounding well below 1e-9.
 NORMALIZATION_ATOL = 1e-9

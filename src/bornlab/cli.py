@@ -37,7 +37,7 @@ import numpy as np
 # circuits and lab are reached through their modules at call time, so timing
 # wrappers installed on their attributes (perfbench/spans.py) see every call
 from . import __version__, circuits, lab
-from .bitmath import RandomStream, SampleSet, SubsetMask, validate_prob_vector
+from .bitmath import MAX_OUTCOME_BITS, RandomStream, SampleSet, SubsetMask, validate_prob_vector
 from .lab import (
     FAMILIES,
     MIN_TRIALS,
@@ -105,10 +105,11 @@ class ExperimentConfig:
         specs = [parse_family(token) for token in self.families]  # raises on bad syntax
         if not 1 <= self.n_min <= self.n_max:
             raise CliError(f"bad n range [{self.n_min}, {self.n_max}]")
-        cap = min(FAMILIES[spec.kind].max_n for spec in specs)
-        if self.n_max > cap:
-            raise CliError(f"n_max {self.n_max} exceeds the n <= {cap} cap for these families")
+        route = EXPERIMENTS[self.experiment].route
         for spec in specs:
+            cap = getattr(FAMILIES[spec.kind], route).max_n
+            if self.n_max > cap:
+                raise CliError(f"n_max {self.n_max} exceeds the {route} route cap {cap} of {spec.kind}")
             if spec.k is not None and spec.k > 1 << self.n_min:
                 raise CliError(
                     f"{spec.kind} support k={spec.k} exceeds the 2^{self.n_min} outcomes at n_min"
@@ -339,15 +340,16 @@ def _uniform_distance_rows(config, family, n, stream) -> list[ExperimentRow]:
 class Experiment:
     rows: Callable  # rows of one (family, n) cell, given the cell's stream
     min_trials: int
+    route: str  # the lab.Family route its cells draw from, whose cap bounds n
 
 
 EXPERIMENTS = {
-    "tails": Experiment(_tails_rows, MIN_TRIALS),
-    "pairwise": Experiment(_pairwise_rows, MIN_TRIALS),
-    "anticoncentration": Experiment(_anticoncentration_rows, MIN_TRIALS),
-    "observable": Experiment(_observable_rows, MIN_VARIANCE_TRIALS),
-    "mmdtest": Experiment(_mmdtest_rows, 1),
-    "uniform_distance": Experiment(_uniform_distance_rows, MIN_TRIALS),
+    "tails": Experiment(_tails_rows, MIN_TRIALS, "mass"),
+    "pairwise": Experiment(_pairwise_rows, MIN_TRIALS, "dense"),
+    "anticoncentration": Experiment(_anticoncentration_rows, MIN_TRIALS, "mass"),
+    "observable": Experiment(_observable_rows, MIN_VARIANCE_TRIALS, "dense"),
+    "mmdtest": Experiment(_mmdtest_rows, 1, "dense"),
+    "uniform_distance": Experiment(_uniform_distance_rows, MIN_TRIALS, "dense"),
 }
 
 
@@ -449,9 +451,10 @@ def read_sample_file(path: str) -> SampleSet:
                 raise CliError(f"{path}:{lineno}: parse error: not a 0/1 bitstring: {s!r}")
             if n is None:
                 n = len(s)
-                if n > 64:
+                if n > MAX_OUTCOME_BITS:
                     raise CliError(
-                        f"{path}:{lineno}: parse error: {n}-bit outcomes exceed the 64-bit limit"
+                        f"{path}:{lineno}: parse error: {n}-bit outcomes exceed the "
+                        f"{MAX_OUTCOME_BITS}-bit limit"
                     )
             elif len(s) != n:
                 raise CliError(

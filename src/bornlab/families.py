@@ -8,9 +8,10 @@ Three analytic families over n-bit outcomes:
   With Gamma(alpha, 1) draws the vector is symmetric Dirichlet(alpha) and
   the alpha = 1 marginal is Beta(1, N-1); a shifted Pareto underlying law
   (density alpha/(1+y)^(alpha+1) on [0, inf)) gives the heavy-tailed
-  variant. The Gamma shape is positive and the Pareto alpha above 1, both
-  finite; a parameter whose draws all underflow to 0 fails in lab with a
-  domain error after lab.MAX_REDRAW_ROUNDS redraws;
+  variant. The laws refuse a Gamma shape below 1/1074 and a Pareto alpha
+  above 2^53 ln 2 = 6.2e15, past which half the float64 draws are 0.0 (a
+  Gamma(a) draw is below 2^-1074 with probability about 2^(-1074 a), and
+  (1 - u)^(-1/alpha) rounds to 1 when -ln(1 - u) < alpha 2^-53);
 * peaked: a pseudo-independent K-vector of masses scattered onto a uniformly
   random K-subset of the 2^n outcomes, zero elsewhere.
 
@@ -37,14 +38,16 @@ from .bitmath import SampleSet, as_generator
 
 @dataclass(frozen=True)
 class GammaLaw:
-    """Gamma(shape, rate 1), shape positive and finite. shape = 1 is the
-    exponential / Dirichlet-1 case."""
+    """Gamma(shape, rate 1), shape finite and at least 1/1074. shape = 1 is
+    the exponential / Dirichlet-1 case."""
 
     shape: float
 
     def __post_init__(self):
         if not 0.0 < self.shape < math.inf:
             raise ValueError(f"Gamma shape must be positive and finite, got {self.shape}")
+        if self.shape < 1 / 1074:
+            raise ValueError(f"Gamma shape must be at least 1/1074 (most draws 0.0), got {self.shape}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.gamma(self.shape, 1.0, size)
@@ -53,7 +56,7 @@ class GammaLaw:
 @dataclass(frozen=True)
 class ParetoLaw:
     """Shifted Pareto with density alpha / (1 + y)^(alpha + 1) on [0, inf),
-    alpha finite and above 1.
+    alpha above 1 and at most 2^53 ln 2.
 
     Mean exists for alpha > 1, variance only for alpha > 2; at alpha = 2 the
     variance is infinite, which is exactly the regime used to break the
@@ -65,6 +68,8 @@ class ParetoLaw:
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
             raise ValueError(f"Pareto alpha must exceed 1 and be finite, got {self.alpha}")
+        if self.alpha > 2.0**53 * math.log(2):
+            raise ValueError(f"Pareto alpha must be at most 6.2e15 (most draws 0.0), got {self.alpha}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # inverse CDF of the survival (1 + y)^(-alpha)

@@ -11,12 +11,12 @@ pairwise chunk draws its pairs once and scores every requested (metric,
 sigma) combo on them, so a combo's values never depend on which other combos
 were asked for.
 
-FAMILIES is the one table of family kinds. Each entry draws a chunk of B
-instances as a (B, 2^n) array, and, where a closed-form marginal exists,
-draws the length-B vector of reference-outcome masses that the tail
-statistics need without building the dense vectors. It also names the
-FamilySpec parameters its kind reads and its underlying law, from which
-FamilySpec builds its CSV label and refuses parameters the kind ignores.
+FAMILIES is the one table of family kinds. Each entry holds two Routes with
+their own chunk size and n cap: `dense` draws a chunk of B instances as a
+(B, 2^n) array, `mass` their reference-outcome masses, from the kind's
+closed-form marginal where it has one. The entry also names the FamilySpec
+parameters its kind reads and its underlying law, from which FamilySpec
+builds its CSV label and refuses parameters the kind ignores.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import MAX_DENSE_QUBITS, MAX_STATEVECTOR_QUBITS, RandomStream, SubsetMask
+from .bitmath import MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS, RandomStream, SubsetMask
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
 from .metrics import KernelSpec, bandwidth_kernel, mmd2_fourier_batch
@@ -123,12 +123,9 @@ def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.nd
 
 
 # how many times _normalized_rows redraws a row whose draws all underflowed to
-# 0 before it gives up. A Gamma(alpha) draw underflows with probability about
-# exp(-744 alpha), so at alpha >= 1e-3 even a one-draw row outlives 50 rounds
-# with probability below 1e-16. A law whose every draw is 0 (a Gamma alpha
-# near 1e-300, or a Pareto alpha above about 4e17, where (1 - u)^(-1/alpha)
-# rounds to 1) would otherwise redraw forever; the bound costs it 50 redraws
-# of a chunk, about 6 s on a chunk of 2^20 draws.
+# 0 before it gives up. The laws refuse the parameters past which half their
+# draws are 0.0 (see families), so even a one-draw row outlives 50 rounds with
+# probability below 2^-50; the bound keeps any other law from redrawing forever.
 MAX_REDRAW_ROUNDS = 50
 
 
@@ -217,23 +214,28 @@ _LABEL_FORMATS = {"alpha": "{:g}", "k": "K={}", "chi": "chi={}"}
 
 
 @dataclass(frozen=True)
+class Route:
+    """One way to draw from a family kind: draw(spec, n, count, rng) for
+    `count` fresh instances; chunk(n), the instances one chunk draws, which
+    decides the substream each instance draws from; max_n, the largest n."""
+
+    draw: Callable
+    chunk: Callable[[int], int] = _dense_chunk
+    max_n: int = MAX_DENSE_QUBITS
+
+
+@dataclass(frozen=True)
 class Family:
     """How the experiments draw the instances of one family kind.
 
-    dense(spec, n, count, rng) returns `count` output distributions, shape
-    (count, 2^n). mass(spec, n, count, rng), where the family has a
-    closed-form marginal, returns p(x*) of `count` instances without the
-    dense vectors; mass_chunk is that route's chunk size (None: the dense
-    chunk of n), which decides the substream each instance draws from.
-    max_n is the largest n the generator accepts. params names the
-    FamilySpec parameters the kind reads, and law, for the kinds built on
-    iid positive draws, the underlying law that alpha parameterizes.
+    dense returns `count` output distributions, shape (count, 2^n); mass
+    returns their p(x*), shape (count,). params names the FamilySpec
+    parameters the kind reads, and law, for the kinds built on iid positive
+    draws, the underlying law that alpha parameterizes.
     """
 
-    dense: Callable
-    mass: Callable | None = None
-    mass_chunk: int | None = None
-    max_n: int = MAX_DENSE_QUBITS
+    dense: Route
+    mass: Route
     params: tuple[str, ...] = ()
     law: type | None = None
 
@@ -284,69 +286,74 @@ def _point_dense(spec, n, count, rng) -> np.ndarray:
     return out
 
 
+def _marginal(draw, max_n: int = MAX_DENSE_QUBITS) -> Route:
+    # a closed-form marginal draws a few numbers an instance: 2^16 a chunk
+    return Route(draw, lambda n: 1 << 16, max_n)
+
+
+# iqp and mps have no closed-form marginal: p(x*) is column 0 of the dense draw
+_DENSE_COLUMN = Route(lambda spec, n, count, rng: instance_prob_values(spec, n, count, rng)[:, 0],
+                      max_n=MAX_STATEVECTOR_QUBITS)
+
 # Every family is exchangeable over outcomes, so the tail law of p(x*) does
 # not depend on the choice of x* = 0...0. The entries call the generators
 # through this module's globals, never through stored function objects.
 FAMILIES = {
     "product": Family(
-        lambda spec, n, count, rng: product_prob_values(rng.random((count, n))),
+        Route(lambda spec, n, count, rng: product_prob_values(rng.random((count, n)))),
         # a product of n uniforms
-        lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1),
-        mass_chunk=1 << 16,
+        _marginal(lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1)),
     ),
     "iqp_product": Family(
-        lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng)),
-        lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1),
-        mass_chunk=1 << 16,
+        Route(lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng))),
+        _marginal(lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1)),
     ),
     "dirichlet": Family(
-        lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
-        # Beta(a, a(N-1)) by gamma additivity
-        lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
-        mass_chunk=1 << 16,
+        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng)),
+        # Beta(a, a(N-1)) by gamma additivity, exact at any N, so it runs past the dense cap
+        _marginal(
+            lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
+            MAX_OUTCOME_BITS,
+        ),
         params=("alpha",), law=GammaLaw,
     ),
     "pareto": Family(
-        lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
-        _pareto_mass,
+        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng)),
+        Route(_pareto_mass),
         params=("alpha",), law=ParetoLaw,
     ),
     "peaked": Family(
-        lambda spec, n, count, rng: _scatter_rows(
+        Route(lambda spec, n, count, rng: _scatter_rows(
             _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
-        ),
-        _peaked_mass,
-        mass_chunk=1 << 16,
+        )),
+        _marginal(_peaked_mass),
         params=("alpha", "k"), law=GammaLaw,
     ),
     "iqp": Family(
-        lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
-        max_n=MAX_STATEVECTOR_QUBITS,
+        Route(lambda spec, n, count, rng: iqp_prob_values(n, count, rng), max_n=MAX_STATEVECTOR_QUBITS),
+        _DENSE_COLUMN,
     ),
     "peaked_iqp": Family(
-        lambda spec, n, count, rng: _scatter_rows(
+        Route(lambda spec, n, count, rng: _scatter_rows(
             _peaked_iqp_masses(spec, n, count, rng), 1 << n, rng
-        ),
-        _peaked_iqp_mass,
-        mass_chunk=1 << 14,
-        max_n=MAX_STATEVECTOR_QUBITS,
+        ), max_n=MAX_STATEVECTOR_QUBITS),
+        Route(_peaked_iqp_mass, lambda n: 1 << 14, MAX_STATEVECTOR_QUBITS),
         params=("k",),
     ),
     "mps": Family(
-        lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
-        max_n=MAX_STATEVECTOR_QUBITS,
+        Route(lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
+              max_n=MAX_STATEVECTOR_QUBITS),
+        _DENSE_COLUMN,
         params=("chi",),
     ),
     # degenerate reference families, mainly for calibration runs
     "uniform": Family(
-        lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n)),
-        lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n)),
-        mass_chunk=1 << 16,
+        Route(lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n))),
+        _marginal(lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n))),
     ),
     "point": Family(
-        _point_dense,
-        lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float),
-        mass_chunk=1 << 16,
+        Route(_point_dense),
+        _marginal(lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float)),
     ),
 }
 
@@ -355,21 +362,14 @@ def instance_prob_values(
     family: FamilySpec, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Dense output distributions of `count` fresh instances, shape (count, 2^n)."""
-    return FAMILIES[family.kind].dense(family, n, count, rng)
+    return FAMILIES[family.kind].dense.draw(family, n, count, rng)
 
 
 def reference_mass_values(
     family: FamilySpec, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """p(x*) at the reference outcome x* = 0...0 for `count` fresh instances.
-
-    Uses the family's closed-form marginal where it has one and falls back
-    to dense generation otherwise.
-    """
-    mass = FAMILIES[family.kind].mass
-    if mass is None:
-        return instance_prob_values(family, n, count, rng)[:, 0]
-    return mass(family, n, count, rng)
+    """p(x*) at the reference outcome x* = 0...0 for `count` fresh instances."""
+    return FAMILIES[family.kind].mass.draw(family, n, count, rng)
 
 
 def _parallel_map(fn, tasks: list, workers: int | None) -> list:
@@ -420,10 +420,11 @@ def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.nda
     """p(x*) of `trials` instances in draw order, for the tail statistics."""
     if trials < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
-    chunk = FAMILIES[family.kind].mass_chunk or _dense_chunk(n)
-    return _collect(
-        lambda rng, count: reference_mass_values(family, n, count, rng), trials, chunk, stream
-    )
+    masses = _collect(lambda rng, count: reference_mass_values(family, n, count, rng),
+                      trials, FAMILIES[family.kind].mass.chunk(n), stream)
+    if not np.isfinite(masses).all():  # a tail count would take NaN as a miss
+        raise ValueError(f"domain error: {family.label()} at n={n} drew a non-finite mass")
+    return masses
 
 
 def estimate_tail_curve(
@@ -493,7 +494,7 @@ def pairwise_loss_values(
                 out[i] = l1 if metric == "l1" else 0.5 * l1
         return out
 
-    return _collect(draw, pairs, _dense_chunk(n), stream)
+    return _collect(draw, pairs, FAMILIES[family.kind].dense.chunk(n), stream)
 
 
 def pairwise_loss_moments(
@@ -547,7 +548,7 @@ def diagonal_observable_variance(
     signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
     values = _collect(
         lambda rng, count: instance_prob_values(family, n, count, rng) @ signs,
-        trials, _dense_chunk(n), stream,
+        trials, FAMILIES[family.kind].dense.chunk(n), stream,
     )
     positions = "".join(str(i + 1) for i in range(n) if (S.mask >> i) & 1)
     return _moment_report(family, n, f"z{positions}", values, None)
@@ -564,5 +565,5 @@ def distance_to_uniform_moments(
         diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)
         return np.einsum("ij,ij->i", diff, diff)
 
-    values = _collect(draw, trials, _dense_chunk(n), stream)
+    values = _collect(draw, trials, FAMILIES[family.kind].dense.chunk(n), stream)
     return _moment_report(family, n, "sd_to_uniform", values, None)

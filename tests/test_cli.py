@@ -1,8 +1,8 @@
 """End-to-end checks of the command-line harness.
 
-Runs go through bornlab.cli.main with real files in tmp_path; nothing here
-monkeypatches the computation layers, so these double as integration tests
-for the deterministic seeding contract.
+Runs go through bornlab.cli.main with real files in tmp_path; a monkeypatch
+here only counts calls and passes them on, never replaces the computation,
+so these double as integration tests for the deterministic seeding contract.
 """
 
 import csv
@@ -17,6 +17,7 @@ from bornlab import __version__, lab
 from bornlab.cli import (
     CSV_HEADER,
     DESK_TRIALS,
+    EXPERIMENTS,
     PAPER_TRIALS,
     CliError,
     ExperimentConfig,
@@ -29,7 +30,7 @@ from bornlab.cli import (
     rows_to_csv,
     run_config,
 )
-from bornlab.lab import wilson_interval
+from bornlab.lab import FAMILIES, wilson_interval
 
 
 def run_cli(args):
@@ -401,20 +402,23 @@ def test_config_validation():
         # a law parameter must be finite
         ("pareto:alpha=inf", "Pareto alpha must exceed 1 and be finite, got inf"),
         ("dirichlet:alpha=inf", "Gamma shape must be positive and finite, got inf"),
-        # every draw of these laws underflows to 0: the first chunk gives up
-        # after a bounded number of redraws instead of redrawing forever
-        ("dirichlet:alpha=1e-320", "draws from GammaLaw(shape=1e-320) held no positive value"),
-        ("peaked:alpha=1e-300", "draws from GammaLaw(shape=1e-300) held no positive value"),
-        ("peaked:k=4,alpha=1e-200", "draws from GammaLaw(shape=1e-200) held no positive value"),
+        # at least half the draws of these laws are 0.0 in float64: the law
+        # refuses them, so the dense and the mass routes read the token alike
+        ("dirichlet:alpha=1e-320", "Gamma shape must be at least 1/1074 (most draws 0.0), got 1e-320"),
+        ("peaked:alpha=1e-300", "Gamma shape must be at least 1/1074 (most draws 0.0), got 1e-300"),
+        ("peaked:k=4,alpha=1e-200", "Gamma shape must be at least 1/1074 (most draws 0.0), got 1e-200"),
+        ("pareto:alpha=1e18", "Pareto alpha must be at most 6.2e15 (most draws 0.0), got 1e+18"),
     ],
 )
 def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family, message):
-    out = tmp_path / "t.csv"
-    rc = run_cli(["pairwise", "--family", family, "--n-min", "4", "--n-max", "6",
-                  "--pairs", "200", "--workers", "1", "--out", out])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    # tails draws from the mass route, pairwise from the dense one
+    for experiment, count in (("pairwise", "--pairs"), ("tails", "--trials")):
+        out = tmp_path / f"{experiment}.csv"
+        rc = run_cli([experiment, "--family", family, "--n-min", "4", "--n-max", "6",
+                      count, "200", "--workers", "1", "--out", out])
+        assert rc == 2, experiment
+        assert message in capsys.readouterr().err, experiment
+        assert not out.exists(), experiment
 
 
 @pytest.mark.parametrize(
@@ -805,3 +809,66 @@ def test_observable_experiment_kind(tmp_path):
     variance = float(rows["variance"]["value"])
     se = float(rows["variance"]["stderr"])
     assert abs(variance - 1 / 3) < 4 * se
+
+
+# ---------------------------------------------------------------------------
+# the route table: each experiment draws from one route, whose cap bounds n
+
+
+def _token(kind):
+    return "pareto:alpha=2" if kind == "pareto" else kind
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_each_experiment_reaches_the_cap_of_its_route(experiment):
+    route = EXPERIMENTS[experiment].route
+    for kind, family in FAMILIES.items():
+        cap = getattr(family, route).max_n
+        ExperimentConfig(experiment, (_token(kind),), n_min=cap, n_max=cap, trials=100, seed=0)
+        with pytest.raises(CliError, match=f"exceeds the {route} route cap {cap} of {kind}$"):
+            ExperimentConfig(experiment, (_token(kind),), n_min=cap, n_max=cap + 1,
+                             trials=100, seed=0)
+
+
+def test_mixed_families_are_bounded_by_the_most_limited_route():
+    for families in (("dirichlet", "product"), ("product", "dirichlet")):
+        with pytest.raises(CliError, match="n_max 27 exceeds the mass route cap 26 of product"):
+            ExperimentConfig("tails", families, n_min=2, n_max=27, trials=100, seed=0)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_cells_draw_only_from_the_route_their_experiment_names(experiment, monkeypatch):
+    calls = []
+    for route, name in (("dense", "instance_prob_values"), ("mass", "reference_mass_values")):
+        def record(*args, _route=route, _draw=getattr(lab, name)):
+            calls.append(_route)
+            return _draw(*args)
+
+        monkeypatch.setattr(lab, name, record)
+    trials = 2 if experiment == "mmdtest" else 100
+    config = ExperimentConfig(experiment, ("dirichlet",), n_min=3, n_max=3, trials=trials,
+                              seed=0, samples=20, workers=1)
+    assert run_config(config)
+    assert calls and set(calls) == {EXPERIMENTS[experiment].route}
+
+
+def test_dirichlet_anticoncentration_at_its_cap_matches_beta_moments():
+    # the reference mass of a symmetric Dirichlet(a) is Beta(a, a(N-1)), so
+    # N^2 E[p^2] = N(a+1)/(Na+1), and at a = 1 Prob(p >= 1/(2N)) = (1 - 1/(2N))^(N-1)
+    config = ExperimentConfig("anticoncentration", ("dirichlet", "dirichlet:alpha=0.5"),
+                              n_min=32, n_max=64, n_step=32, trials=100_000, seed=3, workers=1)
+    rows = {(r.family, r.n, r.statistic): r for r in run_config(config)}
+    assert len(rows) == 8
+    for alpha, label in ((1.0, "dirichlet"), (0.5, "dirichlet(0.5)")):
+        for n in (32, 64):
+            N = 2**n
+            row = rows[(label, n, "second_moment")]
+            exact = N * (alpha + 1) / (N * alpha + 1)
+            assert abs(row.value - exact) < 3 * row.stderr, (alpha, n, row.value, row.stderr)
+            if alpha == 1.0:
+                row = rows[(label, n, "tail@y=0.5")]
+                # 99.5% per point, as in the Beta survival check above, so the
+                # joint check over both n stays above 99%
+                lo, hi = wilson_interval(round(row.value * row.trials), row.trials,
+                                         z=2.807033768343811)
+                assert lo <= math.exp((N - 1) * math.log1p(-0.5 / N)) <= hi, (n, lo, hi)

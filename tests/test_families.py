@@ -461,6 +461,24 @@ def test_law_moments():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="Gamma shape must be positive and finite"):
             GammaLaw(bad)
+    # and one past which at least half of its float64 draws are 0.0
+    for bad in (0.99 / 1074, 1e-320):
+        with pytest.raises(ValueError, match=r"Gamma shape must be at least 1/1074 \(most draws 0\.0\)"):
+            GammaLaw(bad)
+    for bad in (1.01 * 2.0**53 * math.log(2), 1e18):
+        with pytest.raises(ValueError, match=r"Pareto alpha must be at most 6\.2e15 \(most draws 0\.0\)"):
+            ParetoLaw(bad)
+
+
+def test_law_domains_stop_where_half_the_draws_are_zero():
+    # the bounds the laws refuse past: at each about half of the float64
+    # draws are 0.0, and a little inside it fewer than half
+    gamma_bound, pareto_bound = 1 / 1074, 2.0**53 * math.log(2)
+    rng = RandomStream(23).child(0).generator
+    assert abs(np.mean(GammaLaw(gamma_bound).sample(rng, 200_000) == 0.0) - 0.5) < 0.01
+    assert abs(np.mean(ParetoLaw(pareto_bound).sample(rng, 200_000) == 0.0) - 0.5) < 0.01
+    assert np.mean(GammaLaw(1.1 * gamma_bound).sample(rng, 200_000) == 0.0) < 0.49
+    assert np.mean(ParetoLaw(pareto_bound / 1.1).sample(rng, 200_000) == 0.0) < 0.49
 
 
 def test_pareto_sampler_matches_survival():

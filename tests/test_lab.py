@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from bornlab import lab
 from bornlab.bitmath import RandomStream, SubsetMask
 from bornlab.lab import (
     FAMILIES,
@@ -190,6 +191,22 @@ def test_anticoncentration_reports():
 
     point = anticoncentration_statistic(FamilySpec("point"), 4, 20_000, RandomStream(20))
     assert abs(point.second_moment_statistic - 16.0) < 3 * point.second_moment_se
+
+
+def test_non_finite_reference_mass_is_refused(monkeypatch):
+    # a tail count would read NaN as "below every threshold", so a NaN mass
+    # stops the cell instead of becoming a silent miss
+    def nan_masses(family, n, count, rng):
+        masses = np.full(count, 1.0 / (1 << n))
+        masses[-1] = np.nan
+        return masses
+
+    monkeypatch.setattr(lab, "reference_mass_values", nan_masses)
+    spec = FamilySpec("dirichlet", alpha=0.5)
+    with pytest.raises(ValueError, match=r"domain error: dirichlet\(0\.5\) at n=5 drew a non-finite"):
+        estimate_tail_curve(spec, 5, [0.5], 200, STREAM)
+    with pytest.raises(ValueError, match=r"domain error: dirichlet\(0\.5\) at n=5 drew a non-finite"):
+        anticoncentration_statistic(spec, 5, 200, STREAM)
 
 
 def test_observable_variance_product():
