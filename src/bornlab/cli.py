@@ -37,7 +37,9 @@ import numpy as np
 # circuits and lab are reached through their modules at call time, so timing
 # wrappers installed on their attributes (perfbench/spans.py) see every call
 from . import __version__, circuits, lab
-from .bitmath import MAX_OUTCOME_BITS, RandomStream, SampleSet, SubsetMask, validate_prob_vector
+from .bitmath import (
+    MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, RandomStream, SampleSet, SubsetMask, validate_prob_vector,
+)
 from .lab import (
     FAMILIES,
     MIN_TRIALS,
@@ -94,8 +96,11 @@ class ExperimentConfig:
             integers.append("workers")
         for name in integers:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise CliError(f"{name} must be an integer, got {value!r}")
+            # a cell holds one float64 per trial and combo: at most one dense vector at the cap
+            if name in ("trials", "samples") and value > 1 << MAX_DENSE_QUBITS:
+                raise CliError(f"{name} must be at most 2^{MAX_DENSE_QUBITS}, got {value}")
         if self.seed < 0:
             raise CliError(f"seed must be non-negative, got {self.seed}")
         if not self.families:
@@ -125,20 +130,15 @@ class ExperimentConfig:
         self.sigma_values(self.n_min)  # raises on a token bandwidth_kernel refuses
         if self.n_step < 1:
             raise CliError("n_step must be at least 1")
-        if not (isinstance(self.alpha, (int, float)) and not isinstance(self.alpha, bool)
-                and 0.0 < self.alpha <= 1.0):
+        if not (_is_number(self.alpha) and 0.0 < self.alpha <= 1.0):
             raise CliError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if self.samples < 2:
             raise CliError("samples must be at least 2")
         if self.workers is not None and self.workers < 1:
             raise CliError(f"workers must be at least 1, got {self.workers}")
-        if not self.y_grid or not all(
-            isinstance(y, (int, float)) and math.isfinite(y) for y in self.y_grid
-        ):
+        if not self.y_grid or not all(_is_number(y) and math.isfinite(y) for y in self.y_grid):
             raise CliError(f"y_grid must be a non-empty list of finite numbers, got {self.y_grid}")
-        if not self.subset or not all(
-            isinstance(i, int) and 1 <= i <= self.n_min for i in self.subset
-        ):
+        if not self.subset or not all(_is_int(i) and 1 <= i <= self.n_min for i in self.subset):
             raise CliError(f"subset must hold qubit positions in 1..{self.n_min}, got {self.subset}")
         if not isinstance(self.out, str) or not self.out:
             raise CliError(f"out must be a non-empty file path, got {self.out!r}")
@@ -150,6 +150,14 @@ class ExperimentConfig:
     def sigma_values(self, n: int) -> list[float]:
         """The bandwidths the config's sigma tokens name at n; 1 if it names none."""
         return [_resolve_sigma(token, n) for token in self.sigmas or ("1",)]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # a JSON true is no number
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,10 @@ def _resolve_sigma(token: str, n: int) -> float:
     """The bandwidth a sigma token names at n: a number, or 'n' for n itself.
     A bandwidth that bandwidth_kernel would refuse is refused here."""
     try:
+        if isinstance(token, bool):  # float() would read a JSON true as 1.0
+            raise TypeError
         sigma = float(n) if token == "n" else float(token)
-    except (TypeError, ValueError):  # a JSON null, list or object, or a bad string
+    except (TypeError, ValueError):  # a JSON true, null, list or object, or a bad string
         raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')") from None
     try:
         bandwidth_kernel(sigma)
@@ -265,80 +275,66 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     return counts / trials
 
 
-def _moment_rows(config: ExperimentConfig, report) -> list[ExperimentRow]:
+def _moment_rows(report) -> list[tuple]:
     """The mean and variance rows of one MomentReport."""
     return [
-        ExperimentRow(
-            config.experiment, report.family, report.n, report.metric, report.sigma,
-            stat, value, err, report.trials, config.seed,
-        )
-        for stat, value, err in (
-            ("mean", report.mean, report.se_mean),
-            ("variance", report.variance, report.se_variance),
-        )
+        (report.metric, report.sigma, "mean", report.mean, report.se_mean),
+        (report.metric, report.sigma, "variance", report.variance, report.se_variance),
     ]
 
 
-def _tails_rows(config, family, n, stream) -> list[ExperimentRow]:
+def _tails_rows(config, family, n, stream) -> list[tuple]:
     curve = estimate_tail_curve(family, n, config.y_grid, config.trials, stream)
     return [
-        ExperimentRow(
-            "tails", curve.family, n, "mass", None,
-            f"tail@y={y:.12g}", est, (hi - lo) / 2, curve.trials, config.seed,
-        )
+        ("mass", None, f"tail@y={y:.12g}", est, (hi - lo) / 2)
         for y, est, lo, hi in zip(curve.y_grid, curve.estimates, curve.ci_low, curve.ci_high)
     ]
 
 
-def _pairwise_rows(config, family, n, stream) -> list[ExperimentRow]:
+def _pairwise_rows(config, family, n, stream) -> list[tuple]:
     reports = pairwise_loss_moments(
         family, n, _metric_sigma_combos(config, n), config.trials, stream
     )
-    return [row for report in reports for row in _moment_rows(config, report)]
+    return [row for report in reports for row in _moment_rows(report)]
 
 
-def _anticoncentration_rows(config, family, n, stream) -> list[ExperimentRow]:
+def _anticoncentration_rows(config, family, n, stream) -> list[tuple]:
     rep = anticoncentration_statistic(family, n, config.trials, stream)
     return [
-        ExperimentRow(
-            "anticoncentration", rep.family, n, "mass", None, "second_moment",
-            rep.second_moment_statistic, rep.second_moment_se, rep.trials, config.seed,
-        ),
-        ExperimentRow(
-            "anticoncentration", rep.family, n, "mass", None, "tail@y=0.5", rep.tail_at_half,
-            (rep.tail_ci_high - rep.tail_ci_low) / 2, rep.trials, config.seed,
-        ),
+        ("mass", None, "second_moment", rep.second_moment_statistic, rep.second_moment_se),
+        ("mass", None, "tail@y=0.5", rep.tail_at_half, (rep.tail_ci_high - rep.tail_ci_low) / 2),
     ]
 
 
-def _observable_rows(config, family, n, stream) -> list[ExperimentRow]:
+def _observable_rows(config, family, n, stream) -> list[tuple]:
     S = SubsetMask.from_positions(config.subset, n)
-    return _moment_rows(config, diagonal_observable_variance(family, n, S, config.trials, stream))
+    return _moment_rows(diagonal_observable_variance(family, n, S, config.trials, stream))
 
 
-def _mmdtest_rows(config, family, n, stream) -> list[ExperimentRow]:
-    rows = []
+def _mmdtest_rows(config, family, n, stream) -> list[tuple]:
     sigmas = config.sigma_values(n)
     all_rates = _mmdtest_rejection_rates(
         family, n, sigmas, config.alpha, config.samples, config.trials, stream,
     )
-    for sigma, rates in zip(sigmas, all_rates):
-        for stat, rate in zip(("reject_rate_equal", "reject_rate_distinct"), rates.tolist()):
-            se = math.sqrt(rate * (1 - rate) / config.trials)
-            rows.append(ExperimentRow(
-                "mmdtest", family.label(), n, "mmd2", sigma,
-                stat, rate, se, config.trials, config.seed,
-            ))
-    return rows
+    return [
+        ("mmd2", sigma, stat, rate, math.sqrt(rate * (1 - rate) / config.trials))
+        for sigma, rates in zip(sigmas, all_rates)
+        for stat, rate in zip(("reject_rate_equal", "reject_rate_distinct"), rates.tolist())
+    ]
 
 
-def _uniform_distance_rows(config, family, n, stream) -> list[ExperimentRow]:
-    return _moment_rows(config, distance_to_uniform_moments(family, n, config.trials, stream))
+def _uniform_distance_rows(config, family, n, stream) -> list[tuple]:
+    return _moment_rows(distance_to_uniform_moments(family, n, config.trials, stream))
 
 
 @dataclass(frozen=True)
 class Experiment:
-    rows: Callable  # rows of one (family, n) cell, given the cell's stream
+    """rows(config, family, n, stream) scores one (family, n) cell from the
+    cell's stream and returns its rows as (metric, sigma, statistic, value,
+    stderr) tuples; _cell_rows adds the experiment, family label, n, trials
+    and seed that every row of the cell shares."""
+
+    rows: Callable
     min_trials: int
     route: str  # the lab.Family route its cells draw from, whose cap bounds n
 
@@ -356,13 +352,17 @@ EXPERIMENTS = {
 def _cell_rows(cell) -> list[ExperimentRow]:
     """Rows of one (config, family index, n) cell; module level so it pickles.
 
-    The one place a cell's stream is derived; the row builders draw from the
-    stream they are given.
+    The one place a cell's stream is derived and a row is built; the row
+    builders draw from the stream they are given.
     """
     config, fam_idx, n = cell
     stream = RandomStream(config.seed).child(fam_idx).child(n).child(0)
     family = parse_family(config.families[fam_idx])
-    return EXPERIMENTS[config.experiment].rows(config, family, n, stream)
+    label = family.label()
+    return [
+        ExperimentRow(config.experiment, label, n, *row, config.trials, config.seed)
+        for row in EXPERIMENTS[config.experiment].rows(config, family, n, stream)
+    ]
 
 
 def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -409,7 +409,7 @@ def load_configs(path: str) -> list[ExperimentConfig]:
     version = record.get("version", __version__)
     if version != __version__:
         raise CliError(f"{path}: written by bornlab {version}, not {__version__}; rows would differ")
-    raw = record["configs"] if "configs" in record else [record["config"] if "config" in record else record]
+    raw = record["configs"] if "configs" in record else [record]
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: configs must be a non-empty list, got {raw!r}")
     configs = []

@@ -108,11 +108,13 @@ def product_prob_values(a: np.ndarray) -> np.ndarray:
     """Batched product vectors: (B, n) weights -> (B, 2^n) masses."""
     a = np.asarray(a, dtype=float)
     B, n = a.shape
-    p = np.ones((B, 1))
+    p = np.empty((B, 1 << n))
+    p[:, 0] = 1.0
     for i in range(n):
-        ai = a[:, i : i + 1]
-        # appending qubit i as the new high bit keeps qubit 1 at the LSB
-        p = np.concatenate([p * ai, p * (1.0 - ai)], axis=1)
+        h, ai = 1 << i, a[:, i : i + 1]
+        # columns [h, 2h) have bit i set (weight 1 - a_i), [0, h) clear (a_i): qubit 1 is the LSB
+        np.multiply(p[:, :h], 1.0 - ai, out=p[:, h : 2 * h])
+        p[:, :h] *= ai
     return p
 
 

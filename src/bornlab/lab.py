@@ -1,15 +1,17 @@
 """Monte Carlo concentration experiments over distribution families.
 
-Four experiment kinds, all built on the same deterministic chunking: work is
-split into fixed-size chunks run one after another, chunk k draws from
-stream.child(k), and chunk results are concatenated in index order. The
-chunk size is a function of the family kind and n only. Parallelism lives one
-level up: cli.run_config hands the (family, n) cells of a config to one
-_parallel_map call, and each cell draws from its own stream, so results are
-bit-identical for a fixed (config, seed) regardless of the worker count. A
-pairwise chunk draws its pairs once and scores every requested (metric,
-sigma) combo on them, so a combo's values never depend on which other combos
-were asked for.
+Five experiments (tail curve, pairwise loss, anticoncentration, diagonal
+observable, distance to uniform; cli holds the sixth, mmdtest), all built on
+the same deterministic chunking: work is split into fixed-size chunks run one
+after another, chunk k draws from stream.child(k), and chunk results are
+concatenated in index order. The chunk size is a function of the family kind
+and n only. Parallelism lives one level up: cli.run_config hands the (family,
+n) cells of a config to one _parallel_map call, and each cell draws from its
+own stream, so results are bit-identical for a fixed (config, seed)
+regardless of the worker count. A pairwise chunk draws its pairs once and
+scores every requested (metric, sigma) combo on them, so a combo's values
+never depend on which other combos were asked for. A report holds statistics
+only: the caller knows which family and n it asked for.
 
 FAMILIES is the one table of family kinds. Each entry holds two Routes with
 their own chunk size and n cap: `dense` draws a chunk of B instances as a
@@ -51,8 +53,6 @@ WILSON_Z = 1.959963984540054
 class TailCurve:
     """Empirical survival Prob(p(x*) >= y/2^n) over a y grid."""
 
-    family: str
-    n: int
     y_grid: tuple[float, ...]
     estimates: tuple[float, ...]
     ci_low: tuple[float, ...]
@@ -64,8 +64,6 @@ class TailCurve:
 class MomentReport:
     """Mean/variance of a per-instance (or per-pair) statistic."""
 
-    family: str
-    n: int
     metric: str
     mean: float
     variance: float
@@ -77,8 +75,6 @@ class MomentReport:
 
 @dataclass(frozen=True)
 class AnticoncentrationReport:
-    family: str
-    n: int
     second_moment_statistic: float  # 2^{2n} E[p(x*)^2]
     second_moment_se: float
     tail_at_half: float  # Prob(p(x*) >= 1/(2N))
@@ -393,9 +389,7 @@ def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
     )
 
 
-def _moment_report(
-    family: FamilySpec, n: int, metric: str, values: np.ndarray, sigma: float | None
-) -> MomentReport:
+def _moment_report(metric: str, values: np.ndarray, sigma: float | None) -> MomentReport:
     T = values.size
     mean = float(values.mean())
     variance = float(values.var(ddof=1)) if T > 1 else 0.0
@@ -403,17 +397,8 @@ def _moment_report(
     centered = values - mean
     m4 = float((centered**4).mean())
     var_of_s2 = (m4 - variance**2 * (T - 3) / (T - 1)) / T if T > 1 else 0.0
-    return MomentReport(
-        family=family.label(),
-        n=n,
-        metric=metric,
-        mean=mean,
-        variance=variance,
-        se_mean=se_mean,
-        se_variance=math.sqrt(max(var_of_s2, 0.0)),
-        trials=T,
-        sigma=sigma,
-    )
+    return MomentReport(metric=metric, mean=mean, variance=variance, se_mean=se_mean,
+                        se_variance=math.sqrt(max(var_of_s2, 0.0)), trials=T, sigma=sigma)
 
 
 def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.ndarray:
@@ -441,15 +426,8 @@ def estimate_tail_curve(
     masses = _reference_masses(family, n, trials, stream)
     hits = [int(np.count_nonzero(masses >= y / (1 << n))) for y in grid]
     lows, highs = zip(*(wilson_interval(h, trials) for h in hits))
-    return TailCurve(
-        family=family.label(),
-        n=n,
-        y_grid=tuple(grid),
-        estimates=tuple(h / trials for h in hits),
-        ci_low=lows,
-        ci_high=highs,
-        trials=trials,
-    )
+    return TailCurve(y_grid=tuple(grid), estimates=tuple(h / trials for h in hits),
+                     ci_low=lows, ci_high=highs, trials=trials)
 
 
 def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
@@ -506,7 +484,7 @@ def pairwise_loss_moments(
 ) -> list[MomentReport]:
     """Mean/variance of each combo's loss across the same instance pairs."""
     values = pairwise_loss_values(family, n, combos, pairs, stream)
-    return [_moment_report(family, n, m, row, sigma) for (m, sigma), row in zip(combos, values)]
+    return [_moment_report(m, row, sigma) for (m, sigma), row in zip(combos, values)]
 
 
 def anticoncentration_statistic(
@@ -521,14 +499,8 @@ def anticoncentration_statistic(
     hits = int(np.count_nonzero(masses >= 0.5 / N))
     lo, hi = wilson_interval(hits, trials)
     return AnticoncentrationReport(
-        family=family.label(),
-        n=n,
-        second_moment_statistic=statistic,
-        second_moment_se=se,
-        tail_at_half=hits / trials,
-        tail_ci_low=lo,
-        tail_ci_high=hi,
-        trials=trials,
+        second_moment_statistic=statistic, second_moment_se=se, tail_at_half=hits / trials,
+        tail_ci_low=lo, tail_ci_high=hi, trials=trials,
     )
 
 
@@ -551,7 +523,7 @@ def diagonal_observable_variance(
         trials, FAMILIES[family.kind].dense.chunk(n), stream,
     )
     positions = "".join(str(i + 1) for i in range(n) if (S.mask >> i) & 1)
-    return _moment_report(family, n, f"z{positions}", values, None)
+    return _moment_report(f"z{positions}", values, None)
 
 
 def distance_to_uniform_moments(
@@ -566,4 +538,4 @@ def distance_to_uniform_moments(
         return np.einsum("ij,ij->i", diff, diff)
 
     values = _collect(draw, trials, FAMILIES[family.kind].dense.chunk(n), stream)
-    return _moment_report(family, n, "sd_to_uniform", values, None)
+    return _moment_report("sd_to_uniform", values, None)

@@ -492,6 +492,10 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
         ("out", "", "out must be a non-empty file path, got ''"),
         ("configs", 3, "configs must be a non-empty list, got 3"),
         ("configs", [], "configs must be a non-empty list, got []"),
+        # a JSON true is no number in a list field either; float(True) is 1.0
+        ("y_grid", [True, 0.5], "y_grid must be a non-empty list of finite numbers"),
+        ("subset", [True], "subset must hold qubit positions in 1..2"),
+        ("sigmas", [True], "bad sigma True"),
     ],
 )
 def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):
@@ -544,6 +548,54 @@ def test_family_parameter_values_name_parameter_and_family(tmp_path, capsys, tok
     rc = run_cli(["tails", "--family", token, "--n-min", "4", "--n-max", "5", "--out", out])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rows_take_their_identity_from_the_cell():
+    # reports carry statistics only; every row's experiment, family label, n,
+    # trials and seed come from the config and cell that produced it
+    for report in (lab.TailCurve, lab.MomentReport, lab.AnticoncentrationReport):
+        assert not {"family", "n"} & {f.name for f in dataclasses.fields(report)}
+    for experiment in EXPERIMENTS:
+        config = ExperimentConfig(experiment, ("uniform", "peaked:k=4"), n_min=3, n_max=4,
+                                  trials=100, seed=5, samples=20, workers=1)
+        rows = run_config(config)
+        assert {(r.experiment, r.family, r.n, r.trials, r.seed) for r in rows} == {
+            (experiment, label, n, 100, 5) for label in ("uniform", "peaked(K=4)") for n in (3, 4)
+        }
+
+
+def test_config_key_document_is_an_unknown_key(tmp_path, capsys):
+    # {"config": {...}} is no document shape: "config" is refused like any other unknown key
+    cfg = {"experiment": "tails", "families": ["product"], "n_min": 2, "n_max": 3,
+           "trials": 200, "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"config": cfg}))
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "'config'" in err
+    assert not out.exists()
+
+
+def test_trials_and_samples_bounded_by_one_dense_vector():
+    # configs only: a cell at the bound would hold 2^26 float64 values per combo
+    ok = dict(families=("product",), n_min=4, n_max=4, seed=0)
+    bound = 1 << 26
+    ExperimentConfig("tails", trials=bound, **ok)
+    ExperimentConfig("mmdtest", trials=1, samples=bound, **ok)
+    with pytest.raises(CliError, match=r"trials must be at most 2\^26, got 67108865"):
+        ExperimentConfig("tails", trials=bound + 1, **ok)
+    with pytest.raises(CliError, match=r"samples must be at most 2\^26, got 67108865"):
+        ExperimentConfig("mmdtest", trials=1, samples=bound + 1, **ok)
+
+
+def test_huge_trial_count_exits_2_without_csv(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = run_cli(["tails", "--family", "product", "--n-min", "4", "--n-max", "4",
+                  "--trials", 10**30, "--out", out])
+    assert rc == 2
+    assert f"trials must be at most 2^26, got {10**30}" in capsys.readouterr().err
     assert not out.exists()
 
 
