@@ -136,7 +136,7 @@ class ExperimentConfig:
             raise CliError("samples must be at least 2")
         if self.workers is not None and self.workers < 1:
             raise CliError(f"workers must be at least 1, got {self.workers}")
-        if not self.y_grid or not all(_is_number(y) and math.isfinite(y) for y in self.y_grid):
+        if not self.y_grid or not all(_is_finite_number(y) for y in self.y_grid):
             raise CliError(f"y_grid must be a non-empty list of finite numbers, got {self.y_grid}")
         if not self.subset or not all(_is_int(i) and 1 <= i <= self.n_min for i in self.subset):
             raise CliError(f"subset must hold qubit positions in 1..{self.n_min}, got {self.subset}")
@@ -158,6 +158,13 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
+
+
+def _is_finite_number(x) -> bool:
+    try:
+        return _is_number(x) and math.isfinite(x)
+    except OverflowError:  # a JSON integer past the float64 range
+        return False
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,8 @@ def _resolve_sigma(token: str, n: int) -> float:
         if isinstance(token, bool):  # float() would read a JSON true as 1.0
             raise TypeError
         sigma = float(n) if token == "n" else float(token)
-    except (TypeError, ValueError):  # a JSON true, null, list or object, or a bad string
+    # a JSON true, null, list or object, a bad string, or an integer past the float64 range
+    except (TypeError, ValueError, OverflowError):
         raise CliError(f"bad sigma {token!r} (a non-negative number or 'n')") from None
     try:
         bandwidth_kernel(sigma)
@@ -404,6 +412,8 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         raise CliError(f"{path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"{path}:{e.lineno}: parse error: {e.msg}") from e
+    except ValueError as e:  # an integer past Python's digit limit for str -> int
+        raise CliError(f"{path}: parse error: {e}") from e
     if not isinstance(record, dict):
         raise CliError(f"{path}: the top level must be a JSON object, not {type(record).__name__}")
     version = record.get("version", __version__)

@@ -72,9 +72,12 @@ class ParetoLaw:
             raise ValueError(f"Pareto alpha must be at most 6.2e15 (most draws 0.0), got {self.alpha}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        # inverse CDF of the survival (1 + y)^(-alpha)
+        # inverse CDF of the survival (1 + y)^(-alpha), in place on the draw
         u = rng.random(size)
-        return (1.0 - u) ** (-1.0 / self.alpha) - 1.0
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.alpha
+        u -= 1.0
+        return u
 
 
 # ---------------------------------------------------------------------------

@@ -103,25 +103,55 @@ def _dense_chunk(n: int) -> int:
     return max(1, min(1 << 14, (1 << 20) >> n))
 
 
-def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Place each row of masses on an independent uniform K-subset of [N].
+def _rows_with_repeats(positions: np.ndarray) -> np.ndarray:
+    ordered = np.sort(positions, axis=1)
+    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
 
-    Ranking iid uniform keys gives an exactly uniform subset per row.
+
+def _distinct_positions(B: int, K: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """(B, K) positions in [N], K distinct a row: K iid draws, a row with a
+    repeat drawn again, at most MAX_REDRAW_ROUNDS times."""
+    positions = rng.integers(0, N, (B, K))
+    redo = _rows_with_repeats(positions)
+    for _ in range(MAX_REDRAW_ROUNDS):
+        if redo.size == 0:
+            break
+        positions[redo] = rng.integers(0, N, (redo.size, K))
+        redo = redo[_rows_with_repeats(positions[redo])]
+    if redo.size:
+        raise ValueError(
+            f"domain error: a row of {K} positions in [{N}] held a repeat in {MAX_REDRAW_ROUNDS} redraws"
+        )
+    return positions
+
+
+def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Place each row of K masses on K distinct outcomes of [N]: independently
+    per row, the outcomes of masses 1..K are an exactly uniform ordered K-tuple.
+
+    Where K^2 <= N a row draws K iid positions, O(K) draws, and draws them
+    again while they hold a repeat; they are distinct with probability at least
+    1 - K(K-1)/(2N) >= 1/2. Where a repeat is likely (K^2 > N), the K smallest
+    of N iid uniform keys a row give the positions. K = N keeps the masses in place.
     """
     B, K = values.shape
-    out = np.zeros((B, N))
     if K == N:
         return values.copy()
-    keys = rng.random((B, N))
-    idx = np.argpartition(keys, K, axis=1)[:, :K]
+    if K * K > N:
+        idx = np.argpartition(rng.random((B, N)), K, axis=1)[:, :K]
+    else:
+        idx = _distinct_positions(B, K, N, rng)
+    out = np.zeros((B, N))
     np.put_along_axis(out, idx, values, axis=1)
     return out
 
 
 # how many times _normalized_rows redraws a row whose draws all underflowed to
-# 0 before it gives up. The laws refuse the parameters past which half their
-# draws are 0.0 (see families), so even a one-draw row outlives 50 rounds with
-# probability below 2^-50; the bound keeps any other law from redrawing forever.
+# 0, and _distinct_positions a row of positions that holds a repeat, before it
+# gives up. The laws refuse the parameters past which half their draws are 0.0
+# (see families), and a row of positions is free of repeats with probability at
+# least 1/2, so a row outlives 50 rounds with probability below 2^-50; the bound
+# keeps any other law or generator from redrawing forever.
 MAX_REDRAW_ROUNDS = 50
 
 
@@ -141,7 +171,8 @@ def _normalized_rows(law, rng, shape) -> np.ndarray:
             f"domain error: a row of {shape[1]} draws from {law} held no positive "
             f"value in {MAX_REDRAW_ROUNDS} redraws; the parameter is too extreme for float64"
         )
-    return y / totals[:, None]
+    y /= totals[:, None]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +268,14 @@ class Family:
 
 
 def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
-    # theta = 2 arccos(sqrt(u)) makes the weight cos^2(theta/2) uniform on [0, 1]
-    theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
-    return np.cos(theta / 2.0) ** 2
+    # theta = 2 arccos(sqrt(u)) makes the weight cos^2(theta/2) uniform on [0, 1];
+    # theta/2 is arccos(sqrt(u)) exactly, so the steps run in place on the draw
+    w = rng.random((count, n))
+    np.sqrt(w, out=w)
+    np.arccos(w, out=w)
+    np.cos(w, out=w)
+    w **= 2
+    return w
 
 
 def _law_rows(spec: FamilySpec, K: int, count: int, rng) -> np.ndarray:

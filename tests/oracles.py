@@ -234,6 +234,39 @@ def hypergeometric_overlap_moments(N: int, K: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# the 0.6.0 draws that lab and families now compute in place or in O(K)
+
+
+def scatter_rows_by_ranked_keys(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row of masses on the K smallest of N iid uniform keys (every shape)."""
+    B, K = values.shape
+    out = np.zeros((B, N))
+    if K == N:
+        return values.copy()
+    keys = rng.random((B, N))
+    idx = np.argpartition(keys, K, axis=1)[:, :K]
+    np.put_along_axis(out, idx, values, axis=1)
+    return out
+
+
+def iqp_product_weights(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """cos^2(theta/2) at theta = 2 arccos(sqrt(u)), one temporary a step."""
+    theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
+    return np.cos(theta / 2.0) ** 2
+
+
+def pareto_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Shifted Pareto draws by the inverse survival, one temporary a step."""
+    u = rng.random(size)
+    return (1.0 - u) ** (-1.0 / alpha) - 1.0
+
+
+def normalized_rows(draws: np.ndarray) -> np.ndarray:
+    """Rows divided by their totals into a new array."""
+    return draws / draws.sum(axis=1)[:, None]
+
+
+# ---------------------------------------------------------------------------
 # single IQP circuits and their state vectors (from circuits)
 
 

@@ -115,7 +115,7 @@ def test_iqp_prob_values_matches_complex_exp_oracle():
 
 def test_iqp_prob_values_draws_only_the_gate_angles():
     # one (batch, G) uniform draw and nothing else, so every later draw on
-    # the same generator (peaked_iqp's scatter keys, the next chunk) is fixed
+    # the same generator (peaked_iqp's scatter, the next chunk) is fixed
     for n, batch in ((1, 5), (3, 2048), (7, 40)):
         rng, expect = np.random.default_rng(n), np.random.default_rng(n)
         iqp_prob_values(n, batch, rng)

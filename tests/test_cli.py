@@ -496,6 +496,9 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
         ("y_grid", [True, 0.5], "y_grid must be a non-empty list of finite numbers"),
         ("subset", [True], "subset must hold qubit positions in 1..2"),
         ("sigmas", [True], "bad sigma True"),
+        # a JSON integer too large for a float64
+        ("y_grid", [10**400], "y_grid must be a non-empty list of finite numbers"),
+        ("sigmas", [10**400], "bad sigma 1" + "0" * 400 + " (a non-negative number or 'n')"),
     ],
 )
 def test_config_file_bad_field_names_file_and_field(tmp_path, capsys, field, value, message):
@@ -519,6 +522,18 @@ def test_unwritable_out_names_the_path(tmp_path, capsys, target):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(out) in err and ("No such file or directory" in err or "Is a directory" in err)
+
+
+def test_config_integer_past_the_digit_limit_names_file(tmp_path, capsys):
+    # json reads no integer of more than 4300 digits; its error names no file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"experiment": "tails", "families": ["product"], "n_min": 2, "n_max": 3, '
+                        '"trials": 100, "seed": 0, "y_grid": [1' + "0" * 5000 + "]}")
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: parse error: Exceeds the limit" in err
+    assert not out.exists()
 
 
 def test_config_top_level_list_names_file(tmp_path, capsys):

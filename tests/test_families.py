@@ -14,6 +14,7 @@ from bornlab.families import GammaLaw, ParetoLaw, ProductParams, product_prob_va
 from bornlab.lab import (
     MAX_REDRAW_ROUNDS,
     FamilySpec,
+    _iqp_product_weights,
     _normalized_rows,
     _scatter_rows,
     instance_prob_values,
@@ -21,6 +22,9 @@ from bornlab.lab import (
 from oracles import (
     gini_coefficient,
     hypergeometric_overlap_moments,
+    iqp_product_weights,
+    normalized_rows,
+    pareto_sample,
     peaked_tail_bound,
     porter_thomas_survival,
     product_marginal_density,
@@ -29,6 +33,7 @@ from oracles import (
     product_tail_exact,
     pseudo_indep_anticoncentration_bound,
     random_product_instance,
+    scatter_rows_by_ranked_keys,
 )
 
 
@@ -220,7 +225,8 @@ def test_peaked_support_positions_uniform():
 
 
 def test_random_k_subset_properties():
-    # _scatter_rows puts each row's K masses on distinct positions of [N]
+    # _scatter_rows puts each row's K masses on distinct positions of [N];
+    # both shapes here (K^2 <= N) draw K positions a row
     rng = np.random.default_rng(12)
     values = rng.random((200, 7)) + 0.5
     out = _scatter_rows(values, 50, rng)
@@ -234,6 +240,84 @@ def test_random_k_subset_properties():
     assert subset_counts.size == 10
     _, pvalue = stats.chisquare(subset_counts)
     assert pvalue > 0.01
+
+
+def test_scatter_keys_path_subsets_uniform():
+    # K^2 > N ranks N keys a row: all C(6, 3) = 20 subsets, chi-square at 1%
+    rng = np.random.default_rng(14)
+    support = _scatter_rows(np.ones((6000, 3)), 6, rng) > 0
+    assert np.all(support.sum(axis=1) == 3)
+    _, subset_counts = np.unique(support @ (1 << np.arange(6)), return_counts=True)
+    assert subset_counts.size == 20
+    _, pvalue = stats.chisquare(subset_counts)
+    assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("K, N", [(3, 6), (4, 8), (4, 16), (5, 32)])  # keys, keys, positions, positions
+def test_scatter_each_mass_lands_on_each_outcome_equally_often(K, N):
+    # mass j is the value j + 1, so a row's table reads off where each mass
+    # went; chi-square over the K x N cells, whose K rows each sum to B
+    B = 4000
+    out = _scatter_rows(np.tile(np.arange(1.0, K + 1), (B, 1)), N, np.random.default_rng(15 + N))
+    table = np.stack([(out == j + 1).sum(axis=0) for j in range(K)])
+    assert np.all(table.sum(axis=1) == B)
+    _, pvalue = stats.chisquare(table.ravel(), ddof=K - 1)
+    assert pvalue > 0.01, (K, N)
+
+
+def test_scatter_full_support_keeps_masses_and_draws_nothing():
+    values = np.random.default_rng(16).random((5, 8))
+    rng = np.random.default_rng(17)
+    state = rng.bit_generator.state
+    out = _scatter_rows(values, 8, rng)
+    np.testing.assert_array_equal(out, values)
+    assert out is not values and rng.bit_generator.state == state
+
+
+def test_scatter_keys_shapes_are_the_ranked_keys_draw():
+    # where K^2 > N (and K = N) the rows are byte-identical to ranking keys
+    for K, N in ((2, 2), (3, 4), (4, 8), (5, 16), (7, 32), (8, 32), (16, 128)):
+        values = np.random.default_rng(K).random((300, K))
+        np.testing.assert_array_equal(
+            _scatter_rows(values, N, np.random.default_rng(N)),
+            scatter_rows_by_ranked_keys(values, N, np.random.default_rng(N)),
+        )
+
+
+class _RepeatingPositions:
+    """A generator stand-in whose integer draws always repeat."""
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+
+def test_scatter_redraw_is_bounded():
+    with pytest.raises(ValueError, match=rf"domain error: .* repeat in {MAX_REDRAW_ROUNDS} redraws"):
+        _scatter_rows(np.ones((3, 2)), 4, _RepeatingPositions())
+    # a single mass never repeats, so it is placed at once
+    np.testing.assert_array_equal(_scatter_rows(np.ones((3, 1)), 4, _RepeatingPositions())[:, 0], 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_in_place_law_transforms_match_their_oracles(n):
+    # bit for bit against the expressions that built a new array a step
+    np.testing.assert_array_equal(
+        _iqp_product_weights(n, 300, np.random.default_rng(n)),
+        iqp_product_weights(n, 300, np.random.default_rng(n)),
+    )
+    for alpha in (1.5, 2.0, 3.0, 1e6):  # alpha = 2 is the figures' Pareto
+        np.testing.assert_array_equal(
+            ParetoLaw(alpha).sample(np.random.default_rng(n), (40, n)),
+            pareto_sample(alpha, np.random.default_rng(n), (40, n)),
+        )
+        np.testing.assert_array_equal(
+            _normalized_rows(ParetoLaw(alpha), np.random.default_rng(n), (40, n)),
+            normalized_rows(pareto_sample(alpha, np.random.default_rng(n), (40, n))),
+        )
+    np.testing.assert_array_equal(
+        _normalized_rows(GammaLaw(0.5), np.random.default_rng(n), (40, n)),
+        normalized_rows(np.random.default_rng(n).gamma(0.5, 1.0, (40, n))),
+    )
 
 
 def test_peaked_full_support_matches_pseudo_indep():
