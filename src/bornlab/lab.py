@@ -4,7 +4,7 @@ Five experiments (tail curve, pairwise loss, anticoncentration, diagonal
 observable, distance to uniform; cli holds the sixth, mmdtest), all built on
 the same deterministic chunking: work is split into fixed-size chunks run one
 after another, chunk k draws from stream.child(k), and chunk results are
-concatenated in index order. The chunk size is a function of the family kind
+concatenated in index order. The chunk size is a function of the family spec
 and n only. Parallelism lives one level up: cli.run_config hands the (family,
 n) cells of a config to one _parallel_map call, and each cell draws from its
 own stream, so results are bit-identical for a fixed (config, seed)
@@ -13,9 +13,16 @@ scores every requested (metric, sigma) combo on them, so a combo's values
 never depend on which other combos were asked for. A report holds statistics
 only: the caller knows which family and n it asked for.
 
+One byte budget sizes every chunk. Each Route states an upper bound on the
+bytes a draw holds at its peak, per instance, and a chunk is as many
+instances as CHUNK_BYTES holds (at most MAX_CHUNK), so memory is bounded
+before it is allocated. A pairwise chunk holds two draws at once, then
+their difference and the metrics' temporaries: its traced peak is about
+twice CHUNK_BYTES for the float families, and less for IQP and MPS.
+
 FAMILIES is the one table of family kinds. Each entry holds two Routes with
-their own chunk size and n cap: `dense` draws a chunk of B instances as a
-(B, 2^n) array, `mass` their reference-outcome masses, from the kind's
+their own bytes per instance and n cap: `dense` draws a chunk of B instances
+as a (B, 2^n) array, `mass` their reference-outcome masses, from the kind's
 closed-form marginal where it has one. The entry also names the FamilySpec
 parameters its kind reads and its underlying law, from which FamilySpec
 builds its CSV label and refuses parameters the kind ignores.
@@ -36,7 +43,7 @@ from .bitmath import MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS,
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
 from .metrics import KernelSpec, bandwidth_kernel, mmd2_fourier_batch
-from .mps import mps_prob_values
+from .mps import bond_dims, mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
 
@@ -96,11 +103,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
-
-
-def _dense_chunk(n: int) -> int:
-    # ~1M float64 cells per chunk, never more than 2^14 instances
-    return max(1, min(1 << 14, (1 << 20) >> n))
 
 
 def _rows_with_repeats(positions: np.ndarray) -> np.ndarray:
@@ -240,15 +242,27 @@ class FamilySpec:
 _LABEL_FORMATS = {"alpha": "{:g}", "k": "K={}", "chi": "chi={}"}
 
 
+# One byte budget sizes every chunk: a route's chunk holds at most about
+# CHUNK_BYTES at its peak (2^20 float64 outcomes), and never more than MAX_CHUNK
+# instances, which bounds the chunks of the routes that draw a few numbers each.
+CHUNK_BYTES = 1 << 23
+MAX_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class Route:
     """One way to draw from a family kind: draw(spec, n, count, rng) for
-    `count` fresh instances; chunk(n), the instances one chunk draws, which
-    decides the substream each instance draws from; max_n, the largest n."""
+    `count` fresh instances; bytes_per_instance(spec, n), an upper bound on
+    what such a draw holds at its peak, per instance; max_n, the largest n."""
 
     draw: Callable
-    chunk: Callable[[int], int] = _dense_chunk
+    bytes_per_instance: Callable[[FamilySpec, int], int]
     max_n: int = MAX_DENSE_QUBITS
+
+    def chunk(self, spec: FamilySpec, n: int) -> int:
+        """Instances a chunk draws, which decides the substream each instance
+        draws from: as many as CHUNK_BYTES holds, at least 1 and at most MAX_CHUNK."""
+        return max(1, min(MAX_CHUNK, CHUNK_BYTES // self.bytes_per_instance(spec, n)))
 
 
 @dataclass(frozen=True)
@@ -318,74 +332,123 @@ def _point_dense(spec, n, count, rng) -> np.ndarray:
     return out
 
 
-def _marginal(draw, max_n: int = MAX_DENSE_QUBITS) -> Route:
-    # a closed-form marginal draws a few numbers an instance: 2^16 a chunk
-    return Route(draw, lambda n: 1 << 16, max_n)
+# ---------------------------------------------------------------------------
+# what a draw holds at its peak, per instance (tracemalloc, tests/test_lab.py)
+
+
+def _float_bytes(N: int, rest: int) -> int:
+    """A float64 row of N outcomes, plus the rest of an instance's peak where
+    it passes a tenth of that: a chunk may hold 1.1 times its budget, so the
+    small terms size a float route's chunks only at small n."""
+    return 8 * N + rest if 10 * rest > 8 * N else 8 * N
+
+
+def _scatter_bytes(K: int, N: int) -> int:
+    """A row of _scatter_rows with its K masses: a copy where K = N; N keys
+    and their int64 ranks where K^2 > N; else the output row, plus the
+    masses, the K positions and the temporaries of their repeat check."""
+    if K == N:
+        return 16 * N
+    if K * K > N:
+        return 16 * (N + K)
+    return _float_bytes(N, 20 * K + 16)
+
+
+def _iqp_bytes(n: int) -> int:
+    """iqp_prob_values: the phasor product and the two real planes, 32 bytes
+    an outcome, and the angles, their tangents and phasors, 56 bytes a gate."""
+    return (32 << n) + 56 * (n * (n + 1) // 2)
+
+
+def _mps_bytes(spec: FamilySpec, n: int) -> int:
+    """mps_prob_values: the amplitudes and |.|^2, 24 bytes an outcome, and the
+    normals and the complex site tensors, 32 bytes a tensor entry."""
+    dims = bond_dims(n, spec.bond_dimension(n))
+    return (24 << n) + 32 * sum(2 * dims[i] * dims[i + 1] for i in range(n))
+
+
+def _peaked_iqp_bytes(spec: FamilySpec, n: int) -> int:
+    K = spec.support_size(n)
+    return max(_iqp_bytes(K.bit_length() - 1), _scatter_bytes(K, 1 << n))
 
 
 # iqp and mps have no closed-form marginal: p(x*) is column 0 of the dense draw
-_DENSE_COLUMN = Route(lambda spec, n, count, rng: instance_prob_values(spec, n, count, rng)[:, 0],
-                      max_n=MAX_STATEVECTOR_QUBITS)
+_DENSE_COLUMN = Route(
+    lambda spec, n, count, rng: instance_prob_values(spec, n, count, rng)[:, 0],
+    lambda spec, n: FAMILIES[spec.kind].dense.bytes_per_instance(spec, n),
+    MAX_STATEVECTOR_QUBITS,
+)
 
 # Every family is exchangeable over outcomes, so the tail law of p(x*) does
 # not depend on the choice of x* = 0...0. The entries call the generators
 # through this module's globals, never through stored function objects.
 FAMILIES = {
+    # a product-form row holds its n weights, a column of 1 - a_i and a share
+    # of numpy's iterator buffers besides its 2^n masses: 8 (n + 3) bytes
     "product": Family(
-        Route(lambda spec, n, count, rng: product_prob_values(rng.random((count, n)))),
+        Route(lambda spec, n, count, rng: product_prob_values(rng.random((count, n))),
+              lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
         # a product of n uniforms
-        _marginal(lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1)),
+        Route(lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1),
+              lambda spec, n: 8 * (n + 1)),
     ),
     "iqp_product": Family(
-        Route(lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng))),
-        _marginal(lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1)),
+        Route(lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng)),
+              lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
+        Route(lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1),
+              lambda spec, n: 8 * (n + 1)),
     ),
     "dirichlet": Family(
-        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng)),
+        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
+              lambda spec, n: _float_bytes(1 << n, 16)),
         # Beta(a, a(N-1)) by gamma additivity, exact at any N, so it runs past the dense cap
-        _marginal(
-            lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
-            MAX_OUTCOME_BITS,
-        ),
+        Route(lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
+              lambda spec, n: 8, MAX_OUTCOME_BITS),
         params=("alpha",), law=GammaLaw,
     ),
     "pareto": Family(
-        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng)),
-        Route(_pareto_mass),
+        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
+              lambda spec, n: _float_bytes(1 << n, 16)),
+        Route(_pareto_mass, lambda spec, n: _float_bytes(1 << n, 16)),
         params=("alpha",), law=ParetoLaw,
     ),
     "peaked": Family(
         Route(lambda spec, n, count, rng: _scatter_rows(
             _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
-        )),
-        _marginal(_peaked_mass),
+        ), lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
+        Route(_peaked_mass, lambda spec, n: 24),
         params=("alpha", "k"), law=GammaLaw,
     ),
     "iqp": Family(
-        Route(lambda spec, n, count, rng: iqp_prob_values(n, count, rng), max_n=MAX_STATEVECTOR_QUBITS),
+        Route(lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
+              lambda spec, n: _iqp_bytes(n), MAX_STATEVECTOR_QUBITS),
         _DENSE_COLUMN,
     ),
     "peaked_iqp": Family(
         Route(lambda spec, n, count, rng: _scatter_rows(
             _peaked_iqp_masses(spec, n, count, rng), 1 << n, rng
-        ), max_n=MAX_STATEVECTOR_QUBITS),
-        Route(_peaked_iqp_mass, lambda n: 1 << 14, MAX_STATEVECTOR_QUBITS),
+        ), _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
+        # the log2(K)-qubit IQP, then its masses and the few numbers drawn after them
+        Route(_peaked_iqp_mass, lambda spec, n: _iqp_bytes(spec.support_size(n).bit_length() - 1) + 40,
+              MAX_STATEVECTOR_QUBITS),
         params=("k",),
     ),
     "mps": Family(
         Route(lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
-              max_n=MAX_STATEVECTOR_QUBITS),
+              _mps_bytes, MAX_STATEVECTOR_QUBITS),
         _DENSE_COLUMN,
         params=("chi",),
     ),
     # degenerate reference families, mainly for calibration runs
     "uniform": Family(
-        Route(lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n))),
-        _marginal(lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n))),
+        Route(lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n)),
+              lambda spec, n: 8 << n),
+        Route(lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n)), lambda spec, n: 8),
     ),
     "point": Family(
-        Route(_point_dense),
-        _marginal(lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float)),
+        Route(_point_dense, lambda spec, n: _float_bytes(1 << n, 16)),
+        Route(lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float),
+              lambda spec, n: 16),
     ),
 }
 
@@ -442,7 +505,7 @@ def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.nda
     if trials < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     masses = _collect(lambda rng, count: reference_mass_values(family, n, count, rng),
-                      trials, FAMILIES[family.kind].mass.chunk(n), stream)
+                      trials, FAMILIES[family.kind].mass.chunk(family, n), stream)
     if not np.isfinite(masses).all():  # a tail count would take NaN as a miss
         raise ValueError(f"domain error: {family.label()} at n={n} drew a non-finite mass")
     return masses
@@ -508,7 +571,7 @@ def pairwise_loss_values(
                 out[i] = l1 if metric == "l1" else 0.5 * l1
         return out
 
-    return _collect(draw, pairs, FAMILIES[family.kind].dense.chunk(n), stream)
+    return _collect(draw, pairs, FAMILIES[family.kind].dense.chunk(family, n), stream)
 
 
 def pairwise_loss_moments(
@@ -556,7 +619,7 @@ def diagonal_observable_variance(
     signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
     values = _collect(
         lambda rng, count: instance_prob_values(family, n, count, rng) @ signs,
-        trials, FAMILIES[family.kind].dense.chunk(n), stream,
+        trials, FAMILIES[family.kind].dense.chunk(family, n), stream,
     )
     positions = "".join(str(i + 1) for i in range(n) if (S.mask >> i) & 1)
     return _moment_report(f"z{positions}", values, None)
@@ -573,5 +636,5 @@ def distance_to_uniform_moments(
         diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)
         return np.einsum("ij,ij->i", diff, diff)
 
-    values = _collect(draw, trials, FAMILIES[family.kind].dense.chunk(n), stream)
+    values = _collect(draw, trials, FAMILIES[family.kind].dense.chunk(family, n), stream)
     return _moment_report("sd_to_uniform", values, None)

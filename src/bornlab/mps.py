@@ -35,6 +35,7 @@ sweep, are test oracles (tests/oracles.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,23 @@ def random_mps(n: int, chi: int, stream) -> MpsState:
 
 
 def _gaussian_tensors(n: int, chi: int, batch: tuple, rng) -> list[np.ndarray]:
-    """iid standard complex Gaussian site tensors, shapes batch + (D_{i-1}, 2, D_i)."""
+    """iid standard complex Gaussian site tensors, shapes batch + (D_{i-1}, 2, D_i).
+
+    One normal draw fills them all, in the order real 1, imaginary 1, real 2,
+    ...: the values a draw per part, site by site, would give.
+    """
     dims = bond_dims(n, chi)
     shapes = [batch + (dims[i], 2, dims[i + 1]) for i in range(n)]
-    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    sizes = [math.prod(s) for s in shapes]
+    normals = rng.standard_normal(2 * sum(sizes))
+    tensors, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        t = np.empty(shape, dtype=complex)
+        t.real = normals[start : start + size].reshape(shape)
+        t.imag = normals[start + size : start + 2 * size].reshape(shape)
+        tensors.append(t)
+        start += 2 * size
+    return tensors
 
 
 def _left_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:

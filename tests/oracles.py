@@ -27,7 +27,7 @@ from bornlab.bitmath import (
 from bornlab.circuits import all_weight_le2_masks
 from bornlab.families import ProductParams, product_prob_values
 from bornlab.metrics import KernelSpec, fourier_weights
-from bornlab.mps import MpsState
+from bornlab.mps import MpsState, bond_dims
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,13 @@ def pareto_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
 def normalized_rows(draws: np.ndarray) -> np.ndarray:
     """Rows divided by their totals into a new array."""
     return draws / draws.sum(axis=1)[:, None]
+
+
+def gaussian_tensors_by_site(n: int, chi: int, batch: tuple, rng: np.random.Generator) -> list[np.ndarray]:
+    """The 0.7.0 MPS site tensors: a real and an imaginary draw a site, joined as a + 1j b."""
+    dims = bond_dims(n, chi)
+    shapes = [batch + (dims[i], 2, dims[i + 1]) for i in range(n)]
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,46 @@ def test_pairwise_combos_share_draws_across_chunks():
     for row, combo in zip(values, combos):
         np.testing.assert_array_equal(row, pairwise_loss_values(spec, 12, [combo], 600, stream)[0])
     np.testing.assert_array_equal(values[0], values[4] / 2)
+
+
+# a chunk's traced peak may pass chunk * bytes_per_instance by this factor:
+# lab._float_bytes leaves to it the terms under a tenth of a float row
+MEMORY_SLACK = 1.1
+MEMORY_SPECS = [_spec(kind) for kind in FAMILIES] + [
+    FamilySpec("mps", chi=3), FamilySpec("mps", chi=64), FamilySpec("peaked", k=64),
+    FamilySpec("peaked_iqp", k=1), FamilySpec("peaked_iqp", k=64),
+]
+
+
+@pytest.mark.parametrize("spec", MEMORY_SPECS, ids=FamilySpec.label)
+def test_chunk_memory_is_bounded_before_allocation(spec):
+    # every route, every n up to 20: a chunk's draw holds at its peak no more
+    # than the bytes its size was derived from
+    for name in ("dense", "mass"):
+        route = getattr(FAMILIES[spec.kind], name)
+        for n in range(1, min(route.max_n, 20) + 1):
+            if spec.k is not None and spec.k > 1 << n:
+                continue
+            chunk = route.chunk(spec, n)
+            tracemalloc.start()
+            try:
+                route.draw(spec, n, chunk, np.random.default_rng(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= MEMORY_SLACK * chunk * route.bytes_per_instance(spec, n), (name, n, chunk, peak)
+
+
+def test_float_chunks_keep_their_size_where_small_terms_fit_the_slack():
+    # 2^20 outcomes a chunk from n = 8 on, as before the byte budget, and the
+    # closed-form marginals at the instance cap up to n = 15 (product forms)
+    for kind in ("product", "iqp_product", "dirichlet", "pareto", "peaked", "peaked_iqp", "uniform", "point"):
+        for n in range(8, FAMILIES[kind].dense.max_n + 1):
+            assert FAMILIES[kind].dense.chunk(_spec(kind), n) == max(1, (1 << 20) >> n), (kind, n)
+    for kind in ("product", "iqp_product", "dirichlet", "peaked", "uniform", "point"):
+        for n in range(1, 16):
+            assert FAMILIES[kind].mass.chunk(_spec(kind), n) == lab.MAX_CHUNK, (kind, n)
+    assert FAMILIES["product"].mass.chunk(_spec("product"), 24) == lab.CHUNK_BYTES // (8 * 25)
 
 
 def test_pairwise_validation():

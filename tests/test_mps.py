@@ -24,6 +24,7 @@ from bornlab.mps import (
 from oracles import (
     BitString,
     _sweep_amplitudes,
+    gaussian_tensors_by_site,
     mps_prob_vector,
     mps_probability,
     mps_state_vector,
@@ -155,6 +156,24 @@ def test_amplitudes_match_the_sweep(n):
         assert got.shape == ref.shape == (batch, 1 << n)
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale), (n, chi)
+
+
+def test_one_normal_draw_gives_the_per_site_tensors():
+    # one standard_normal call over every part equals a real and an imaginary
+    # call a site, bit for bit, and leaves the generator in the same state
+    for n in range(1, 17):
+        for chi in sorted({1, 3, n}):
+            for batch in ((), (3,), (64,)):
+                rng, expect_rng = np.random.default_rng(n), np.random.default_rng(n)
+                got = _gaussian_tensors(n, chi, batch, rng)
+                expect = gaussian_tensors_by_site(n, chi, batch, expect_rng)
+                assert len(got) == len(expect) == n
+                for g, e in zip(got, expect):
+                    assert g.shape == e.shape
+                    np.testing.assert_array_equal(g, e)
+                    assert np.array_equal(np.signbit(g.real), np.signbit(e.real))
+                    assert np.array_equal(np.signbit(g.imag), np.signbit(e.imag))
+                assert rng.bit_generator.state == expect_rng.bit_generator.state, (n, chi, batch)
 
 
 def test_batched_rows_hold_no_permuted_copy():
