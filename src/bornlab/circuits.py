@@ -61,13 +61,17 @@ def _phase_planes(masks: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     # u = e^(i theta), (G, batch), from the half-angle tangent t: cos theta =
     # (1 - t^2) / (1 + t^2) and sin theta = 2t / (1 + t^2). numpy has a
     # vectorized tan but computes exp(1j theta) through scalar cos and sin,
-    # so this costs a fraction of it.
+    # so this costs a fraction of it. The steps run in u's planes and in t,
+    # which then holds 1 + t^2, each rounding as the whole expression would.
     t = np.tan(0.5 * np.ascontiguousarray(thetas.T))
-    t2 = t * t
     u = np.empty(t.shape, dtype=complex)
-    np.divide(1.0 - t2, 1.0 + t2, out=u.real)
-    np.divide(2.0 * t, 1.0 + t2, out=u.imag)
-    uc = u.conj()
+    np.multiply(t, 2.0, out=u.imag)
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=u.real)
+    t += 1.0
+    u.real /= t
+    u.imag /= t
+    del t  # only u, 16 bytes a gate, lives through the products
     gate = {int(mask): column for column, mask in enumerate(masks)}
     f = np.empty((N, batch), dtype=complex)
     g = np.empty((max(1, N >> 1), batch), dtype=complex)
@@ -77,7 +81,7 @@ def _phase_planes(masks: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
         g[0] = u[gate[h]]
         for j in range(k):
             w, column = 1 << j, gate[h | 1 << j]
-            np.multiply(g[:w], uc[column], out=g[w : 2 * w])
+            np.multiply(g[:w], u[column].conj(), out=g[w : 2 * w])
             g[:w] *= u[column]
         np.conjugate(g[:h], out=f[h : 2 * h])
         f[h : 2 * h] *= f[:h]

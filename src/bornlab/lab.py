@@ -292,6 +292,16 @@ def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
     return w
 
 
+def _product_mass(spec, n, count, rng) -> np.ndarray:
+    # p(x*) of both product forms is a product of n uniform weights (iqp_product's
+    # are uniform by construction, see _iqp_product_weights), and minus its log
+    # is Gamma(n, 1) (Devroye 1986, IX.3): one draw an instance
+    g = rng.standard_gamma(n, count)
+    np.negative(g, out=g)
+    np.exp(g, out=g)
+    return g
+
+
 def _law_rows(spec: FamilySpec, K: int, count: int, rng) -> np.ndarray:
     """`count` normalized K-vectors of iid draws from the family's law."""
     return _normalized_rows(spec.underlying(), rng, (count, K))
@@ -356,8 +366,8 @@ def _scatter_bytes(K: int, N: int) -> int:
 
 def _iqp_bytes(n: int) -> int:
     """iqp_prob_values: the phasor product and the two real planes, 32 bytes
-    an outcome, and the angles, their tangents and phasors, 56 bytes a gate."""
-    return (32 << n) + 56 * (n * (n + 1) // 2)
+    an outcome, and the angles and their phasors, 24 bytes a gate."""
+    return (32 << n) + 24 * (n * (n + 1) // 2)
 
 
 def _mps_bytes(spec: FamilySpec, n: int) -> int:
@@ -371,6 +381,9 @@ def _peaked_iqp_bytes(spec: FamilySpec, n: int) -> int:
     K = spec.support_size(n)
     return max(_iqp_bytes(K.bit_length() - 1), _scatter_bytes(K, 1 << n))
 
+
+# product and iqp_product share their marginal, whose draw is 8 bytes an instance
+_PRODUCT_MASS = Route(_product_mass, lambda spec, n: 8)
 
 # iqp and mps have no closed-form marginal: p(x*) is column 0 of the dense draw
 _DENSE_COLUMN = Route(
@@ -388,15 +401,12 @@ FAMILIES = {
     "product": Family(
         Route(lambda spec, n, count, rng: product_prob_values(rng.random((count, n))),
               lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
-        # a product of n uniforms
-        Route(lambda spec, n, count, rng: np.prod(rng.random((count, n)), axis=1),
-              lambda spec, n: 8 * (n + 1)),
+        _PRODUCT_MASS,
     ),
     "iqp_product": Family(
         Route(lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng)),
               lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
-        Route(lambda spec, n, count, rng: np.prod(_iqp_product_weights(n, count, rng), axis=1),
-              lambda spec, n: 8 * (n + 1)),
+        _PRODUCT_MASS,
     ),
     "dirichlet": Family(
         Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),

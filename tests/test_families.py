@@ -18,6 +18,7 @@ from bornlab.lab import (
     _normalized_rows,
     _scatter_rows,
     instance_prob_values,
+    reference_mass_values,
 )
 from oracles import (
     gini_coefficient,
@@ -102,13 +103,14 @@ def test_random_product_instance_uniform_marginal():
 
 
 def test_random_product_instance_reference_mass_moments():
-    # E[p(0..0)] = 2^-n and E[p(0..0)^2] = 3^-n over random weight vectors
-    rng = RandomStream(4).child(0).generator
+    # E[p(0..0)] = 2^-n and E[p(0..0)^2] = 3^-n over random weight vectors,
+    # from the reference-mass route of both product forms
     n, T = 6, 200_000
-    mass = rng.random((T, n)).prod(axis=1)
-    for moment, target in ((mass, 2.0**-n), (mass**2, 3.0**-n)):
-        se = moment.std(ddof=1) / math.sqrt(T)
-        assert abs(moment.mean() - target) < 3 * se
+    for i, kind in enumerate(("product", "iqp_product")):
+        mass = reference_mass_values(FamilySpec(kind), n, T, RandomStream(4).child(i).generator)
+        for moment, target in ((mass, 2.0**-n), (mass**2, 3.0**-n)):
+            se = moment.std(ddof=1) / math.sqrt(T)
+            assert abs(moment.mean() - target) < 3 * se, kind
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +381,29 @@ def test_product_tail_exact_examples():
 
 
 def test_product_tail_matches_simulation():
-    # fixed seed: 95% Wilson CI per point, checked at the y = 1/2 abscissa
-    rng = RandomStream(14).child(0).generator
+    # fixed seed: 95% Wilson CI per point, checked at the y = 1/2 abscissa,
+    # on the reference-mass route of both product forms
     n, T = 4, 40_000
-    mass = rng.random((T, n)).prod(axis=1)
     y = 0.5
-    hits = int(np.sum(mass >= y / 2**n))
-    phat = hits / T
-    half = 1.96 * math.sqrt(phat * (1 - phat) / T)
-    assert abs(phat - product_tail_exact(n, y)) < half + 0.002
+    for i, kind in enumerate(("product", "iqp_product")):
+        mass = reference_mass_values(FamilySpec(kind), n, T, RandomStream(14).child(i).generator)
+        hits = int(np.sum(mass >= y / 2**n))
+        phat = hits / T
+        half = 1.96 * math.sqrt(phat * (1 - phat) / T)
+        assert abs(phat - product_tail_exact(n, y)) < half + 0.002, kind
+
+
+def test_product_mass_route_matches_both_weight_laws():
+    # the shared Gamma route against a product of n uniforms and against a
+    # product of iqp_product's weights, by two-sample KS at 2 * 10^4 draws
+    T = 20_000
+    for n in (1, 4, 12, 24):
+        stream = RandomStream(15).child(n)
+        route = reference_mass_values(FamilySpec("product"), n, T, stream.child(0).generator)
+        uniforms = stream.child(1).generator.random((T, n)).prod(axis=1)
+        weights = _iqp_product_weights(n, T, stream.child(2).generator).prod(axis=1)
+        for other in (uniforms, weights):
+            assert stats.ks_2samp(route, other).pvalue > 1e-3, n
 
 
 def test_product_tail_chernoff_dominates_exact():

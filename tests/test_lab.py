@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def test_tail_curve_product_matches_exact():
         curve = estimate_tail_curve(spec, n, [0.5], 20_000, RandomStream(10 + n))
         exact = product_tail_exact(n, 0.5)
         assert curve.ci_low[0] <= exact <= curve.ci_high[0]
+
+
+def test_product_mass_route_at_its_cap_matches_closed_forms():
+    # both product forms draw p(x*) from one route; at n = 24 and 26 each of
+    # six tail points holds at level 1 - 0.05/6, so all six hold together at
+    # 95%. The second moment 2^{2n} E[p^2] = (4/3)^n is checked at n = 4 and 8
+    # only: its true standard error at 10^5 trials passes the mean from n = 20 on
+    assert FAMILIES["iqp_product"].mass is FAMILIES["product"].mass
+    spec, z = FamilySpec("product"), NormalDist().inv_cdf(1 - 0.05 / 12)
+    for n in (24, 26):
+        curve = estimate_tail_curve(spec, n, [1e-3, 0.05, 1.9], 100_000, RandomStream(40).child(n))
+        for y, estimate in zip(curve.y_grid, curve.estimates):
+            lo, hi = wilson_interval(round(estimate * curve.trials), curve.trials, z)
+            assert lo <= product_tail_exact(n, y) <= hi, (n, y, lo, hi)
+    for n in (4, 8):
+        report = anticoncentration_statistic(spec, n, 100_000, RandomStream(41).child(n))
+        assert abs(report.second_moment_statistic - (4 / 3) ** n) < 3 * report.second_moment_se, n
 
 
 def test_tail_curve_dirichlet_half_threshold():
@@ -197,14 +215,17 @@ def test_chunk_memory_is_bounded_before_allocation(spec):
 
 def test_float_chunks_keep_their_size_where_small_terms_fit_the_slack():
     # 2^20 outcomes a chunk from n = 8 on, as before the byte budget, and the
-    # closed-form marginals at the instance cap up to n = 15 (product forms)
+    # closed-form marginals at the instance cap: up to n = 15, and the
+    # product forms' one Gamma draw an instance up to their cap
     for kind in ("product", "iqp_product", "dirichlet", "pareto", "peaked", "peaked_iqp", "uniform", "point"):
         for n in range(8, FAMILIES[kind].dense.max_n + 1):
             assert FAMILIES[kind].dense.chunk(_spec(kind), n) == max(1, (1 << 20) >> n), (kind, n)
-    for kind in ("product", "iqp_product", "dirichlet", "peaked", "uniform", "point"):
+    for kind in ("dirichlet", "peaked", "uniform", "point"):
         for n in range(1, 16):
             assert FAMILIES[kind].mass.chunk(_spec(kind), n) == lab.MAX_CHUNK, (kind, n)
-    assert FAMILIES["product"].mass.chunk(_spec("product"), 24) == lab.CHUNK_BYTES // (8 * 25)
+    for kind in ("product", "iqp_product"):
+        for n in range(1, FAMILIES[kind].mass.max_n + 1):
+            assert FAMILIES[kind].mass.chunk(_spec(kind), n) == lab.MAX_CHUNK, (kind, n)
 
 
 def test_pairwise_validation():
