@@ -219,15 +219,6 @@ class RandomStream:
         return RandomStream(self.master_seed, self.path + (int(index),))
 
 
-def as_generator(stream) -> np.random.Generator:
-    """Accept either a RandomStream or a raw numpy Generator."""
-    if isinstance(stream, RandomStream):
-        return stream.generator
-    if isinstance(stream, np.random.Generator):
-        return stream
-    raise TypeError(f"expected RandomStream or numpy Generator, got {type(stream)!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Outcomes drawn from one distribution instance, as uint64 indices."""

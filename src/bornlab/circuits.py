@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bitmath import ProbVector, SampleSet, as_generator, check_statevector_cap, fwht
+from .bitmath import ProbVector, RandomStream, SampleSet, check_statevector_cap, fwht
 
 
 def all_weight_le2_masks(n: int) -> np.ndarray:
@@ -117,9 +117,9 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sample_prob_vector(p: ProbVector, stream, count: int) -> SampleSet:
+def sample_prob_vector(p: ProbVector, stream: RandomStream, count: int) -> SampleSet:
     """Draw outcomes from any dense distribution by inverse CDF."""
-    rng = as_generator(stream)
+    rng = stream.generator
     cdf = np.cumsum(p.values)
     cdf[-1] = 1.0  # guard the last bin against rounding
     outcomes = np.searchsorted(cdf, rng.random(count), side="right")

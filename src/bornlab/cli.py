@@ -416,7 +416,7 @@ def load_configs(path: str) -> list[ExperimentConfig]:
         raise CliError(f"{path}: parse error: {e}") from e
     if not isinstance(record, dict):
         raise CliError(f"{path}: the top level must be a JSON object, not {type(record).__name__}")
-    version = record.get("version", __version__)
+    version = record.pop("version", __version__)  # popped: a bare config is passed on whole
     if version != __version__:
         raise CliError(f"{path}: written by bornlab {version}, not {__version__}; rows would differ")
     raw = record["configs"] if "configs" in record else [record]

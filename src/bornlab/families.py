@@ -15,8 +15,8 @@ Three analytic families over n-bit outcomes:
 * peaked: a pseudo-independent K-vector of masses scattered onto a uniformly
   random K-subset of the 2^n outcomes, zero elsewhere.
 
-This module keeps the batched product-family vectors, the product sampler
-and the underlying laws of the pseudo-independent and peaked constructions.
+This module keeps the batched product-family vectors and the underlying laws
+of the pseudo-independent and peaked constructions.
 The batched generator of every family kind is in lab.FAMILIES, whose entry
 also names the law a kind draws from and the parameters it reads. The
 closed-form tails and moment bounds these families satisfy are test oracles
@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bitmath import SampleSet, as_generator
 
 
 # ---------------------------------------------------------------------------
@@ -81,29 +79,6 @@ class ParetoLaw:
 
 
 # ---------------------------------------------------------------------------
-# parameter records
-
-
-@dataclass(frozen=True)
-class ProductParams:
-    """Bias vector a of a product distribution; p(x_i = 0) = a_i."""
-
-    a: tuple[float, ...]
-
-    def __post_init__(self):
-        a = tuple(float(v) for v in np.atleast_1d(np.asarray(self.a, dtype=float)))
-        if not a:
-            raise ValueError("a must be non-empty")
-        if any(not 0.0 <= v <= 1.0 for v in a):
-            raise ValueError("product weights must lie in [0, 1]")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-
-# ---------------------------------------------------------------------------
 # generators
 
 
@@ -119,13 +94,3 @@ def product_prob_values(a: np.ndarray) -> np.ndarray:
         np.multiply(p[:, :h], 1.0 - ai, out=p[:, h : 2 * h])
         p[:, :h] *= ai
     return p
-
-
-def sample_product(params: ProductParams, stream, count: int) -> SampleSet:
-    """Draw outcomes bit by bit; bit i is Bernoulli(1 - a_i)."""
-    rng = as_generator(stream)
-    a = np.asarray(params.a, dtype=float)
-    bits = rng.random((count, params.n)) >= a  # True -> x_i = 1
-    weights = (1 << np.arange(params.n, dtype=np.uint64))
-    outcomes = (bits.astype(np.uint64) * weights).sum(axis=1)
-    return SampleSet(params.n, outcomes)

@@ -2,9 +2,19 @@
 
 None of these is on a path that `bornlab.cli.main` takes: single-instance
 state vectors and probabilities, pairwise metrics of two distributions, the
-kernel double sum, and the closed-form tails and moment bounds that the
-families satisfy. They sit beside the tests so that src/bornlab holds only
-the production path, and so the command line never imports scipy.
+kernel double sum, the closed-form tails and moment bounds that the
+families satisfy, and the perfect samplers of single product and MPS
+instances. They sit beside the tests so that src/bornlab holds only the
+production path, and so the command line never imports scipy.
+
+The samplers draw exactly from |psi|^2 without forming it (Ferris & Vidal,
+PRB 85, 165146, 2012). A product instance draws its bits independently. A
+random MPS is brought to left-canonical form by a QR sweep; dropping the
+final 1x1 factor normalizes it exactly. With left-canonical tensors the
+accumulated left environment is the identity, so suffix marginals are exact
+inner products and sampling walks site n -> 1 drawing each bit from its
+exact conditional given the bits already fixed. One sample costs
+O(n chi^2).
 """
 
 from __future__ import annotations
@@ -18,20 +28,30 @@ from scipy import special
 from bornlab.bitmath import (
     MAX_DENSE_QUBITS,
     ProbVector,
+    RandomStream,
+    SampleSet,
     SubsetMask,
-    as_generator,
     check_statevector_cap,
     fwht,
     validate_prob_vector,
 )
 from bornlab.circuits import all_weight_le2_masks
-from bornlab.families import ProductParams, product_prob_values
+from bornlab.families import product_prob_values
 from bornlab.metrics import KernelSpec, fourier_weights
-from bornlab.mps import MpsState, bond_dims
+from bornlab.mps import _gaussian_tensors, bond_dims
 
 
 # ---------------------------------------------------------------------------
-# bit strings, and the kernel double sum's cap (from bitmath)
+# bit strings, raw generators, and the kernel double sum's cap (from bitmath)
+
+
+def as_generator(stream) -> np.random.Generator:
+    """Accept either a RandomStream or a raw numpy Generator."""
+    if isinstance(stream, RandomStream):
+        return stream.generator
+    if isinstance(stream, np.random.Generator):
+        return stream
+    raise TypeError(f"expected RandomStream or numpy Generator, got {type(stream)!r}")
 
 
 # the MMD^2 kernel double sum is O(4^n); past this, use the Fourier form
@@ -76,7 +96,37 @@ def fourier_character(S: SubsetMask, x: BitString) -> int:
 
 
 # ---------------------------------------------------------------------------
-# product-family vectors and the closed forms the families satisfy (from families)
+# product instances, their sampler, and the closed forms the families satisfy
+# (from families)
+
+
+@dataclass(frozen=True)
+class ProductParams:
+    """Bias vector a of a product distribution; p(x_i = 0) = a_i."""
+
+    a: tuple[float, ...]
+
+    def __post_init__(self):
+        a = tuple(float(v) for v in np.atleast_1d(np.asarray(self.a, dtype=float)))
+        if not a:
+            raise ValueError("a must be non-empty")
+        if any(not 0.0 <= v <= 1.0 for v in a):
+            raise ValueError("product weights must lie in [0, 1]")
+        object.__setattr__(self, "a", a)
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+
+def sample_product(params: ProductParams, stream, count: int) -> SampleSet:
+    """Draw outcomes bit by bit; bit i is Bernoulli(1 - a_i)."""
+    rng = as_generator(stream)
+    a = np.asarray(params.a, dtype=float)
+    bits = rng.random((count, params.n)) >= a  # True -> x_i = 1
+    weights = (1 << np.arange(params.n, dtype=np.uint64))
+    outcomes = (bits.astype(np.uint64) * weights).sum(axis=1)
+    return SampleSet(params.n, outcomes)
 
 
 def product_prob_vector(params: ProductParams) -> ProbVector:
@@ -348,8 +398,90 @@ def diagonal_pauli_expectation(p: ProbVector, S: SubsetMask) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single MPS states, contracted outcome by outcome or by one left-to-right
-# sweep (from mps)
+# single MPS states: canonical form and perfect sampling, and contraction
+# outcome by outcome or by one left-to-right sweep (from mps)
+
+
+@dataclass(frozen=True, eq=False)
+class MpsState:
+    """Left-canonical matrix product state."""
+
+    n: int
+    chi: int
+    tensors: tuple[np.ndarray, ...]
+    canonical: bool = False
+
+    def __post_init__(self):
+        if len(self.tensors) != self.n:
+            raise ValueError(f"expected {self.n} site tensors")
+        left = 1
+        for i, t in enumerate(self.tensors):
+            if t.ndim != 3 or t.shape[1] != 2:
+                raise ValueError(f"site {i + 1} tensor must be (left, 2, right)")
+            if t.shape[0] != left:
+                raise ValueError(f"site {i + 1} left dimension mismatch")
+            left = t.shape[2]
+        if left != 1:
+            raise ValueError("right boundary dimension must be 1")
+
+    @property
+    def bond_dimensions(self) -> tuple[int, ...]:
+        return tuple(t.shape[2] for t in self.tensors[:-1])
+
+
+def random_mps(n: int, chi: int, stream) -> MpsState:
+    """Random state: iid complex Gaussian tensors, left-canonicalized."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if chi < 1:
+        raise ValueError("bond dimension must be at least 1")
+    drawn = _gaussian_tensors(n, chi, 1, as_generator(stream))  # batch 1: the same normals
+    tensors = _left_canonicalize([t[0] for t in drawn])
+    return MpsState(n=n, chi=chi, tensors=tuple(tensors), canonical=True)
+
+
+def _left_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
+    """QR sweep absorbing the upper factor rightward; drops the final scalar.
+
+    The capped dimensions guarantee right <= 2 * left at every site, so the
+    reduced QR never shrinks a bond and all shapes are preserved.
+    """
+    out = list(tensors)
+    carry = None
+    for i, t in enumerate(out):
+        if carry is not None:
+            t = np.einsum("kd,dse->kse", carry, t)
+        dl, _, dr = t.shape
+        q, r = np.linalg.qr(t.reshape(dl * 2, dr))
+        out[i] = q.reshape(dl, 2, dr)
+        carry = r
+    return out
+
+
+def mps_sample(state: MpsState, stream, count: int) -> SampleSet:
+    """Perfect sampling: exact conditionals, site n down to 1.
+
+    Left-canonical form makes the suffix marginal of bits i..n equal to
+    |A_i[x_i] ... A_n[x_n]|^2, so each bit is drawn from its exact
+    conditional and the joint law is exactly |psi|^2.
+    """
+    if not state.canonical:
+        raise ValueError("perfect sampling requires a canonical state")
+    rng = as_generator(stream)
+    outcomes = np.zeros(count, dtype=np.uint64)
+    w = np.ones((count, 1), dtype=np.complex128)  # suffix vectors, unit norm
+    for i in range(state.n - 1, -1, -1):
+        t = state.tensors[i]
+        t0 = w @ t[:, 0, :].T
+        t1 = w @ t[:, 1, :].T
+        p1 = np.sum(np.abs(t1) ** 2, axis=1)
+        p0 = np.sum(np.abs(t0) ** 2, axis=1)
+        # p0 + p1 == |w|^2 == 1 up to rounding; normalize the coin explicitly
+        take1 = rng.random(count) < p1 / (p0 + p1)
+        outcomes |= take1.astype(np.uint64) << np.uint64(i)
+        w = np.where(take1[:, None], t1, t0)
+        w /= np.sqrt(np.where(take1, p1, p0))[:, None]
+    return SampleSet(state.n, outcomes)
 
 
 def mps_probability(state: MpsState, x: BitString) -> float:

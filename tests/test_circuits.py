@@ -11,10 +11,10 @@ from scipy import stats
 
 from bornlab.bitmath import ProbVector, RandomStream, SubsetMask, fwht
 from bornlab.circuits import all_weight_le2_masks, iqp_prob_values, sample_prob_vector
-from bornlab.families import ProductParams
 from bornlab.lab import FamilySpec, instance_prob_values
 from oracles import (
     IqpCircuit,
+    ProductParams,
     _phases,
     diagonal_pauli_expectation,
     iqp_prob_vector,

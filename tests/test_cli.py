@@ -783,6 +783,28 @@ def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     assert not again.exists()
 
 
+def test_bare_config_may_name_the_current_version(tmp_path, capsys):
+    record = {"experiment": "tails", "families": ["dirichlet"], "n_min": 1, "n_max": 3,
+              "trials": 100, "seed": 0}
+    outs = []
+    for name, extra in (("plain", {}), ("current", {"version": __version__})):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps({**record, **extra}))
+        assert run_cli(["run", "--config", cfg, "--workers", "1", "--out", out]) == 0
+        outs.append(out)
+    plain, current = outs
+    assert current.read_bytes() == plain.read_bytes()
+    assert (tmp_path / "current.csv.manifest.json").read_bytes() == (
+        tmp_path / "plain.csv.manifest.json").read_bytes()
+    old, out = tmp_path / "old.json", tmp_path / "old.csv"
+    old.write_text(json.dumps({**record, "version": "0.8.0"}))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", old, "--workers", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(old) in err and "0.8.0" in err and __version__ in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

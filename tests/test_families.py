@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 from bornlab.bitmath import RandomStream
 from bornlab.cli import parse_family
-from bornlab.families import GammaLaw, ParetoLaw, ProductParams, product_prob_values, sample_product
+from bornlab.families import GammaLaw, ParetoLaw, product_prob_values
 from bornlab.lab import (
     MAX_REDRAW_ROUNDS,
     FamilySpec,
@@ -21,6 +21,7 @@ from bornlab.lab import (
     reference_mass_values,
 )
 from oracles import (
+    ProductParams,
     gini_coefficient,
     hypergeometric_overlap_moments,
     iqp_product_weights,
@@ -34,6 +35,7 @@ from oracles import (
     product_tail_exact,
     pseudo_indep_anticoncentration_bound,
     random_product_instance,
+    sample_product,
     scatter_rows_by_ranked_keys,
 )
 

@@ -13,17 +13,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bornlab"
 
-# Samplers that no production path calls yet, each kept for the ROADMAP item
-# that will give it one (item 3: two-sample tests from perfect samplers).
-AWAITING_CALLER = {
-    "families.ProductParams": "ROADMAP item 3, the argument of sample_product",
-    "families.sample_product": "ROADMAP item 3, the product and iqp_product sampler",
-    "mps.MpsState": "ROADMAP item 3, the state that mps_sample walks",
-    "mps.random_mps": "ROADMAP item 3, the mps sampler's instances",
-    "mps._left_canonicalize": "ROADMAP item 3, the canonical form mps_sample needs",
-    "mps.mps_sample": "ROADMAP item 3, the mps sampler",
-}
-
 
 def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
     """Top-level name -> the statements that bind it."""
@@ -97,13 +86,10 @@ def unreached_names() -> list[str]:
 
 def test_src_holds_only_the_production_path():
     unreached = unreached_names()
-    test_only = [name for name in unreached if name not in AWAITING_CALLER]
-    assert not test_only, (
+    assert unreached == [], (
         "defined in src/bornlab but reached from no path out of cli.main "
-        f"(move test-only code to tests/oracles.py): {test_only}"
+        f"(move test-only code to tests/oracles.py): {unreached}"
     )
-    # a kept sampler that gains a caller leaves the exemption
-    assert unreached == sorted(AWAITING_CALLER)
 
 
 def test_cli_loads_no_scipy(tmp_path):
