@@ -89,7 +89,7 @@ def _phase_planes(masks: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     del g  # freed before the planes, so the peak stays at f and the planes
     parts = f.view(np.float64).reshape(N, batch, 2)
     planes = np.empty((2, batch, N))
-    step = max(1, _TRANSPOSE_BYTES // (16 * batch))
+    step = max(1, _TRANSPOSE_BYTES // (16 * max(1, batch)))
     for start in range(0, N, step):
         planes[:, :, start : start + step] = parts[start : start + step].transpose(2, 1, 0)
     return planes

@@ -373,19 +373,28 @@ def _cell_rows(cell) -> list[ExperimentRow]:
     ]
 
 
-def run_config(config: ExperimentConfig) -> list[ExperimentRow]:
-    """Execute one experiment across the family x n grid.
+def _config_rows(configs: list[ExperimentConfig]) -> list[list[ExperimentRow]]:
+    """Execute every config's family x n grid; the rows of each config.
 
-    Every (family, n) cell is one task of a single lab._parallel_map call, so
-    one worker pool serves the whole grid; a cell runs its chunks one after
-    another on one worker. Rows come back in cell order, family-major.
-    Streams fan out as seed -> family index -> n -> child(0) -> chunk (or
-    mmdtest repetition), and every metric and bandwidth of a cell scores that
-    one draw, so a row depends only on its (seed, family index, n, metric,
-    sigma), never on the worker count.
+    Every (family, n) cell of every config is one task of a single
+    lab._parallel_map call, so one worker pool serves the whole invocation,
+    with the largest worker count that any config asks for (a config that
+    names none asks for every usable CPU). A cell runs its chunks one after
+    another on one worker. Rows come back in cell order: config by config,
+    family-major. Streams fan out as seed -> family index -> n -> child(0)
+    -> chunk (or mmdtest repetition), and every metric and bandwidth of a
+    cell scores that one draw, so a row depends only on its (seed, family
+    index, n, metric, sigma), never on the worker count or the other configs.
     """
-    cells = [(config, f, n) for f in range(len(config.families)) for n in config.n_values]
-    return [row for rows in lab._parallel_map(_cell_rows, cells, config.workers) for row in rows]
+    grids = [[(c, f, n) for f in range(len(c.families)) for n in c.n_values] for c in configs]
+    workers = max(lab.usable_cpus() if c.workers is None else c.workers for c in configs)
+    results = iter(lab._parallel_map(_cell_rows, [cell for grid in grids for cell in grid], workers))
+    return [[row for _ in grid for row in next(results)] for grid in grids]
+
+
+def run_config(config: ExperimentConfig, *more: ExperimentConfig) -> list[ExperimentRow]:
+    """The rows of config and then of each of `more`, from one worker pool."""
+    return [row for rows in _config_rows([config, *more]) for row in rows]
 
 
 def write_outputs(configs: list[ExperimentConfig], rows: list[ExperimentRow], out: str):
@@ -498,7 +507,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $BORN_SEED or 0)")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="parallel workers (default: all cores; results do not depend on this)",
+        help="parallel workers (default: every usable CPU; results do not depend on this)",
     )
     parser.add_argument("--out", default=None, help="output CSV path")
 
@@ -581,10 +590,13 @@ def figure_configs(kind: str, trials: int, seed: int, workers) -> list[Experimen
     raise CliError(f"unknown figure {kind!r}")
 
 
-def _run_and_write(configs: list[ExperimentConfig], out: str) -> int:
-    rows = [row for c in configs for row in run_config(c)]
+def _write(configs: list[ExperimentConfig], rows: list[ExperimentRow], out: str):
     write_outputs(configs, rows, out)
     print(f"wrote {len(rows)} rows to {out}")
+
+
+def _run_and_write(configs: list[ExperimentConfig], out: str) -> int:
+    _write(configs, run_config(*configs), out)
     return 0
 
 
@@ -633,10 +645,15 @@ def cmd_figures(args) -> int:
     if args.out is not None and len(args.kinds) > 1:
         raise CliError(f"--out names one file, but {len(args.kinds)} kinds were given")
     seed = _resolve_seed(args.seed)
-    for kind in args.kinds:
-        out = args.out or f"{kind}.csv"
-        configs = figure_configs(kind, args.count, seed, args.workers)
-        _run_and_write([dataclasses.replace(c, out=out) for c in configs], out)
+    runs = [
+        [dataclasses.replace(c, out=args.out or f"{kind}.csv")
+         for c in figure_configs(kind, args.count, seed, args.workers)]
+        for kind in args.kinds
+    ]
+    # every kind's cells share one pool; each kind's rows go to its own file
+    rows = iter(_config_rows([c for configs in runs for c in configs]))
+    for configs in runs:
+        _write(configs, [row for _ in configs for row in next(rows)], configs[0].out)
     return 0
 
 

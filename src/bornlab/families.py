@@ -73,7 +73,11 @@ class ParetoLaw:
         # inverse CDF of the survival (1 + y)^(-alpha), in place on the draw
         u = rng.random(size)
         np.subtract(1.0, u, out=u)
-        u **= -1.0 / self.alpha
+        if self.alpha == 2.0:  # the figures' law: sqrt and reciprocal cost about 60 % of pow
+            np.sqrt(u, out=u)
+            np.reciprocal(u, out=u)
+        else:
+            u **= -1.0 / self.alpha
         u -= 1.0
         return u
 

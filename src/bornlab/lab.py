@@ -5,13 +5,15 @@ observable, distance to uniform; cli holds the sixth, mmdtest), all built on
 the same deterministic chunking: work is split into fixed-size chunks run one
 after another, chunk k draws from stream.child(k), and chunk results are
 concatenated in index order. The chunk size is a function of the family spec
-and n only. Parallelism lives one level up: cli.run_config hands the (family,
-n) cells of a config to one _parallel_map call, and each cell draws from its
-own stream, so results are bit-identical for a fixed (config, seed)
-regardless of the worker count. A pairwise chunk draws its pairs once and
-scores every requested (metric, sigma) combo on them, so a combo's values
-never depend on which other combos were asked for. A report holds statistics
-only: the caller knows which family and n it asked for.
+and n only. Parallelism lives one level up: cli hands every (family, n) cell
+of an invocation (each config of a `run --config` file, each kind of a
+`figures` call) to one _parallel_map call, in cell order, and each cell draws
+from its own stream, so results are bit-identical for a fixed (config, seed)
+regardless of the worker count or of the other configs run beside it. A
+pairwise chunk draws its pairs once and scores every requested (metric,
+sigma) combo on them, so a combo's values never depend on which other combos
+were asked for. A report holds statistics only: the caller knows which
+family and n it asked for.
 
 One byte budget sizes every chunk. Each Route states an upper bound on the
 bytes a draw holds at its peak, per instance, and a chunk is as many
@@ -23,9 +25,10 @@ twice CHUNK_BYTES for the float families, and less for IQP and MPS.
 FAMILIES is the one table of family kinds. Each entry holds two Routes with
 their own bytes per instance and n cap: `dense` draws a chunk of B instances
 as a (B, 2^n) array, `mass` their reference-outcome masses, from the kind's
-closed-form marginal where it has one. The entry also names the FamilySpec
-parameters its kind reads and its underlying law, from which FamilySpec
-builds its CSV label and refuses parameters the kind ignores.
+closed-form marginal where it has one. The sparse kinds draw that mass only
+for the instances whose support holds x*, a share of K/2^n. The entry also
+names the FamilySpec parameters its kind reads and its underlying law, from
+which FamilySpec builds its CSV label and refuses parameters the kind ignores.
 """
 
 from __future__ import annotations
@@ -314,13 +317,18 @@ def _pareto_mass(spec, n, count, rng) -> np.ndarray:
     return first / (first + rest)
 
 
+def _hits(spec, n, count, rng) -> np.ndarray:
+    """Which of `count` instances hold x* in their support: Bernoulli(K/N)."""
+    return rng.random(count) < spec.support_size(n) / (1 << n)
+
+
 def _peaked_mass(spec, n, count, rng) -> np.ndarray:
-    # Bernoulli(K/N) thinning of the Beta(a, a(K-1)) marginal of the K masses
-    K = spec.support_size(n)
-    hit = rng.random(count) < K / (1 << n)
-    if K == 1:
-        return hit.astype(float)
-    return np.where(hit, rng.beta(spec.alpha, spec.alpha * (K - 1), count), 0.0)
+    # Bernoulli(K/N) thinning of the Beta(a, a(K-1)) marginal of the K masses,
+    # drawn for the hits alone
+    K, hit = spec.support_size(n), _hits(spec, n, count, rng)
+    out = np.zeros(count)
+    out[hit] = 1.0 if K == 1 else rng.beta(spec.alpha, spec.alpha * (K - 1), np.count_nonzero(hit))
+    return out
 
 
 def _peaked_iqp_masses(spec, n, count, rng) -> np.ndarray:
@@ -329,11 +337,12 @@ def _peaked_iqp_masses(spec, n, count, rng) -> np.ndarray:
 
 
 def _peaked_iqp_mass(spec, n, count, rng) -> np.ndarray:
-    masses = _peaked_iqp_masses(spec, n, count, rng)
-    K = masses.shape[1]
-    hit = rng.random(count) < K / (1 << n)
-    pick = masses[np.arange(count), rng.integers(0, K, count)]
-    return np.where(hit, pick, 0.0)
+    # one of the K masses of an IQP instance, drawn for the hits alone
+    hit = _hits(spec, n, count, rng)
+    masses = _peaked_iqp_masses(spec, n, np.count_nonzero(hit), rng)
+    out = np.zeros(count)
+    out[hit] = masses[np.arange(len(masses)), rng.integers(0, masses.shape[1], len(masses))]
+    return out
 
 
 def _point_dense(spec, n, count, rng) -> np.ndarray:
@@ -426,7 +435,8 @@ FAMILIES = {
         Route(lambda spec, n, count, rng: _scatter_rows(
             _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
         ), lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
-        Route(_peaked_mass, lambda spec, n: 24),
+        # the hit mask, the output and a Beta variate a hit: 17 bytes where all hit
+        Route(_peaked_mass, lambda spec, n: 17),
         params=("alpha", "k"), law=GammaLaw,
     ),
     "iqp": Family(
@@ -438,8 +448,9 @@ FAMILIES = {
         Route(lambda spec, n, count, rng: _scatter_rows(
             _peaked_iqp_masses(spec, n, count, rng), 1 << n, rng
         ), _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
-        # the log2(K)-qubit IQP, then its masses and the few numbers drawn after them
-        Route(_peaked_iqp_mass, lambda spec, n: _iqp_bytes(spec.support_size(n).bit_length() - 1) + 40,
+        # the log2(K)-qubit IQP of every hit beside the 1-byte hit mask; the picks
+        # and the output after it hold less
+        Route(_peaked_iqp_mass, lambda spec, n: _iqp_bytes(spec.support_size(n).bit_length() - 1) + 1,
               MAX_STATEVECTOR_QUBITS),
         params=("k",),
     ),
@@ -477,9 +488,15 @@ def reference_mass_values(
     return FAMILIES[family.kind].mass.draw(family, n, count, rng)
 
 
-def _parallel_map(fn, tasks: list, workers: int | None) -> list:
-    if workers is None:
-        workers = os.cpu_count() or 1
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one (taskset, cgroup cpusets), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parallel_map(fn, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:

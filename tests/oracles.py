@@ -306,8 +306,11 @@ def iqp_product_weights(n: int, count: int, rng: np.random.Generator) -> np.ndar
 
 
 def pareto_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Shifted Pareto draws by the inverse survival, one temporary a step."""
+    """Shifted Pareto draws by the inverse survival, one temporary a step;
+    at alpha = 2, (1 - u)^(-1/2) is 1/sqrt(1 - u)."""
     u = rng.random(size)
+    if alpha == 2.0:
+        return 1.0 / np.sqrt(1.0 - u) - 1.0
     return (1.0 - u) ** (-1.0 / alpha) - 1.0
 
 

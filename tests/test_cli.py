@@ -103,8 +103,8 @@ def test_worker_count_does_not_change_bytes(tmp_path, experiment):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_one_config_opens_one_pool(tmp_path, monkeypatch):
-    # six cells of two chunks each: one Pool serves them all
+def _count_pools(monkeypatch) -> list:
+    """The worker counts of the Pools opened from here on, one entry a Pool."""
     opened = []
     pool = lab.multiprocessing.Pool
 
@@ -113,11 +113,57 @@ def test_one_config_opens_one_pool(tmp_path, monkeypatch):
         return pool(processes, *args, **kwargs)
 
     monkeypatch.setattr(lab.multiprocessing, "Pool", counting_pool)
+    return opened
+
+
+def test_one_config_opens_one_pool(tmp_path, monkeypatch):
+    # six cells of two chunks each: one Pool serves them all
+    opened = _count_pools(monkeypatch)
     out = tmp_path / "t.csv"
     assert run_cli(["tails", "--family", "product,dirichlet", "--n-min", "4", "--n-max", "6",
                     "--trials", "131072", "--workers", "2", "--out", out]) == 0
     assert opened == [2]
     assert len(read_rows(out)) == 2 * 3 * 10
+
+
+def test_one_invocation_opens_one_pool(tmp_path, monkeypatch):
+    # every config of a run --config file and every kind of a figures call
+    # share one Pool, and still write the bytes of a one-worker run
+    record = {"configs": [
+        dict(WORKER_CONFIGS["tails"], experiment="tails", seed=5),
+        dict(WORKER_CONFIGS["anticoncentration"], experiment="anticoncentration", seed=6),
+    ]}
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(record))
+    opened = _count_pools(monkeypatch)
+    for workers in (1, 2):
+        (tmp_path / str(workers)).mkdir()
+        monkeypatch.chdir(tmp_path / str(workers))
+        assert run_cli(["run", "--config", cfg, "--workers", workers, "--out", "run.csv"]) == 0
+        assert opened == [2] * (workers - 1)
+        assert run_cli(["figures", "fig2", "fig4", "--trials", "200", "--workers", workers]) == 0
+        assert opened == [2] * (2 * workers - 2)
+    for name in ("run.csv", "fig2.csv", "fig4.csv"):
+        for path in (name, name + ".manifest.json"):
+            one, two = (tmp_path / str(w) / path for w in (1, 2))
+            assert two.read_bytes() == one.read_bytes().replace(b'"workers": 1', b'"workers": 2'), path
+
+
+def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
+    # a process pinned to one CPU runs its cells in process, however many
+    # CPUs the machine has
+    opened = _count_pools(monkeypatch)
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: 3)
+    args = ["tails", "--family", "product,dirichlet", "--n-min", "4", "--n-max", "5",
+            "--trials", "200", "--out", tmp_path / "t.csv"]
+    assert run_cli(args) == 0
+    assert opened == []
+    # where the OS keeps no affinity mask, every CPU of the machine counts
+    monkeypatch.delattr(lab.os, "sched_getaffinity", raising=False)
+    assert lab.usable_cpus() == 3
+    assert run_cli(args) == 0
+    assert opened == [3]
 
 
 def test_manifest_round_trip_reproduces_run(tmp_path):
@@ -766,7 +812,7 @@ def test_metric_order_does_not_change_rows(tmp_path):
     assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
 
 
-@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0", "0.5.0", "0.7.0", "0.8.0"])
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0", "0.5.0", "0.7.0", "0.8.0", "0.9.0"])
 def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     first = tmp_path / "first.csv"
     run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",
@@ -797,11 +843,11 @@ def test_bare_config_may_name_the_current_version(tmp_path, capsys):
     assert (tmp_path / "current.csv.manifest.json").read_bytes() == (
         tmp_path / "plain.csv.manifest.json").read_bytes()
     old, out = tmp_path / "old.json", tmp_path / "old.csv"
-    old.write_text(json.dumps({**record, "version": "0.8.0"}))
+    old.write_text(json.dumps({**record, "version": "0.9.0"}))
     capsys.readouterr()
     assert run_cli(["run", "--config", old, "--workers", "1", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert str(old) in err and "0.8.0" in err and __version__ in err
+    assert str(old) in err and "0.9.0" in err and __version__ in err
     assert not out.exists()
 
 

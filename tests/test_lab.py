@@ -66,6 +66,41 @@ def test_reference_masses_match_dense_law():
         assert stats.ks_2samp(fast, dense).pvalue > 1e-3, kind
 
 
+class _CountingGenerator:
+    """A numpy Generator that records the size of every draw it is asked for."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.sizes.append((name, np.size(out)))
+            return out
+
+        return draw
+
+
+@pytest.mark.parametrize("kind, n", [("peaked", 2), ("peaked", 6), ("peaked", 20),
+                                     ("peaked_iqp", 3), ("peaked_iqp", 8)])
+def test_sparse_masses_are_drawn_for_the_hits_alone(kind, n):
+    # x* lies in an instance's support with probability K/2^n, and only those
+    # instances draw a Beta variate, or run an IQP and pick one of its masses
+    rng = _CountingGenerator(n)
+    masses = reference_mass_values(FamilySpec(kind), n, 5000, rng)
+    hits = int(np.count_nonzero(masses))
+    assert rng.sizes[0] == ("random", 5000)
+    if kind == "peaked":
+        assert rng.sizes[1:] == [("beta", hits)]
+    else:
+        qubits = FamilySpec(kind).support_size(n).bit_length() - 1
+        gates = qubits * (qubits + 1) // 2
+        assert rng.sizes[1:] == [("uniform", hits * gates), ("integers", hits)]
+    assert 0 < hits < 5000 or n == 20
+
+
 def test_tail_curve_product_matches_exact():
     spec = FamilySpec("product")
     for n in (4, 8):
