@@ -269,6 +269,7 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     threshold = mmd_test_threshold(samples, samples, alpha)
     counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
     for rep in range(trials):
+        lab.check_fan_out()
         rep_stream = stream.child(rep)
         masses = lab.instance_prob_values(family, n, 2, rep_stream.child(0).generator)
         p = validate_prob_vector(masses[0], n)
@@ -358,7 +359,7 @@ EXPERIMENTS = {
 
 
 def _cell_rows(cell) -> list[ExperimentRow]:
-    """Rows of one (config, family index, n) cell; module level so it pickles.
+    """Rows of one (config, family index, n) cell.
 
     The one place a cell's stream is derived and a row is built; the row
     builders draw from the stream they are given.

@@ -7,7 +7,8 @@ after another, chunk k draws from stream.child(k), and chunk results are
 concatenated in index order. The chunk size is a function of the family spec
 and n only. Parallelism lives one level up: cli hands every (family, n) cell
 of an invocation (each config of a `run --config` file, each kind of a
-`figures` call) to one _parallel_map call, in cell order, and each cell draws
+`figures` call) to one _parallel_map call, in cell order, whose workers are
+threads of this process (the draws release the GIL), and each cell draws
 from its own stream, so results are bit-identical for a fixed (config, seed)
 regardless of the worker count or of the other configs run beside it. A
 pairwise chunk draws its pairs once and scores every requested (metric,
@@ -20,7 +21,9 @@ bytes a draw holds at its peak, per instance, and a chunk is as many
 instances as CHUNK_BYTES holds (at most MAX_CHUNK), so memory is bounded
 before it is allocated. A pairwise chunk holds two draws at once, then
 their difference and the metrics' temporaries: its traced peak is about
-twice CHUNK_BYTES for the float families, and less for IQP and MPS.
+twice CHUNK_BYTES for the float families, and less for IQP and MPS. The
+workers' chunks share one process, so a fan-out holds at most about
+workers times the largest chunk's peak.
 
 FAMILIES is the one table of family kinds. Each entry holds two Routes with
 their own bytes per instance and n cap: `dense` draws a chunk of B instances
@@ -35,9 +38,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import os
+import threading
 from collections.abc import Callable
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,9 +315,17 @@ def _law_rows(spec: FamilySpec, K: int, count: int, rng) -> np.ndarray:
 
 
 def _pareto_mass(spec, n, count, rng) -> np.ndarray:
+    # the other N - 1 draws of an instance are drawn and summed in blocks of
+    # whole rows, at most MAX_CHUNK draws where a row is shorter: the pool's
+    # threads share one process. The blocks draw and sum as one
+    # (count, N - 1) array would, bit for bit.
     law, N = spec.underlying(), 1 << n
     first = law.sample(rng, count)
-    rest = law.sample(rng, (count, N - 1)).sum(axis=1) if N > 1 else 0.0
+    rest = np.zeros(count)
+    if N > 1:
+        rows = max(1, MAX_CHUNK // (N - 1))
+        for i in range(0, count, rows):
+            law.sample(rng, (min(rows, count - i), N - 1)).sum(axis=1, out=rest[i:i + rows])
     return first / (first + rest)
 
 
@@ -496,13 +508,51 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class FanOutStopped(Exception):
+    """Raised in a cell at its next chunk once another cell of its fan-out failed."""
+
+
+# the stop Event of the fan-out whose pool this thread serves; unset outside a pool
+_pool_thread = threading.local()
+
+
+def check_fan_out() -> None:
+    """Raise FanOutStopped where another cell of this thread's fan-out has
+    failed; a cell calls it between chunks, the points where it may stop."""
+    stop = getattr(_pool_thread, "stop", None)
+    if stop is not None and stop.is_set():
+        raise FanOutStopped("another cell of the fan-out failed")
+
+
+def _serve(stop: threading.Event) -> None:
+    _pool_thread.stop = stop
+
+
 def _parallel_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], on a pool of min(workers, len(tasks)) threads.
+
+    The draws release the GIL, so threads of one process overlap the cells
+    without copying an interpreter per worker. Cells are few, coarse and
+    unequal in cost: they are handed out one at a time in task order and
+    collected in order. The first failing cell ends the fan-out at once:
+    cells not yet started are cancelled, running cells stop at their next
+    chunk (check_fan_out), and its own error is raised.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-        # cells are few, coarse and unequal in cost: hand them out one at a time,
-        # collected in order, so the first failing cell ends the Pool at once
-        return list(pool.imap(fn, tasks, chunksize=1))
+    stop = threading.Event()
+    with ThreadPoolExecutor(min(workers, len(tasks)), initializer=_serve, initargs=(stop,)) as pool:
+        futures = [pool.submit(fn, t) for t in tasks]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for f in futures:  # the earliest failed cell in cell order, if any
+                if f.done() and f.exception() is not None:
+                    raise f.exception()
+        except BaseException:
+            stop.set()
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [f.result() for f in futures]
 
 
 def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
@@ -510,9 +560,11 @@ def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
-    return np.concatenate(
-        [draw(stream.child(k).generator, size) for k, size in enumerate(sizes)], axis=-1
-    )
+    parts = []
+    for k, size in enumerate(sizes):
+        check_fan_out()
+        parts.append(draw(stream.child(k).generator, size))
+    return np.concatenate(parts, axis=-1)
 
 
 def _moment_report(metric: str, values: np.ndarray, sigma: float | None) -> MomentReport:

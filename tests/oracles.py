@@ -314,6 +314,15 @@ def pareto_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     return (1.0 - u) ** (-1.0 / alpha) - 1.0
 
 
+def pareto_mass_one_array(law, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """p(x*) of `count` Pareto instances, the other 2^n - 1 draws of each
+    taken as one (count, 2^n - 1) array and summed by rows."""
+    N = 1 << n
+    first = law.sample(rng, count)
+    rest = law.sample(rng, (count, N - 1)).sum(axis=1) if N > 1 else 0.0
+    return first / (first + rest)
+
+
 def normalized_rows(draws: np.ndarray) -> np.ndarray:
     """Rows divided by their totals into a new array."""
     return draws / draws.sum(axis=1)[:, None]

@@ -9,11 +9,15 @@ import csv
 import dataclasses
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bornlab import __version__, lab
+from bornlab.bitmath import RandomStream
 from bornlab.cli import (
     CSV_HEADER,
     DESK_TRIALS,
@@ -22,6 +26,7 @@ from bornlab.cli import (
     CliError,
     ExperimentConfig,
     ExperimentRow,
+    _mmdtest_rejection_rates,
     build_parser,
     figure_configs,
     main,
@@ -30,7 +35,7 @@ from bornlab.cli import (
     rows_to_csv,
     run_config,
 )
-from bornlab.lab import FAMILIES, wilson_interval
+from bornlab.lab import FAMILIES, FamilySpec, wilson_interval
 
 
 def run_cli(args):
@@ -104,15 +109,15 @@ def test_worker_count_does_not_change_bytes(tmp_path, experiment):
 
 
 def _count_pools(monkeypatch) -> list:
-    """The worker counts of the Pools opened from here on, one entry a Pool."""
+    """The worker counts of the thread pools opened from here on, one entry a pool."""
     opened = []
-    pool = lab.multiprocessing.Pool
+    pool = lab.ThreadPoolExecutor
 
-    def counting_pool(processes=None, *args, **kwargs):
-        opened.append(processes)
-        return pool(processes, *args, **kwargs)
+    def counting_pool(max_workers=None, *args, **kwargs):
+        opened.append(max_workers)
+        return pool(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(lab.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", counting_pool)
     return opened
 
 
@@ -164,6 +169,54 @@ def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
     assert lab.usable_cpus() == 3
     assert run_cli(args) == 0
     assert opened == [3]
+
+
+def test_more_pool_threads_than_cores_keep_the_bytes(tmp_path, monkeypatch):
+    # the cells share one process: with more threads than cores, switching
+    # between them as often as the interpreter allows, every row still comes
+    # from its own cell's stream and lands in its cell's place
+    record = {"configs": [dict(WORKER_CONFIGS[e], experiment=e, seed=7)
+                          for e in ("tails", "pairwise", "mmdtest", "anticoncentration")]}
+    cfg = tmp_path / "four.json"
+    cfg.write_text(json.dumps(record))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "--config", cfg, "--workers", 1, "--out", "one.csv"]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_cli(["run", "--config", cfg, "--workers", lab.usable_cpus() + 2, "--out", "many.csv"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_repetitions(monkeypatch):
+    stop = threading.Event()
+    stop.set()
+    monkeypatch.setattr(lab._pool_thread, "stop", stop, raising=False)
+    with pytest.raises(lab.FanOutStopped):
+        _mmdtest_rejection_rates(FamilySpec("dirichlet"), 3, [1.0], 0.05, 30, 3, RandomStream(0))
+
+
+def test_fan_out_memory_is_bounded_before_allocation_across_threads():
+    # both workers' chunks live in this process, and tracemalloc traces every
+    # thread: a Pareto mass cell (256-instance chunks of 8 MiB bound) beside a
+    # product tail cell (two 2^16-instance chunks) stay within the bound of two chunks
+    configs = [
+        ExperimentConfig(experiment="anticoncentration", families=("pareto:alpha=2",),
+                         n_min=12, n_max=12, trials=2048, seed=3, workers=2),
+        ExperimentConfig(experiment="tails", families=("product",),
+                         n_min=12, n_max=12, trials=1 << 17, seed=3, workers=2),
+    ]
+    routes = [(FAMILIES[spec.kind].mass, spec) for spec in map(parse_family, ("pareto:alpha=2", "product"))]
+    bound = max(route.chunk(spec, 12) * route.bytes_per_instance(spec, 12) for route, spec in routes)
+    tracemalloc.start()
+    try:
+        run_config(*configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 2 * bound, (peak, bound)
 
 
 def test_manifest_round_trip_reproduces_run(tmp_path):

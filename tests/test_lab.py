@@ -24,7 +24,7 @@ from bornlab.lab import (
     reference_mass_values,
     wilson_interval,
 )
-from oracles import porter_thomas_survival, product_tail_exact
+from oracles import pareto_mass_one_array, porter_thomas_survival, product_tail_exact
 
 STREAM = RandomStream(424242)
 
@@ -411,17 +411,55 @@ def test_sd_and_fourier_sd_decay_slopes_agree():
     assert abs(sd_slope - mmd_slope) < 0.2 * abs(sd_slope)
 
 
-def _fail_first(task):
+# a slow cell draws 3000 chunks of 10 ms, 30 s in all
+SLOW_CHUNKS = 3000
+
+
+def _fail_first(task, drawn):
     if task == 0:
+        time.sleep(0.2)  # the slow cell beside it is past its first chunks
         raise ValueError("cell 0 failed")
-    time.sleep(30)
-    return task
+
+    def draw(rng, count):
+        drawn.append(task)
+        time.sleep(0.01)
+        return np.zeros(count)
+
+    return lab._collect(draw, SLOW_CHUNKS, 1, RandomStream(task))
 
 
 def test_parallel_map_raises_at_the_first_failing_cell():
-    # the other cells would take 30 s each; the first one's error must end
-    # the Pool instead of waiting for them
+    # the first cell's error must end the fan-out instead of waiting for the
+    # others: the cells not started never run, the running ones stop at
+    # their next chunk
+    drawn = []
     start = time.perf_counter()
     with pytest.raises(ValueError, match="cell 0 failed"):
-        _parallel_map(_fail_first, [0, 1, 2, 3], workers=2)
+        _parallel_map(lambda task: _fail_first(task, drawn), [0, 1, 2, 3], workers=2)
     assert time.perf_counter() - start < 10
+    assert 1 in drawn
+    assert len(drawn) < SLOW_CHUNKS // 10
+
+
+def test_a_failed_fan_out_leaves_the_next_one_running():
+    with pytest.raises(ValueError):
+        _parallel_map(lambda task: _fail_first(task, []), [0, 0], workers=2)
+    sums = _parallel_map(
+        lambda total: lab._collect(lambda rng, count: np.ones(count), total, 2, RandomStream(total)).sum(),
+        [3, 4, 5], workers=2,
+    )
+    assert sums == [3, 4, 5]
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_pareto_mass_blocks_match_one_array(n):
+    # the row blocks draw and sum as one (count, 2^n - 1) array would, bit
+    # for bit, at counts that fill three whole blocks and that do not
+    rows = max(1, lab.MAX_CHUNK // ((1 << n) - 1))
+    for alpha in (1.5, 2.0, 3.0):
+        spec = FamilySpec("pareto", alpha=alpha)
+        for count in (1, 7, 3 * rows, 3 * rows + 5):
+            np.testing.assert_array_equal(
+                lab._pareto_mass(spec, n, count, np.random.Generator(np.random.Philox(n))),
+                pareto_mass_one_array(spec.underlying(), n, count, np.random.Generator(np.random.Philox(n))),
+            )
