@@ -8,9 +8,9 @@ concatenated in index order. The chunk size is a function of the family spec
 and n only. Parallelism lives one level up: cli hands every (family, n) cell
 of an invocation (each config of a `run --config` file, each kind of a
 `figures` call) to one _parallel_map call, in cell order, whose workers are
-threads of this process (the draws release the GIL), and each cell draws
-from its own stream, so results are bit-identical for a fixed (config, seed)
-regardless of the worker count or of the other configs run beside it. A
+threads of this process, and each cell draws from its own stream, so
+results are bit-identical for a fixed (config, seed) regardless of the
+worker count or of the other configs run beside it. A
 pairwise chunk draws its pairs once and scores every requested (metric,
 sigma) combo on them, so a combo's values never depend on which other combos
 were asked for. A report holds statistics only: the caller knows which
@@ -531,8 +531,11 @@ def _serve(stop: threading.Event) -> None:
 def _parallel_map(fn, tasks: list, workers: int) -> list:
     """[fn(t) for t in tasks], on a pool of min(workers, len(tasks)) threads.
 
-    The draws release the GIL, so threads of one process overlap the cells
-    without copying an interpreter per worker. Cells are few, coarse and
+    Cells whose time goes into large draws and array operations overlap,
+    since those release the GIL, without copying an interpreter per worker.
+    Cells whose time goes into many small numpy calls (mmdtest's
+    repetitions) hold the GIL: their threads take turns, and run slower
+    than one worker would. Cells are few, coarse and
     unequal in cost: they are handed out one at a time in task order and
     collected in order. The first failing cell ends the fan-out at once:
     cells not yet started are cancelled, running cells stop at their next

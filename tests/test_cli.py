@@ -100,12 +100,21 @@ WORKER_CONFIGS = {
 
 @pytest.mark.parametrize("experiment", list(WORKER_CONFIGS))
 def test_worker_count_does_not_change_bytes(tmp_path, experiment):
+    # the cells share one process: with more threads than cores, switching
+    # between them as often as the interpreter allows, every row still comes
+    # from its own cell's stream and lands in its cell's place
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(WORKER_CONFIGS[experiment], experiment=experiment, seed=11)))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert run_cli(["run", "--config", cfg_path, "--workers", "1", "--out", a]) == 0
     assert run_cli(["run", "--config", cfg_path, "--workers", "2", "--out", b]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_cli(["run", "--config", cfg_path, "--workers", lab.usable_cpus() + 2, "--out", c]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def _count_pools(monkeypatch) -> list:
@@ -171,25 +180,6 @@ def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
     assert opened == [3]
 
 
-def test_more_pool_threads_than_cores_keep_the_bytes(tmp_path, monkeypatch):
-    # the cells share one process: with more threads than cores, switching
-    # between them as often as the interpreter allows, every row still comes
-    # from its own cell's stream and lands in its cell's place
-    record = {"configs": [dict(WORKER_CONFIGS[e], experiment=e, seed=7)
-                          for e in ("tails", "pairwise", "mmdtest", "anticoncentration")]}
-    cfg = tmp_path / "four.json"
-    cfg.write_text(json.dumps(record))
-    monkeypatch.chdir(tmp_path)
-    assert run_cli(["run", "--config", cfg, "--workers", 1, "--out", "one.csv"]) == 0
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run_cli(["run", "--config", cfg, "--workers", lab.usable_cpus() + 2, "--out", "many.csv"]) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-
-
 def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_repetitions(monkeypatch):
     stop = threading.Event()
     stop.set()
@@ -198,25 +188,43 @@ def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_repetitions(monkeypatch)
         _mmdtest_rejection_rates(FamilySpec("dirichlet"), 3, [1.0], 0.05, 30, 3, RandomStream(0))
 
 
+def _traced_peak(*configs: ExperimentConfig) -> int:
+    """The tracemalloc peak of run_config(*configs), over every thread."""
+    tracemalloc.start()
+    try:
+        run_config(*configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a Pareto mass cell at n = 12: 8 chunks of 256 instances, each of 2^12 draws
+PARETO_CELL = ExperimentConfig(experiment="anticoncentration", families=("pareto:alpha=2",),
+                               n_min=12, n_max=12, trials=2048, seed=3)
+
+
 def test_fan_out_memory_is_bounded_before_allocation_across_threads():
     # both workers' chunks live in this process, and tracemalloc traces every
-    # thread: a Pareto mass cell (256-instance chunks of 8 MiB bound) beside a
-    # product tail cell (two 2^16-instance chunks) stay within the bound of two chunks
+    # thread: the Pareto mass cell beside a product tail cell (two
+    # 2^16-instance chunks) stays within the bound of two chunks
     configs = [
-        ExperimentConfig(experiment="anticoncentration", families=("pareto:alpha=2",),
-                         n_min=12, n_max=12, trials=2048, seed=3, workers=2),
+        dataclasses.replace(PARETO_CELL, workers=2),
         ExperimentConfig(experiment="tails", families=("product",),
                          n_min=12, n_max=12, trials=1 << 17, seed=3, workers=2),
     ]
     routes = [(FAMILIES[spec.kind].mass, spec) for spec in map(parse_family, ("pareto:alpha=2", "product"))]
     bound = max(route.chunk(spec, 12) * route.bytes_per_instance(spec, 12) for route, spec in routes)
-    tracemalloc.start()
-    try:
-        run_config(*configs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(*configs)
     assert peak < 1.1 * 2 * bound, (peak, bound)
+
+
+def test_a_pareto_mass_chunk_holds_one_row_block():
+    # the route's bound is 8 bytes for each of an instance's 2^12 draws, 8 MiB
+    # a chunk, but the draws are summed in row blocks of at most MAX_CHUNK
+    # draws (16 rows of 4095 here): one block and half a block of slack
+    # bound the cell, where the one-array sum would hold the whole 8 MiB
+    peak = _traced_peak(PARETO_CELL)
+    assert peak < 1.5 * 8 * lab.MAX_CHUNK, peak
 
 
 def test_manifest_round_trip_reproduces_run(tmp_path):
