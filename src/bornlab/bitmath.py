@@ -83,10 +83,11 @@ class SubsetMask:
 
 @dataclass(frozen=True, eq=False)
 class ProbVector:
-    """A distribution over {0,1}^n as a dense vector of 2^n masses.
+    """A distribution over {0,1}^n as a dense vector of 2^n masses, or a
+    block of such distributions as the rows of a (B, 2^n) array.
 
     Construct through validate_prob_vector so the invariants (entries >= 0,
-    sum within NORMALIZATION_ATOL of 1) are actually checked.
+    each row's sum within NORMALIZATION_ATOL of 1) are actually checked.
     """
 
     n: int
@@ -98,24 +99,26 @@ class ProbVector:
 
 
 def validate_prob_vector(values, n: int) -> ProbVector:
-    """Check and wrap a candidate probability vector.
+    """Check and wrap a candidate probability vector, or a block of them as
+    the rows of a 2-D array, checked in one pass.
 
     Raises ValueError naming the failed check: length mismatch, a negative
-    entry (domain error), or the sum drifting from 1 beyond the tolerance
-    (normalization error).
+    entry (domain error), or a sum drifting from 1 beyond the tolerance
+    (normalization error, naming the first such row's sum).
     """
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_DENSE_QUBITS}], got {n}")
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != (1 << n):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != (1 << n):
         raise ValueError(
             f"dimension error: expected {1 << n} entries for n={n}, got shape {arr.shape}"
         )
     if np.any(arr < 0.0):
         raise ValueError("domain error: negative probability entry")
-    total = float(arr.sum())
-    if not np.isfinite(total) or abs(total - 1.0) > NORMALIZATION_ATOL:
-        raise ValueError(f"normalization error: sum(p) = {total!r}")
+    totals = arr.sum(axis=-1, keepdims=True)
+    bad = ~(np.abs(totals - 1.0) <= NORMALIZATION_ATOL)  # a NaN or infinite sum fails too
+    if bad.any():
+        raise ValueError(f"normalization error: sum(p) = {float(totals[bad][0])!r}")
     arr = arr.copy()
     arr.flags.writeable = False
     return ProbVector(n=n, values=arr)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bitmath import ProbVector, RandomStream, SampleSet, check_statevector_cap, fwht
+from .bitmath import ProbVector, check_statevector_cap, fwht
 
 
 def all_weight_le2_masks(n: int) -> np.ndarray:
@@ -117,10 +117,27 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sample_prob_vector(p: ProbVector, stream: RandomStream, count: int) -> SampleSet:
-    """Draw outcomes from any dense distribution by inverse CDF."""
-    rng = stream.generator
-    cdf = np.cumsum(p.values)
-    cdf[-1] = 1.0  # guard the last bin against rounding
-    outcomes = np.searchsorted(cdf, rng.random(count), side="right")
-    return SampleSet(p.n, outcomes.astype(np.uint64))
+def sample_prob_vector(p: ProbVector, uniforms: np.ndarray, rows=None) -> np.ndarray:
+    """Outcomes of a dense distribution, or of a block of them, by inverse CDF.
+
+    Each uniform u in [0, 1) draws the outcome whose CDF interval holds it,
+    from p's one row, or from row rows[i] of p's block for uniforms[i] (a
+    row of draws). Returns uint64 outcomes, flat in the uniforms' C order.
+
+    The CDFs come from one cumsum over the block, and every row's entries
+    from its last positive mass on are set to 1, so a uniform in the gap
+    that rounding leaves below 1 draws that last positive outcome, never a
+    mass-0 one after it. Each row of uniforms is one searchsorted in its
+    row of the CDFs, which stays in cache.
+    """
+    values = np.atleast_2d(p.values)
+    N = values.shape[1]
+    cdf = np.cumsum(values, axis=1)
+    last = N - 1 - np.argmax(values[:, ::-1] > 0.0, axis=1)
+    cdf[np.arange(N) >= last[:, None]] = 1.0
+    uniforms = np.atleast_2d(uniforms)
+    rows = np.zeros(len(uniforms), dtype=int) if rows is None else rows
+    outcomes = np.empty(uniforms.shape, dtype=np.uint64)
+    for out, row, u in zip(outcomes, rows, uniforms):
+        out[...] = np.searchsorted(cdf[row], u, side="right")
+    return outcomes.ravel()

@@ -52,7 +52,7 @@ from .lab import (
     estimate_tail_curve,
     pairwise_loss_moments,
 )
-from .metrics import bandwidth_kernel, mmd2_unbiased, mmd_test_threshold
+from .metrics import bandwidth_kernel, mmd2_unbiased, mmd2_unbiased_pairs, mmd_test_threshold
 
 CSV_HEADER = "experiment,family,n,metric,sigma,statistic,value,stderr,trials,seed"
 
@@ -255,6 +255,24 @@ def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, fl
     return combos
 
 
+# What an mmdtest repetition holds at its peak, which sizes a cell's blocks:
+# per outcome, the transforms of its three histograms and its two pairs
+# gathered for the Gram product (56 bytes), more than its two instances hold
+# while they are validated and turned into CDFs (36); per sample of its three
+# sets, the uniform and the outcome, or the outcome and its histogram key
+# (16); beside these, the draw of its two instances and the kernels'
+# weights, counted in every repetition though a block holds them once
+_MMDTEST_BYTES_PER_OUTCOME = 56
+_MMDTEST_BYTES_PER_SAMPLE = 3 * 16
+
+
+def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int, kernels: int) -> int:
+    """An upper bound on the bytes an mmdtest repetition holds at its peak."""
+    draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
+    weights = kernels * (8 << n)
+    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw + weights
+
+
 def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
     """Monte Carlo rejection rates of the two-sample test within one family,
     shape (len(sigmas), 2): the null's rate, then the alternative's.
@@ -264,23 +282,39 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     sets from p (the null) and once with one set from each (family-typical
     alternative). Concentrated families are expected to show near-zero power
     here; that is the behavior being measured.
+
+    Repetitions run in blocks of as many as lab.CHUNK_BYTES holds at
+    _mmdtest_rep_bytes each (at least one). Each repetition draws its
+    instances from rep_stream.child(0) and its three sets' uniforms from
+    children 1..3; the block's instances are then validated, sampled and
+    scored together, each estimate bit for bit that of the repetition alone.
     """
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
+    score = mmd2_unbiased_pairs(n, samples, specs)
+    block = max(1, lab.CHUNK_BYTES // _mmdtest_rep_bytes(family, n, samples, len(specs)))
     counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
-    for rep in range(trials):
-        lab.check_fan_out()
-        rep_stream = stream.child(rep)
-        masses = lab.instance_prob_values(family, n, 2, rep_stream.child(0).generator)
-        p = validate_prob_vector(masses[0], n)
-        q = validate_prob_vector(masses[1], n)
-        draws = [
-            circuits.sample_prob_vector(p, rep_stream.child(1), samples),
-            circuits.sample_prob_vector(p, rep_stream.child(2), samples),
-            circuits.sample_prob_vector(q, rep_stream.child(3), samples),
-        ]
-        counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
-        counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
+    for start in range(0, trials, block):
+        reps = range(start, min(start + block, trials))
+        masses = np.empty((len(reps), 2, 1 << n))
+        uniforms = np.empty((len(reps), 3, samples))
+        for i, rep in enumerate(reps):
+            lab.check_fan_out()
+            rep_stream = stream.child(rep)
+            masses[i] = lab.instance_prob_values(family, n, 2, rep_stream.child(0).generator)
+            for k, u in enumerate(uniforms[i], 1):
+                rep_stream.child(k).generator.random(out=u)
+        p = validate_prob_vector(masses.reshape(-1, 1 << n), n)
+        del masses
+        index = np.arange(len(reps))[:, None]
+        # a repetition's sets: two from its p (row 2i) and one from its q (row 2i + 1)
+        rows = (2 * index + [0, 0, 1]).ravel()
+        outcomes = circuits.sample_prob_vector(p, uniforms.reshape(-1, samples), rows)
+        del p, uniforms
+        # its equal pair (sets 3i, 3i + 1) and its distinct pair (sets 3i, 3i + 2)
+        pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
+        estimates = score(outcomes.reshape(-1, samples), pairs)
+        counts += (estimates.reshape(len(specs), len(reps), 2) > threshold).sum(axis=1)
     return counts / trials
 
 
@@ -455,7 +489,30 @@ def load_configs(path: str) -> list[ExperimentConfig]:
 
 
 def read_sample_file(path: str) -> SampleSet:
-    """Sample file: one bitstring per line, most-significant qubit first."""
+    """Sample file: one bitstring per line, most-significant qubit first.
+
+    The common file, lines of n 0/1 bytes each ending in a newline, is
+    parsed in bulk: one read, one check of the whole array, and the bits'
+    weights summed in uint64 a column at a time, most significant first.
+    Any other input, and every error, goes through the line loop, which
+    strips each line and skips blank ones.
+    """
+    try:
+        data = np.fromfile(path, dtype=np.uint8)
+    except OSError:
+        data = np.zeros(0, dtype=np.uint8)  # the line loop reports the error
+    first = data[: MAX_OUTCOME_BITS + 1] == ord("\n")
+    n = int(np.argmax(first)) if first.any() else 0  # 0: no line of 1..64 bits leads the file
+    if n and data.size % (n + 1) == 0:
+        lines = data.reshape(-1, n + 1)
+        bits = lines[:, :n]
+        bits -= ord("0")  # in place, so the file's bytes are held once; below "0" wraps past 1
+        if (lines[:, n] == ord("\n")).all() and bits.max() <= 1:
+            values = np.zeros(len(lines), dtype=np.uint64)
+            for column in bits.T:
+                values <<= 1
+                values |= column
+            return SampleSet(n, values)
     outcomes: list[int] = []
     n = None
     try:

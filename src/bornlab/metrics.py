@@ -37,12 +37,19 @@ The counts route runs when its units number at most _DISTANCE_CELL_UNITS
 times the distance route's cells, and its working memory, 40 bytes per
 outcome, fits MMD_MEMORY_BYTES; the distance route works in row blocks of
 8 bytes a cell that fit the same budget (or in one row, if that is
-larger). Neither allocates anything of size m x m.
+larger). Neither allocates anything of size m x m. counts_route is that
+rule, the one place it is stated.
+
+mmd2_unbiased_pairs scores many pairs of equal-size sample sets on the
+route the rule picks, each estimate bit for bit that of mmd2_unbiased: on
+the counts route one transform serves every set's histogram and one
+stacked Gram product every pair, a kernel at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +69,7 @@ MMD_MEMORY_BYTES = 1 << 26
 # whose route flips, so it changes only with a version bump.
 _DISTANCE_CELL_UNITS = 4.5
 
-# the counts route's peak per outcome (tracemalloc, n = 20: 40.0015): the two
+# the counts route's peak per outcome (tracemalloc, n = 20: 40.0086): the two
 # transformed float64 histograms, one kernel's square-rooted eigenvalues and
 # that kernel's weighted copy of the histograms. The transform itself peaks
 # lower (32.25), at the histograms, their copy and one matmul block.
@@ -123,24 +130,30 @@ def mmd2_fourier_batch(diffs: np.ndarray, n: int, specs: tuple[KernelSpec, ...])
     return np.stack([power @ fourier_weights(n, spec) / (1 << n) for spec in specs], axis=-1)
 
 
-def _counts_kernel_sums(x: np.ndarray, y: np.ndarray, n: int, specs) -> list[np.ndarray]:
-    """(cx K cx, cx K cy, cy K cy) for the outcome histograms, per kernel.
+def _counts_kernel_sums(hats: np.ndarray, pairs, roots) -> np.ndarray:
+    """(cx K cx, cx K cy, cy K cy) for each pair (x, y) of rows of hats, the
+    transformed outcome histograms, per kernel: shape (3, kernels, pairs).
 
-    K is diagonal in the Walsh basis, so after one batched transform of the
-    two histograms the quadratic forms are a Gram matrix weighted by the
-    eigenvalues.
+    K is diagonal in the Walsh basis, so the quadratic forms are Gram matrices
+    weighted by the eigenvalues. roots yields each kernel's square-rooted
+    eigenvalues over 2^n in turn (a generator builds each only when its turn
+    comes). For each kernel the pairs are gathered into one array, weighted
+    in place, and multiplied by their own transpose in one stacked product:
+    numpy runs pair @ pair.T over one buffer as a BLAS syrk per pair, which
+    rounds as a lone pair's product does, where copies on the two sides
+    would not.
     """
-    N = 1 << n
-    c = np.empty((2, N))
-    c[0] = np.bincount(x.view(np.int64), minlength=N)
-    c[1] = np.bincount(y.view(np.int64), minlength=N)
-    c = fwht(c)
     sums = []
-    for spec in specs:
-        scaled = c * np.sqrt(fourier_weights(n, spec) / N)
-        sums.append((scaled @ scaled.T)[[0, 0, 1], [0, 1, 1]])
-        del scaled  # freed before the next kernel's weights are built
-    return sums
+    for root in roots:
+        gathered = np.take(hats, pairs, axis=0)
+        gathered *= root
+        sums.append(np.matmul(gathered, gathered.swapaxes(1, 2))[:, [0, 0, 1], [0, 1, 1]].T)
+        del gathered, root  # freed before the next kernel's weights are built
+    return np.stack(sums, axis=1)
+
+
+def _kernel_roots(n: int, spec: KernelSpec) -> np.ndarray:
+    return np.sqrt(fourier_weights(n, spec) / (1 << n))
 
 
 def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -174,6 +187,20 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+def counts_route(n: int, m: int, l: int) -> bool:
+    """Whether mmd2_unbiased takes the counts route for m and l outcomes of
+    n bits: the one route rule, from (n, m, l) alone."""
+    N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
+    counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
+    return counts_cheaper and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES
+
+
+def _estimates(sums, m: int, l: int) -> np.ndarray:
+    """The U-statistic from the kernel sums (xx, xy, yy) over m and l outcomes."""
+    xx, xy, yy = sums
+    return (xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l)
+
+
 def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> np.ndarray:
     """Two-sample U-statistic whose expectation is the population MMD^2, per kernel.
 
@@ -189,19 +216,51 @@ def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> 
     n, m, l = X.n, len(X), len(Y)
     if m < 2 or l < 2:
         raise ValueError("domain error: need at least 2 samples on each side")
-    N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
-    counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
-    if counts_cheaper and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES:
-        sums = _counts_kernel_sums(X.outcomes, Y.outcomes, n, specs)
-    else:
-        hists = (
-            _self_hamming_histogram(X.outcomes, n),
-            _hamming_histogram(X.outcomes, Y.outcomes, n),
-            _self_hamming_histogram(Y.outcomes, n),
-        )
-        sums = [[(spec.rho ** np.arange(n + 1)) @ h for h in hists] for spec in specs]
-    xx, xy, yy = np.array(sums).T
-    return (xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l)
+    if counts_route(n, m, l):
+        c = np.empty((2, 1 << n))
+        c[0] = np.bincount(X.outcomes.view(np.int64), minlength=1 << n)
+        c[1] = np.bincount(Y.outcomes.view(np.int64), minlength=1 << n)
+        c = fwht(c)
+        roots = (_kernel_roots(n, spec) for spec in specs)
+        return _estimates(_counts_kernel_sums(c, [(0, 1)], roots)[:, :, 0], m, l)
+    hists = (
+        _self_hamming_histogram(X.outcomes, n),
+        _hamming_histogram(X.outcomes, Y.outcomes, n),
+        _self_hamming_histogram(Y.outcomes, n),
+    )
+    sums = [[(spec.rho ** np.arange(n + 1)) @ h for h in hists] for spec in specs]
+    return _estimates(np.array(sums).T, m, l)
+
+
+def mmd2_unbiased_pairs(n: int, m: int, specs: tuple[KernelSpec, ...]) -> Callable:
+    """A scorer of sample sets of m outcomes of n bits each: score(outcomes,
+    pairs) is mmd2_unbiased of the sets outcomes[i] and outcomes[j] for each
+    row (i, j) of pairs, shape (len(specs), len(pairs)), bit for bit.
+
+    The route is mmd2_unbiased's for (n, m, m), fixed here. On the counts
+    route the kernels' weights are built here, once, and a call makes every
+    set's histogram with one offset bincount, transforms them all in one
+    fwht (exact, since they hold integers) and takes one stacked Gram
+    product a kernel, holding 8 bytes per outcome for each set and 16 for
+    each pair at its peak. On the distance route each pair is one
+    mmd2_unbiased call.
+    """
+    if not counts_route(n, m, m):
+        def score(outcomes, pairs):
+            sets = [SampleSet(n, row) for row in outcomes]
+            return np.stack([mmd2_unbiased(sets[i], sets[j], specs) for i, j in pairs], axis=1)
+
+        return score
+    N = 1 << n
+    roots = [_kernel_roots(n, spec) for spec in specs]
+
+    def score(outcomes, pairs):
+        keys = outcomes.view(np.int64) + N * np.arange(len(outcomes))[:, None]
+        hats = fwht(np.bincount(keys.ravel(), minlength=N * len(outcomes)).reshape(-1, N))
+        del keys
+        return _estimates(_counts_kernel_sums(hats, pairs, roots), m, m)
+
+    return score
 
 
 def mmd_test_threshold(m: int, l: int, alpha: float, k_max: float = 1.0) -> float:

@@ -3,8 +3,8 @@
 None of these is on a path that `bornlab.cli.main` takes: single-instance
 state vectors and probabilities, pairwise metrics of two distributions, the
 kernel double sum, the closed-form tails and moment bounds that the
-families satisfy, and the perfect samplers of single product and MPS
-instances. They sit beside the tests so that src/bornlab holds only the
+families satisfy, the perfect samplers of single product and MPS
+instances, and the two-sample test's repetitions one at a time. They sit beside the tests so that src/bornlab holds only the
 production path, and so the command line never imports scipy.
 
 The samplers draw exactly from |psi|^2 without forming it (Ferris & Vidal,
@@ -37,7 +37,8 @@ from bornlab.bitmath import (
 )
 from bornlab.circuits import all_weight_le2_masks
 from bornlab.families import product_prob_values
-from bornlab.metrics import KernelSpec, fourier_weights
+from bornlab.lab import instance_prob_values
+from bornlab.metrics import KernelSpec, bandwidth_kernel, fourier_weights, mmd2_unbiased, mmd_test_threshold
 from bornlab.mps import _gaussian_tensors, bond_dims
 
 
@@ -587,3 +588,38 @@ def total_variation_distance(p: ProbVector, q: ProbVector) -> float:
     names interchangeably.
     """
     return 0.5 * l1_distance(p, q)
+
+
+# ---------------------------------------------------------------------------
+# the two-sample test's rejection rates one repetition at a time (from cli)
+
+
+def sample_dense(p: ProbVector, stream, count: int) -> SampleSet:
+    """count outcomes of one dense distribution by inverse CDF, from the
+    stream's uniforms; the CDF reads 1 from the last positive mass on."""
+    cdf = np.cumsum(p.values)
+    cdf[int(np.flatnonzero(p.values > 0.0)[-1]) :] = 1.0
+    outcomes = np.searchsorted(cdf, as_generator(stream).random(count), side="right")
+    return SampleSet(p.n, outcomes.astype(np.uint64))
+
+
+def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
+    """cli._mmdtest_rejection_rates before its blocks: each repetition
+    validates, samples and scores its own two instances, one sample set
+    and one mmd2_unbiased pair at a time."""
+    specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
+    threshold = mmd_test_threshold(samples, samples, alpha)
+    counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
+    for rep in range(trials):
+        rep_stream = stream.child(rep)
+        masses = instance_prob_values(family, n, 2, rep_stream.child(0).generator)
+        p = validate_prob_vector(masses[0], n)
+        q = validate_prob_vector(masses[1], n)
+        draws = [
+            sample_dense(p, rep_stream.child(1), samples),
+            sample_dense(p, rep_stream.child(2), samples),
+            sample_dense(q, rep_stream.child(3), samples),
+        ]
+        counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
+        counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
+    return counts / trials

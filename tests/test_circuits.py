@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bornlab.bitmath import ProbVector, RandomStream, SubsetMask, fwht
+from bornlab.bitmath import ProbVector, RandomStream, SubsetMask, fwht, validate_prob_vector
 from bornlab.circuits import all_weight_le2_masks, iqp_prob_values, sample_prob_vector
 from bornlab.lab import FamilySpec, instance_prob_values
 from oracles import (
@@ -213,15 +213,45 @@ def test_statevector_cap():
 
 def test_sample_prob_vector_deterministic_mass():
     p = ProbVector(1, np.array([0.0, 1.0]))
-    s = sample_prob_vector(p, RandomStream(4), 100)
-    assert np.all(s.outcomes == 1)
+    s = sample_prob_vector(p, RandomStream(4).generator.random(100))
+    assert s.dtype == np.uint64 and s.shape == (100,)
+    assert np.all(s == 1)
 
 
 def test_sample_prob_vector_frequencies():
     p = ProbVector(2, np.array([0.1875, 0.5625, 0.0625, 0.1875]))
-    s = sample_prob_vector(p, RandomStream(8), 20000)
-    counts = np.bincount(s.outcomes.astype(int), minlength=4)
+    s = sample_prob_vector(p, RandomStream(8).generator.random(20000))
+    counts = np.bincount(s.astype(int), minlength=4)
     assert stats.chisquare(counts, 20000 * p.values).pvalue > 1e-3
+
+
+def test_sample_prob_vector_never_draws_a_mass_zero_tail():
+    # ten masses of 0.1 sum to 0.9999999999999999, so the CDF stays below 1
+    # over the six zeros after them; 1 - 2^-53, the largest uniform a
+    # Generator draws, read outcome 15 where the guard sat on the last entry
+    values = np.array([0.1] * 10 + [0.0] * 6)
+    assert np.cumsum(values)[9] == np.nextafter(1.0, 0.0)
+    p = validate_prob_vector(values, 4)
+    top = np.nextafter(1.0, 0.0)
+    assert sample_prob_vector(p, np.array([top, 0.95, 0.0])).tolist() == [9, 9, 0]
+    # in a block, each row is guarded from its own last positive mass
+    block = validate_prob_vector([values, values[::-1]], 4)
+    drawn = sample_prob_vector(block, np.array([[top], [top], [0.0]]), rows=[0, 1, 1])
+    assert drawn.tolist() == [9, 15, 6]
+
+
+def test_sample_prob_vector_block_equals_row_by_row():
+    rng = np.random.default_rng(5)
+    masses = rng.dirichlet(np.ones(32), size=4)
+    masses[1, 20:] = 0.0
+    masses[1] /= masses[1].sum()
+    block = validate_prob_vector(masses, 5)
+    uniforms = rng.random((6, 50))
+    rows = [0, 0, 1, 2, 3, 1]
+    drawn = sample_prob_vector(block, uniforms, rows).reshape(6, 50)
+    for u, row, got in zip(uniforms, rows, drawn):
+        single = sample_prob_vector(validate_prob_vector(masses[row], 5), u)
+        assert got.tobytes() == single.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bornlab import __version__, lab
+import oracles
+from bornlab import __version__, cli, lab, metrics
 from bornlab.bitmath import RandomStream
 from bornlab.cli import (
     CSV_HEADER,
@@ -186,6 +187,45 @@ def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_repetitions(monkeypatch)
     monkeypatch.setattr(lab._pool_thread, "stop", stop, raising=False)
     with pytest.raises(lab.FanOutStopped):
         _mmdtest_rejection_rates(FamilySpec("dirichlet"), 3, [1.0], 0.05, 30, 3, RandomStream(0))
+
+
+# every family kind; pareto needs alpha > 1
+ALL_KINDS = ("product", "iqp_product", "dirichlet", "pareto:alpha=2", "peaked", "iqp",
+             "peaked_iqp", "mps", "uniform", "point")
+
+
+@pytest.mark.parametrize("n, samples, counts", [(4, 40, True), (16, 150, False)])
+@pytest.mark.parametrize("trials, block", [(1, None), (7, 3)])
+def test_blocked_mmdtest_rates_equal_the_repetition_loop(monkeypatch, n, samples, counts, trials, block):
+    # each kind at sigma tokens 0, 1 and n, in one block of one repetition
+    # and in blocks of three with a remainder of one; alpha = 1 puts the
+    # threshold at 0, where about half the null estimates reject
+    assert metrics.counts_route(n, samples, samples) == counts
+    sigmas = [cli._resolve_sigma(token, n) for token in ("0", "1", "n")]
+    for index, token in enumerate(ALL_KINDS):
+        family = parse_family(token)
+        if block is not None:
+            rep_bytes = cli._mmdtest_rep_bytes(family, n, samples, len(sigmas))
+            monkeypatch.setattr(lab, "CHUNK_BYTES", block * rep_bytes + rep_bytes // 2)
+        stream = RandomStream(40 + n).child(index)
+        got = _mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
+        want = oracles.mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
+        assert got.tobytes() == want.tobytes(), token
+
+
+def test_an_mmdtest_cell_is_bounded_before_allocation():
+    # a counts-route cell at n = 16 whose four repetitions span several blocks
+    family, n, samples, trials = FamilySpec("dirichlet"), 16, 1000, 4
+    rep_bytes = cli._mmdtest_rep_bytes(family, n, samples, 1)
+    block = max(1, lab.CHUNK_BYTES // rep_bytes)
+    assert metrics.counts_route(n, samples, samples) and trials > block
+    tracemalloc.start()
+    try:
+        _mmdtest_rejection_rates(family, n, [1.0], 0.05, samples, trials, RandomStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * block * rep_bytes, (peak, block * rep_bytes)
 
 
 def _traced_peak(*configs: ExperimentConfig) -> int:
@@ -433,6 +473,33 @@ def test_sample_files_read_msb_first(tmp_path):
     samples = read_sample_file(path)
     assert samples.n == 3
     assert list(samples.outcomes) == [4, 1]  # blank line skipped
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_bulk_parser_equals_the_line_loop(tmp_path, monkeypatch, n):
+    # the canonical file is parsed in bulk, without opening it as text; every
+    # variant goes through the line loop, and all read the same outcomes
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: opened.append(a) or open(*a, **k), raising=False)
+    rng = np.random.default_rng(n)
+    ends = np.array([0, (1 << n) - 1], dtype=np.uint64)
+    outcomes = np.concatenate([ends, rng.integers(0, 1 << n, size=300, dtype=np.uint64)])
+    lines = [format(int(x), f"0{n}b") for x in outcomes]
+    variants = {
+        "canonical": "".join(line + "\n" for line in lines),
+        "no final newline": "\n".join(lines),
+        "crlf": "".join(line + "\r\n" for line in lines),
+        "blank lines": "\n" + "\n\n".join(lines) + "\n\n",
+        "padded": "".join(f" {line}\t\n" for line in lines),
+    }
+    for name, text in variants.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text.encode())
+        opened.clear()
+        samples = read_sample_file(path)
+        assert samples.n == n, name
+        assert samples.outcomes.dtype == np.uint64 and samples.outcomes.tobytes() == outcomes.tobytes(), name
+        assert (opened == []) == (name == "canonical"), name
 
 
 def test_nan_rows_abort_csv_emission():
@@ -831,11 +898,6 @@ def test_fig5_families_decay_exponentially(tmp_path):
         r2 = 1 - np.sum((lny - pred) ** 2) / np.sum((lny - lny.mean()) ** 2)
         assert slope < 0, family
         assert r2 >= 0.99, (family, r2)
-
-
-# every family kind; pareto needs alpha > 1
-ALL_KINDS = ("product", "iqp_product", "dirichlet", "pareto:alpha=2", "peaked", "iqp",
-             "peaked_iqp", "mps", "uniform", "point")
 
 
 def _one_combo_rows(config, **fields):

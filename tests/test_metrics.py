@@ -215,8 +215,8 @@ def test_unbiased_estimator_is_unbiased():
     estimates = np.array(
         [
             mmd2_unbiased(
-                sample_prob_vector(p, root.child(2 * i), m),
-                sample_prob_vector(q, root.child(2 * i + 1), m),
+                SampleSet(n, sample_prob_vector(p, root.child(2 * i).generator.random(m))),
+                SampleSet(n, sample_prob_vector(q, root.child(2 * i + 1).generator.random(m))),
                 (spec,),
             )[0]
             for i in range(reps)
@@ -380,6 +380,27 @@ def test_unbiased_route_rule_weighs_distance_cells(routes, n, m, route):
     Y = SampleSet(n, rng.integers(0, 1 << n, size=m, dtype=np.uint64))
     mmd2_unbiased(X, Y, (bandwidth_kernel(1.0),))
     assert set(routes) == {route}
+
+
+@pytest.mark.parametrize(
+    "n, m, route",
+    # N = 64..65536 on the counts route, each m just past the rule's crossover
+    [(n, max(16, math.ceil(math.sqrt(n * (1 << n) / 4.5))), "counts") for n in range(6, 17, 2)]
+    + [(16, 150, "distances"), (40, 30, "distances")],
+)
+def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, route):
+    # the stacked Gram product of the gathered pairs rounds as each pair's own
+    # product does, so every estimate equals its lone call bit for bit
+    rng = np.random.default_rng(n + m)
+    outcomes = rng.integers(0, 1 << n, size=(5, m), dtype=np.uint64)
+    pairs = np.array([[0, 1], [0, 2], [3, 4], [4, 3], [2, 2]])
+    specs = tuple(bandwidth_kernel(s) for s in (0.0, 1.0, float(n)))
+    block = metrics.mmd2_unbiased_pairs(n, m, specs)(outcomes, pairs)
+    assert set(routes) == {route}
+    assert block.shape == (len(specs), len(pairs))
+    for column, (i, j) in zip(block.T, pairs):
+        single = mmd2_unbiased(SampleSet(n, outcomes[i]), SampleSet(n, outcomes[j]), specs)
+        assert column.tobytes() == single.tobytes()
 
 
 def _mmdtest(tmp_path, capsys, x_lines, y_lines, sigma):
