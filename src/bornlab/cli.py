@@ -255,22 +255,22 @@ def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, fl
     return combos
 
 
-# What an mmdtest repetition holds at its peak, which sizes a cell's blocks:
+# What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
 # per outcome, the transforms of its three histograms and its two pairs
 # gathered for the Gram product (56 bytes), more than its two instances hold
 # while they are validated and turned into CDFs (36); per sample of its three
 # sets, the uniform and the outcome, or the outcome and its histogram key
-# (16); beside these, the draw of its two instances and the kernels'
-# weights, counted in every repetition though a block holds them once
+# (16); beside these, the draw of its two instances. The kernels' weights are
+# built once a cell and held for all its chunks, so they size no chunk, and a
+# bandwidth's rows do not depend on the other bandwidths of the config
 _MMDTEST_BYTES_PER_OUTCOME = 56
 _MMDTEST_BYTES_PER_SAMPLE = 3 * 16
 
 
-def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int, kernels: int) -> int:
+def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int) -> int:
     """An upper bound on the bytes an mmdtest repetition holds at its peak."""
     draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
-    weights = kernels * (8 << n)
-    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw + weights
+    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
 
 
 def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
@@ -283,39 +283,30 @@ def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) 
     alternative). Concentrated families are expected to show near-zero power
     here; that is the behavior being measured.
 
-    Repetitions run in blocks of as many as lab.CHUNK_BYTES holds at
-    _mmdtest_rep_bytes each (at least one). Each repetition draws its
-    instances from rep_stream.child(0) and its three sets' uniforms from
-    children 1..3; the block's instances are then validated, sampled and
-    scored together, each estimate bit for bit that of the repetition alone.
+    Repetitions run in lab._collect chunks of as many as lab.CHUNK_BYTES
+    holds at _mmdtest_rep_bytes each (at least one). A chunk of R draws its
+    2R instances in one call (row 2i is repetition i's p, row 2i + 1 its q),
+    then the uniforms of its 3R sample sets in one (rows 3i and 3i + 1 from
+    p_i, row 3i + 2 from q_i), and validates, samples and scores them
+    together, each estimate bit for bit that of the repetition alone.
     """
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
     score = mmd2_unbiased_pairs(n, samples, specs)
-    block = max(1, lab.CHUNK_BYTES // _mmdtest_rep_bytes(family, n, samples, len(specs)))
-    counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
-    for start in range(0, trials, block):
-        reps = range(start, min(start + block, trials))
-        masses = np.empty((len(reps), 2, 1 << n))
-        uniforms = np.empty((len(reps), 3, samples))
-        for i, rep in enumerate(reps):
-            lab.check_fan_out()
-            rep_stream = stream.child(rep)
-            masses[i] = lab.instance_prob_values(family, n, 2, rep_stream.child(0).generator)
-            for k, u in enumerate(uniforms[i], 1):
-                rep_stream.child(k).generator.random(out=u)
-        p = validate_prob_vector(masses.reshape(-1, 1 << n), n)
-        del masses
-        index = np.arange(len(reps))[:, None]
-        # a repetition's sets: two from its p (row 2i) and one from its q (row 2i + 1)
+
+    def draw(rng, count):
+        p = validate_prob_vector(lab.instance_prob_values(family, n, 2 * count, rng), n)
+        index = np.arange(count)[:, None]
         rows = (2 * index + [0, 0, 1]).ravel()
-        outcomes = circuits.sample_prob_vector(p, uniforms.reshape(-1, samples), rows)
-        del p, uniforms
-        # its equal pair (sets 3i, 3i + 1) and its distinct pair (sets 3i, 3i + 2)
+        outcomes = circuits.sample_prob_vector(p, rng.random((3 * count, samples)), rows)
+        del p
+        # a repetition's equal pair (sets 3i, 3i + 1) and distinct pair (sets 3i, 3i + 2)
         pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
         estimates = score(outcomes.reshape(-1, samples), pairs)
-        counts += (estimates.reshape(len(specs), len(reps), 2) > threshold).sum(axis=1)
-    return counts / trials
+        return estimates.reshape(len(specs), count, 2).transpose(0, 2, 1) > threshold
+
+    chunk = max(1, lab.CHUNK_BYTES // _mmdtest_rep_bytes(family, n, samples))
+    return lab._collect(draw, trials, chunk, stream).mean(axis=-1)
 
 
 def _moment_rows(report) -> list[tuple]:
@@ -417,9 +408,9 @@ def _config_rows(configs: list[ExperimentConfig]) -> list[list[ExperimentRow]]:
     names none asks for every usable CPU). A cell runs its chunks one after
     another on one worker. Rows come back in cell order: config by config,
     family-major. Streams fan out as seed -> family index -> n -> child(0)
-    -> chunk (or mmdtest repetition), and every metric and bandwidth of a
-    cell scores that one draw, so a row depends only on its (seed, family
-    index, n, metric, sigma), never on the worker count or the other configs.
+    -> chunk, and every metric and bandwidth of a cell scores that one draw,
+    so a row depends only on its (seed, family index, n, metric, sigma),
+    never on the worker count or the other configs.
     """
     grids = [[(c, f, n) for f in range(len(c.families)) for n in c.n_values] for c in configs]
     workers = max(lab.usable_cpus() if c.workers is None else c.workers for c in configs)

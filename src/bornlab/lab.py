@@ -1,7 +1,7 @@
 """Monte Carlo concentration experiments over distribution families.
 
-Five experiments (tail curve, pairwise loss, anticoncentration, diagonal
-observable, distance to uniform; cli holds the sixth, mmdtest), all built on
+Six experiments, five here (tail curve, pairwise loss, anticoncentration,
+diagonal observable, distance to uniform) and mmdtest in cli, all built on
 the same deterministic chunking: work is split into fixed-size chunks run one
 after another, chunk k draws from stream.child(k), and chunk results are
 concatenated in index order. The chunk size is a function of the family spec
@@ -516,14 +516,6 @@ class FanOutStopped(Exception):
 _pool_thread = threading.local()
 
 
-def check_fan_out() -> None:
-    """Raise FanOutStopped where another cell of this thread's fan-out has
-    failed; a cell calls it between chunks, the points where it may stop."""
-    stop = getattr(_pool_thread, "stop", None)
-    if stop is not None and stop.is_set():
-        raise FanOutStopped("another cell of the fan-out failed")
-
-
 def _serve(stop: threading.Event) -> None:
     _pool_thread.stop = stop
 
@@ -534,16 +526,11 @@ def _parallel_map(fn, tasks: list, workers: int) -> list:
     Cells whose time goes into large draws and array operations overlap,
     since those release the GIL, without copying an interpreter per worker.
     Cells whose time goes into many small numpy calls hold the GIL, and
-    their threads take turns. An mmdtest cell scores its repetitions in
-    blocks, but each repetition still derives its streams and draws its
-    instances in small calls: on a 2-core x86-64 machine a small-n mmdtest
-    grid (dirichlet, iqp, product; n = 3..8; 300 repetitions) takes 1.46 s
-    on one worker and 1.66 s on two (medians of 10 runs), so such grids
-    run best at --workers 1. Cells are few, coarse and
-    unequal in cost: they are handed out one at a time in task order and
-    collected in order. The first failing cell ends the fan-out at once:
-    cells not yet started are cancelled, running cells stop at their next
-    chunk (check_fan_out), and its own error is raised.
+    their threads take turns. Cells are few, coarse and unequal in cost:
+    they are handed out one at a time in task order and collected in order.
+    The first failing cell ends the fan-out at once: cells not yet started
+    are cancelled, running cells stop at their next chunk (_collect), and
+    its own error is raised.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -563,13 +550,17 @@ def _parallel_map(fn, tasks: list, workers: int) -> list:
 
 
 def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
-    """draw(rng, count) over `total` items in chunks, concatenated in draw order."""
+    """draw(rng, count) over `total` items in chunks, concatenated in draw
+    order. Before each chunk it raises FanOutStopped where another cell of
+    this thread's fan-out has failed: chunks are where a cell may stop."""
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
+    stop = getattr(_pool_thread, "stop", None)
     parts = []
     for k, size in enumerate(sizes):
-        check_fan_out()
+        if stop is not None and stop.is_set():
+            raise FanOutStopped("another cell of the fan-out failed")
         parts.append(draw(stream.child(k).generator, size))
     return np.concatenate(parts, axis=-1)
 

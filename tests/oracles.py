@@ -594,32 +594,34 @@ def total_variation_distance(p: ProbVector, q: ProbVector) -> float:
 # the two-sample test's rejection rates one repetition at a time (from cli)
 
 
-def sample_dense(p: ProbVector, stream, count: int) -> SampleSet:
-    """count outcomes of one dense distribution by inverse CDF, from the
-    stream's uniforms; the CDF reads 1 from the last positive mass on."""
+def sample_dense(p: ProbVector, uniforms: np.ndarray) -> SampleSet:
+    """The outcomes of one dense distribution that the uniforms draw by
+    inverse CDF; the CDF reads 1 from the last positive mass on."""
     cdf = np.cumsum(p.values)
     cdf[int(np.flatnonzero(p.values > 0.0)[-1]) :] = 1.0
-    outcomes = np.searchsorted(cdf, as_generator(stream).random(count), side="right")
+    outcomes = np.searchsorted(cdf, uniforms, side="right")
     return SampleSet(p.n, outcomes.astype(np.uint64))
 
 
-def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
-    """cli._mmdtest_rejection_rates before its blocks: each repetition
-    validates, samples and scores its own two instances, one sample set
-    and one mmd2_unbiased pair at a time."""
+def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream, chunk) -> np.ndarray:
+    """cli._mmdtest_rejection_rates one repetition at a time: chunk k of
+    `chunk` repetitions (the last may be shorter) draws from stream.child(k)
+    its 2R instances, then its 3R rows of uniforms; each repetition then
+    validates its own two instances and samples and scores its own sets,
+    one mmd2_unbiased pair at a time."""
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
     counts = np.zeros((len(specs), 2), dtype=np.int64)  # per kernel: equal, distinct
-    for rep in range(trials):
-        rep_stream = stream.child(rep)
-        masses = instance_prob_values(family, n, 2, rep_stream.child(0).generator)
-        p = validate_prob_vector(masses[0], n)
-        q = validate_prob_vector(masses[1], n)
-        draws = [
-            sample_dense(p, rep_stream.child(1), samples),
-            sample_dense(p, rep_stream.child(2), samples),
-            sample_dense(q, rep_stream.child(3), samples),
-        ]
-        counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
-        counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
+    for k, start in enumerate(range(0, trials, chunk)):
+        size = min(chunk, trials - start)
+        rng = stream.child(k).generator
+        masses = instance_prob_values(family, n, 2 * size, rng)
+        uniforms = rng.random((3 * size, samples))
+        for i in range(size):
+            p = validate_prob_vector(masses[2 * i], n)
+            q = validate_prob_vector(masses[2 * i + 1], n)
+            draws = [sample_dense(p, uniforms[3 * i]), sample_dense(p, uniforms[3 * i + 1]),
+                     sample_dense(q, uniforms[3 * i + 2])]
+            counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
+            counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
     return counts / trials

@@ -181,12 +181,16 @@ def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
     assert opened == [3]
 
 
-def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_repetitions(monkeypatch):
+def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_chunks(monkeypatch):
     stop = threading.Event()
     stop.set()
     monkeypatch.setattr(lab._pool_thread, "stop", stop, raising=False)
+    drawn = []
+    draw = lab.instance_prob_values
+    monkeypatch.setattr(lab, "instance_prob_values", lambda *a: drawn.append(a[2]) or draw(*a))
     with pytest.raises(lab.FanOutStopped):
         _mmdtest_rejection_rates(FamilySpec("dirichlet"), 3, [1.0], 0.05, 30, 3, RandomStream(0))
+    assert drawn == []  # stopped before its first chunk drew anything
 
 
 # every family kind; pareto needs alpha > 1
@@ -195,37 +199,62 @@ ALL_KINDS = ("product", "iqp_product", "dirichlet", "pareto:alpha=2", "peaked", 
 
 
 @pytest.mark.parametrize("n, samples, counts", [(4, 40, True), (16, 150, False)])
-@pytest.mark.parametrize("trials, block", [(1, None), (7, 3)])
-def test_blocked_mmdtest_rates_equal_the_repetition_loop(monkeypatch, n, samples, counts, trials, block):
-    # each kind at sigma tokens 0, 1 and n, in one block of one repetition
-    # and in blocks of three with a remainder of one; alpha = 1 puts the
+@pytest.mark.parametrize("trials, chunk", [(1, None), (7, 3)])
+def test_blocked_mmdtest_rates_equal_the_repetition_loop(monkeypatch, n, samples, counts, trials, chunk):
+    # each kind at sigma tokens 0, 1 and n, in one chunk of one repetition
+    # and in chunks of three with a remainder of one; alpha = 1 puts the
     # threshold at 0, where about half the null estimates reject
     assert metrics.counts_route(n, samples, samples) == counts
     sigmas = [cli._resolve_sigma(token, n) for token in ("0", "1", "n")]
     for index, token in enumerate(ALL_KINDS):
         family = parse_family(token)
-        if block is not None:
-            rep_bytes = cli._mmdtest_rep_bytes(family, n, samples, len(sigmas))
-            monkeypatch.setattr(lab, "CHUNK_BYTES", block * rep_bytes + rep_bytes // 2)
+        if chunk is not None:
+            rep_bytes = cli._mmdtest_rep_bytes(family, n, samples)
+            monkeypatch.setattr(lab, "CHUNK_BYTES", chunk * rep_bytes + rep_bytes // 2)
         stream = RandomStream(40 + n).child(index)
         got = _mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
-        want = oracles.mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
+        want = oracles.mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream, chunk or 1)
         assert got.tobytes() == want.tobytes(), token
 
 
+@pytest.mark.parametrize("token", ["iqp", "dirichlet", "peaked_iqp"])
+def test_a_sigmas_mmdtest_rows_do_not_depend_on_the_other_sigmas_across_chunks(monkeypatch, token):
+    # two repetitions a chunk, so seven span four chunks; were the kernels'
+    # weights counted in every repetition, the second bandwidth would shrink
+    # the chunk to one repetition and move the sigma = 1 rows. alpha = 1 puts
+    # the threshold at 0, where about half the null estimates reject; moved
+    # streams still give one seed's two rates out of 7 about one time in
+    # five, so three seeds run
+    n, samples = 5, 40
+    rep_bytes = cli._mmdtest_rep_bytes(parse_family(token), n, samples)
+    monkeypatch.setattr(lab, "CHUNK_BYTES", 2 * rep_bytes)
+    configs = [ExperimentConfig("mmdtest", (token,), n_min=n, n_max=n, trials=7, seed=seed,
+                                alpha=1.0, samples=samples, sigmas=("1", "n"), workers=1)
+               for seed in (35, 36, 37)]
+    rows = [row for row in run_config(*configs) if row.sigma == 1.0]
+    assert rows == run_config(*(dataclasses.replace(c, sigmas=("1",)) for c in configs))
+    assert len(rows) == 6 and all(0 < row.value < 1 for row in rows[::2])
+
+
 def test_an_mmdtest_cell_is_bounded_before_allocation():
-    # a counts-route cell at n = 16 whose four repetitions span several blocks
-    family, n, samples, trials = FamilySpec("dirichlet"), 16, 1000, 4
-    rep_bytes = cli._mmdtest_rep_bytes(family, n, samples, 1)
-    block = max(1, lab.CHUNK_BYTES // rep_bytes)
-    assert metrics.counts_route(n, samples, samples) and trials > block
-    tracemalloc.start()
-    try:
-        _mmdtest_rejection_rates(family, n, [1.0], 0.05, samples, trials, RandomStream(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1 * block * rep_bytes, (peak, block * rep_bytes)
+    # cells of two or more chunks, each chunk drawing its 2R instances in one
+    # call: a counts-route cell at n = 16 one repetition a chunk, and cells
+    # whose first chunk holds 199 and 26 repetitions; the kernel's weights
+    # are held once a cell
+    for token, n, samples, trials, chunk in [("dirichlet", 16, 1000, 4, 1), ("iqp", 8, 200, 200, 199),
+                                             ("peaked_iqp", 12, 500, 27, 26)]:
+        family = parse_family(token)
+        rep_bytes = cli._mmdtest_rep_bytes(family, n, samples)
+        assert lab.CHUNK_BYTES // rep_bytes == chunk < trials
+        assert metrics.counts_route(n, samples, samples)
+        tracemalloc.start()
+        try:
+            _mmdtest_rejection_rates(family, n, [1.0], 0.05, samples, trials, RandomStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = chunk * rep_bytes + (8 << n)
+        assert peak < 1.1 * bound, (token, peak, bound)
 
 
 def _traced_peak(*configs: ExperimentConfig) -> int:
@@ -935,7 +964,8 @@ def test_metric_order_does_not_change_rows(tmp_path):
     assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
 
 
-@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0", "0.5.0", "0.7.0", "0.8.0", "0.9.0"])
+@pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0", "0.5.0", "0.7.0", "0.8.0", "0.9.0",
+                                     "0.10.0"])
 def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     first = tmp_path / "first.csv"
     run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",
