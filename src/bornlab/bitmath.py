@@ -239,7 +239,3 @@ class SampleSet:
 
     def __len__(self) -> int:
         return int(self.outcomes.size)
-
-    def bitstrings(self) -> list[str]:
-        """Render outcomes as 0/1 lines, most significant qubit first."""
-        return [format(int(x), f"0{self.n}b") for x in self.outcomes]

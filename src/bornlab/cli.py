@@ -34,12 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# circuits and lab are reached through their modules at call time, so timing
-# wrappers installed on their attributes (perfbench/spans.py) see every call
-from . import __version__, circuits, lab
-from .bitmath import (
-    MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, RandomStream, SampleSet, SubsetMask, validate_prob_vector,
-)
+# lab is reached through its module at call time, so timing wrappers installed
+# on its attributes (perfbench/spans.py) see every call
+from . import __version__, lab
+from .bitmath import MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, RandomStream, SampleSet, SubsetMask
 from .lab import (
     FAMILIES,
     MIN_TRIALS,
@@ -52,7 +50,9 @@ from .lab import (
     estimate_tail_curve,
     pairwise_loss_moments,
 )
-from .metrics import bandwidth_kernel, mmd2_unbiased, mmd2_unbiased_pairs, mmd_test_threshold
+# bound in cli and called through its globals, where a timing wrapper (perfbench/spans.py) replaces it
+from .lab import mmdtest_rejection_rates as _mmdtest_rejection_rates
+from .metrics import bandwidth_kernel, mmd2_unbiased, mmd_test_threshold
 
 CSV_HEADER = "experiment,family,n,metric,sigma,statistic,value,stderr,trials,seed"
 
@@ -255,65 +255,11 @@ def _metric_sigma_combos(config: ExperimentConfig, n: int) -> list[tuple[str, fl
     return combos
 
 
-# What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
-# per outcome, the transforms of its three histograms and its two pairs
-# gathered for the Gram product (56 bytes), more than its two instances hold
-# while they are validated and turned into CDFs (36); per sample of its three
-# sets, the uniform and the outcome, or the outcome and its histogram key
-# (16); beside these, the draw of its two instances. The kernels' weights are
-# built once a cell and held for all its chunks, so they size no chunk, and a
-# bandwidth's rows do not depend on the other bandwidths of the config
-_MMDTEST_BYTES_PER_OUTCOME = 56
-_MMDTEST_BYTES_PER_SAMPLE = 3 * 16
-
-
-def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int) -> int:
-    """An upper bound on the bytes an mmdtest repetition holds at its peak."""
-    draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
-    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
-
-
-def _mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
-    """Monte Carlo rejection rates of the two-sample test within one family,
-    shape (len(sigmas), 2): the null's rate, then the alternative's.
-
-    Per repetition draws two fresh instances p, q and three sample sets, and
-    at every bandwidth runs the test twice on them: once with both sample
-    sets from p (the null) and once with one set from each (family-typical
-    alternative). Concentrated families are expected to show near-zero power
-    here; that is the behavior being measured.
-
-    Repetitions run in lab._collect chunks of as many as lab.CHUNK_BYTES
-    holds at _mmdtest_rep_bytes each (at least one). A chunk of R draws its
-    2R instances in one call (row 2i is repetition i's p, row 2i + 1 its q),
-    then the uniforms of its 3R sample sets in one (rows 3i and 3i + 1 from
-    p_i, row 3i + 2 from q_i), and validates, samples and scores them
-    together, each estimate bit for bit that of the repetition alone.
-    """
-    specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
-    threshold = mmd_test_threshold(samples, samples, alpha)
-    score = mmd2_unbiased_pairs(n, samples, specs)
-
-    def draw(rng, count):
-        p = validate_prob_vector(lab.instance_prob_values(family, n, 2 * count, rng), n)
-        index = np.arange(count)[:, None]
-        rows = (2 * index + [0, 0, 1]).ravel()
-        outcomes = circuits.sample_prob_vector(p, rng.random((3 * count, samples)), rows)
-        del p
-        # a repetition's equal pair (sets 3i, 3i + 1) and distinct pair (sets 3i, 3i + 2)
-        pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
-        estimates = score(outcomes.reshape(-1, samples), pairs)
-        return estimates.reshape(len(specs), count, 2).transpose(0, 2, 1) > threshold
-
-    chunk = max(1, lab.CHUNK_BYTES // _mmdtest_rep_bytes(family, n, samples))
-    return lab._collect(draw, trials, chunk, stream).mean(axis=-1)
-
-
-def _moment_rows(report) -> list[tuple]:
-    """The mean and variance rows of one MomentReport."""
+def _moment_rows(metric: str, sigma: float | None, report) -> list[tuple]:
+    """The mean and variance rows of one MomentReport, under metric and sigma."""
     return [
-        (report.metric, report.sigma, "mean", report.mean, report.se_mean),
-        (report.metric, report.sigma, "variance", report.variance, report.se_variance),
+        (metric, sigma, "mean", report.mean, report.se_mean),
+        (metric, sigma, "variance", report.variance, report.se_variance),
     ]
 
 
@@ -326,10 +272,9 @@ def _tails_rows(config, family, n, stream) -> list[tuple]:
 
 
 def _pairwise_rows(config, family, n, stream) -> list[tuple]:
-    reports = pairwise_loss_moments(
-        family, n, _metric_sigma_combos(config, n), config.trials, stream
-    )
-    return [row for report in reports for row in _moment_rows(report)]
+    combos = _metric_sigma_combos(config, n)
+    reports = pairwise_loss_moments(family, n, combos, config.trials, stream)
+    return [row for combo, report in zip(combos, reports) for row in _moment_rows(*combo, report)]
 
 
 def _anticoncentration_rows(config, family, n, stream) -> list[tuple]:
@@ -342,7 +287,8 @@ def _anticoncentration_rows(config, family, n, stream) -> list[tuple]:
 
 def _observable_rows(config, family, n, stream) -> list[tuple]:
     S = SubsetMask.from_positions(config.subset, n)
-    return _moment_rows(diagonal_observable_variance(family, n, S, config.trials, stream))
+    metric = "z" + "".join(map(str, sorted(set(config.subset))))
+    return _moment_rows(metric, None, diagonal_observable_variance(family, n, S, config.trials, stream))
 
 
 def _mmdtest_rows(config, family, n, stream) -> list[tuple]:
@@ -358,7 +304,8 @@ def _mmdtest_rows(config, family, n, stream) -> list[tuple]:
 
 
 def _uniform_distance_rows(config, family, n, stream) -> list[tuple]:
-    return _moment_rows(distance_to_uniform_moments(family, n, config.trials, stream))
+    report = distance_to_uniform_moments(family, n, config.trials, stream)
+    return _moment_rows("sd_to_uniform", None, report)
 
 
 @dataclass(frozen=True)

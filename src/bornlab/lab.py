@@ -1,25 +1,25 @@
 """Monte Carlo concentration experiments over distribution families.
 
-Six experiments, five here (tail curve, pairwise loss, anticoncentration,
-diagonal observable, distance to uniform) and mmdtest in cli, all built on
-the same deterministic chunking: work is split into fixed-size chunks run one
+All six experiments live here: tail curve, pairwise loss, anticoncentration,
+diagonal observable, distance to uniform and the mmdtest rejection rates.
+Each draws through _collect: work is split into fixed-size chunks run one
 after another, chunk k draws from stream.child(k), and chunk results are
-concatenated in index order. The chunk size is a function of the family spec
-and n only. Parallelism lives one level up: cli hands every (family, n) cell
-of an invocation (each config of a `run --config` file, each kind of a
-`figures` call) to one _parallel_map call, in cell order, whose workers are
-threads of this process, and each cell draws from its own stream, so
-results are bit-identical for a fixed (config, seed) regardless of the
-worker count or of the other configs run beside it. A
-pairwise chunk draws its pairs once and scores every requested (metric,
-sigma) combo on them, so a combo's values never depend on which other combos
-were asked for. A report holds statistics only: the caller knows which
-family and n it asked for.
+concatenated in index order. Parallelism lives one level up: cli hands every
+(family, n) cell of an invocation (each config of a `run --config` file, each
+kind of a `figures` call) to one _parallel_map call, in cell order, whose
+workers are threads of this process, and each cell draws from its own
+stream, so results are bit-identical for a fixed (config, seed) regardless
+of the worker count or of the other configs run beside it. A pairwise chunk
+draws its pairs once and scores every requested (metric, sigma) combo on
+them, so a combo's values never depend on which other combos were asked
+for. A report holds statistics only: cli names its rows.
 
-One byte budget sizes every chunk. Each Route states an upper bound on the
-bytes a draw holds at its peak, per instance, and a chunk is as many
-instances as CHUNK_BYTES holds (at most MAX_CHUNK), so memory is bounded
-before it is allocated. A pairwise chunk holds two draws at once, then
+One byte budget sizes every chunk. A caller of _collect states an upper
+bound on the bytes an item holds at its peak (a Route's bytes per instance,
+or _mmdtest_rep_bytes per repetition), and _collect derives the chunk from
+it: as many items as CHUNK_BYTES holds, at most MAX_CHUNK. So memory is
+bounded before it is allocated, and the chunk size depends on the cell's
+parameters only. A pairwise chunk holds two draws at once, then
 their difference and the metrics' temporaries: its traced peak is about
 twice CHUNK_BYTES for the float families, and less for IQP and MPS. The
 workers' chunks share one process, so a fan-out holds at most about
@@ -46,10 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmath import MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS, RandomStream, SubsetMask
+# sample_prob_vector is called through circuits, where timing wrappers (perfbench/spans.py) replace it
+from . import circuits
+from .bitmath import (MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS, RandomStream,
+                      SubsetMask, validate_prob_vector)
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
-from .metrics import KernelSpec, bandwidth_kernel, mmd2_fourier_batch
+from .metrics import (KernelSpec, bandwidth_kernel, mmd2_fourier_batch, mmd2_unbiased_pairs,
+                      mmd_test_threshold)
 from .mps import bond_dims, mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
@@ -78,13 +82,11 @@ class TailCurve:
 class MomentReport:
     """Mean/variance of a per-instance (or per-pair) statistic."""
 
-    metric: str
     mean: float
     variance: float
     se_mean: float
     se_variance: float
     trials: int
-    sigma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -249,9 +251,9 @@ class FamilySpec:
 _LABEL_FORMATS = {"alpha": "{:g}", "k": "K={}", "chi": "chi={}"}
 
 
-# One byte budget sizes every chunk: a route's chunk holds at most about
-# CHUNK_BYTES at its peak (2^20 float64 outcomes), and never more than MAX_CHUNK
-# instances, which bounds the chunks of the routes that draw a few numbers each.
+# One byte budget sizes every chunk: a chunk holds at most about CHUNK_BYTES at
+# its peak (2^20 float64 outcomes), and never more than MAX_CHUNK items, which
+# bounds the chunks of the routes that draw a few numbers each.
 CHUNK_BYTES = 1 << 23
 MAX_CHUNK = 1 << 16
 
@@ -265,11 +267,6 @@ class Route:
     draw: Callable
     bytes_per_instance: Callable[[FamilySpec, int], int]
     max_n: int = MAX_DENSE_QUBITS
-
-    def chunk(self, spec: FamilySpec, n: int) -> int:
-        """Instances a chunk draws, which decides the substream each instance
-        draws from: as many as CHUNK_BYTES holds, at least 1 and at most MAX_CHUNK."""
-        return max(1, min(MAX_CHUNK, CHUNK_BYTES // self.bytes_per_instance(spec, n)))
 
 
 @dataclass(frozen=True)
@@ -401,6 +398,24 @@ def _mps_bytes(spec: FamilySpec, n: int) -> int:
 def _peaked_iqp_bytes(spec: FamilySpec, n: int) -> int:
     K = spec.support_size(n)
     return max(_iqp_bytes(K.bit_length() - 1), _scatter_bytes(K, 1 << n))
+
+
+# What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
+# per outcome, the transforms of its three histograms and its two pairs
+# gathered for the Gram product (56 bytes), more than its two instances hold
+# while they are validated and turned into CDFs (36); per sample of its three
+# sets, the uniform and the outcome, or the outcome and its histogram key
+# (16); beside these, the draw of its two instances. The kernels' weights are
+# built once a cell and held for all its chunks, so they size no chunk, and a
+# bandwidth's rows do not depend on the other bandwidths of the config
+_MMDTEST_BYTES_PER_OUTCOME = 56
+_MMDTEST_BYTES_PER_SAMPLE = 3 * 16
+
+
+def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int) -> int:
+    """An upper bound on the bytes an mmdtest repetition holds at its peak."""
+    draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
+    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
 
 
 # product and iqp_product share their marginal, whose draw is 8 bytes an instance
@@ -549,10 +564,17 @@ def _parallel_map(fn, tasks: list, workers: int) -> list:
     return [f.result() for f in futures]
 
 
-def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
-    """draw(rng, count) over `total` items in chunks, concatenated in draw
-    order. Before each chunk it raises FanOutStopped where another cell of
+def _chunk(item_bytes: int) -> int:
+    """Items a chunk holds, which decides the substream each item draws from:
+    as many as CHUNK_BYTES holds at item_bytes each, from 1 to MAX_CHUNK."""
+    return max(1, min(MAX_CHUNK, CHUNK_BYTES // item_bytes))
+
+
+def _collect(draw, total: int, item_bytes: int, stream: RandomStream) -> np.ndarray:
+    """draw(rng, count) over `total` items in chunks of _chunk(item_bytes), concatenated
+    in draw order. Before each chunk it raises FanOutStopped where another cell of
     this thread's fan-out has failed: chunks are where a cell may stop."""
+    chunk = _chunk(item_bytes)
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
@@ -565,7 +587,7 @@ def _collect(draw, total: int, chunk: int, stream: RandomStream) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def _moment_report(metric: str, values: np.ndarray, sigma: float | None) -> MomentReport:
+def _moment_report(values: np.ndarray) -> MomentReport:
     T = values.size
     mean = float(values.mean())
     variance = float(values.var(ddof=1)) if T > 1 else 0.0
@@ -573,8 +595,8 @@ def _moment_report(metric: str, values: np.ndarray, sigma: float | None) -> Mome
     centered = values - mean
     m4 = float((centered**4).mean())
     var_of_s2 = (m4 - variance**2 * (T - 3) / (T - 1)) / T if T > 1 else 0.0
-    return MomentReport(metric=metric, mean=mean, variance=variance, se_mean=se_mean,
-                        se_variance=math.sqrt(max(var_of_s2, 0.0)), trials=T, sigma=sigma)
+    return MomentReport(mean=mean, variance=variance, se_mean=se_mean,
+                        se_variance=math.sqrt(max(var_of_s2, 0.0)), trials=T)
 
 
 def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.ndarray:
@@ -582,7 +604,7 @@ def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.nda
     if trials < MIN_TRIALS:
         raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     masses = _collect(lambda rng, count: reference_mass_values(family, n, count, rng),
-                      trials, FAMILIES[family.kind].mass.chunk(family, n), stream)
+                      trials, FAMILIES[family.kind].mass.bytes_per_instance(family, n), stream)
     if not np.isfinite(masses).all():  # a tail count would take NaN as a miss
         raise ValueError(f"domain error: {family.label()} at n={n} drew a non-finite mass")
     return masses
@@ -648,7 +670,7 @@ def pairwise_loss_values(
                 out[i] = l1 if metric == "l1" else 0.5 * l1
         return out
 
-    return _collect(draw, pairs, FAMILIES[family.kind].dense.chunk(family, n), stream)
+    return _collect(draw, pairs, FAMILIES[family.kind].dense.bytes_per_instance(family, n), stream)
 
 
 def pairwise_loss_moments(
@@ -658,9 +680,9 @@ def pairwise_loss_moments(
     pairs: int = 10_000,
     stream: RandomStream = RandomStream(0),
 ) -> list[MomentReport]:
-    """Mean/variance of each combo's loss across the same instance pairs."""
-    values = pairwise_loss_values(family, n, combos, pairs, stream)
-    return [_moment_report(m, row, sigma) for (m, sigma), row in zip(combos, values)]
+    """Mean/variance of each combo's loss across the same instance pairs, in
+    combo order."""
+    return [_moment_report(row) for row in pairwise_loss_values(family, n, combos, pairs, stream)]
 
 
 def anticoncentration_statistic(
@@ -696,10 +718,9 @@ def diagonal_observable_variance(
     signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
     values = _collect(
         lambda rng, count: instance_prob_values(family, n, count, rng) @ signs,
-        trials, FAMILIES[family.kind].dense.chunk(family, n), stream,
+        trials, FAMILIES[family.kind].dense.bytes_per_instance(family, n), stream,
     )
-    positions = "".join(str(i + 1) for i in range(n) if (S.mask >> i) & 1)
-    return _moment_report(f"z{positions}", values, None)
+    return _moment_report(values)
 
 
 def distance_to_uniform_moments(
@@ -713,5 +734,40 @@ def distance_to_uniform_moments(
         diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)
         return np.einsum("ij,ij->i", diff, diff)
 
-    values = _collect(draw, trials, FAMILIES[family.kind].dense.chunk(family, n), stream)
-    return _moment_report("sd_to_uniform", values, None)
+    values = _collect(draw, trials, FAMILIES[family.kind].dense.bytes_per_instance(family, n), stream)
+    return _moment_report(values)
+
+
+def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -> np.ndarray:
+    """Monte Carlo rejection rates of the two-sample test within one family,
+    shape (len(sigmas), 2): the null's rate, then the alternative's.
+
+    Per repetition draws two fresh instances p, q and three sample sets, and
+    at every bandwidth runs the test twice on them: once with both sample
+    sets from p (the null) and once with one set from each (family-typical
+    alternative). Concentrated families are expected to show near-zero power
+    here; that is the behavior being measured.
+
+    Repetitions run in _collect chunks sized at _mmdtest_rep_bytes each. A
+    chunk of R draws its 2R instances in one call (row 2i is repetition i's
+    p, row 2i + 1 its q), then the uniforms of its 3R sample sets in one
+    (rows 3i and 3i + 1 from p_i, row 3i + 2 from q_i), and validates,
+    samples and scores them together, each estimate bit for bit that of the
+    repetition alone.
+    """
+    specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
+    threshold = mmd_test_threshold(samples, samples, alpha)
+    score = mmd2_unbiased_pairs(n, samples, specs)
+
+    def draw(rng, count):
+        p = validate_prob_vector(instance_prob_values(family, n, 2 * count, rng), n)
+        index = np.arange(count)[:, None]
+        rows = (2 * index + [0, 0, 1]).ravel()
+        outcomes = circuits.sample_prob_vector(p, rng.random((3 * count, samples)), rows)
+        del p
+        # a repetition's equal pair (sets 3i, 3i + 1) and distinct pair (sets 3i, 3i + 2)
+        pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
+        estimates = score(outcomes.reshape(-1, samples), pairs)
+        return estimates.reshape(len(specs), count, 2).transpose(0, 2, 1) > threshold
+
+    return _collect(draw, trials, _mmdtest_rep_bytes(family, n, samples), stream).mean(axis=-1)

@@ -263,12 +263,13 @@ def mmd2_unbiased_pairs(n: int, m: int, specs: tuple[KernelSpec, ...]) -> Callab
     return score
 
 
-def mmd_test_threshold(m: int, l: int, alpha: float, k_max: float = 1.0) -> float:
-    """Acceptance threshold K sqrt(8 ln(1/alpha)/(m+l)) for H0: p = q."""
+def mmd_test_threshold(m: int, l: int, alpha: float) -> float:
+    """Acceptance threshold K sqrt(8 ln(1/alpha)/(m+l)) for H0: p = q, with the
+    kernel bound K = 1: k(x, x) = 1 for every KernelSpec."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"domain error: alpha must lie in (0, 1], got {alpha}")
     if m + l < 1:
         raise ValueError("domain error: need at least one sample")
-    return k_max * math.sqrt(8.0 * math.log(1.0 / alpha) / (m + l))
+    return math.sqrt(8.0 * math.log(1.0 / alpha) / (m + l))
 
 

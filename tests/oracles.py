@@ -96,6 +96,12 @@ def fourier_character(S: SubsetMask, x: BitString) -> int:
     return -1 if (S.mask & x.bits).bit_count() & 1 else 1
 
 
+def bitstrings(samples: SampleSet) -> list[str]:
+    """Render a sample set's outcomes as 0/1 lines, most significant qubit first,
+    as `bornlab mmdtest` reads them."""
+    return [format(int(x), f"0{samples.n}b") for x in samples.outcomes]
+
+
 # ---------------------------------------------------------------------------
 # product instances, their sampler, and the closed forms the families satisfy
 # (from families)
@@ -604,7 +610,7 @@ def sample_dense(p: ProbVector, uniforms: np.ndarray) -> SampleSet:
 
 
 def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream, chunk) -> np.ndarray:
-    """cli._mmdtest_rejection_rates one repetition at a time: chunk k of
+    """lab.mmdtest_rejection_rates one repetition at a time: chunk k of
     `chunk` repetitions (the last may be shorter) draws from stream.child(k)
     its 2R instances, then its 3R rows of uniforms; each repetition then
     validates its own two instances and samples and scores its own sets,

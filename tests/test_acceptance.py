@@ -249,7 +249,7 @@ def test_criterion_09_two_sample_test_calibration_and_power():
     n, m, trials = 8, 200, 1000
     rho = math.exp(-0.5)
     K = hamming_kernel_table(n, rho)
-    threshold = mmd_test_threshold(m, m, 0.05, 1.0)
+    threshold = mmd_test_threshold(m, m, 0.05)
     rejects = 0
     for t in range(trials):
         rng = RandomStream(408).child(t).generator

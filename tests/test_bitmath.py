@@ -15,7 +15,7 @@ from bornlab.bitmath import (
     popcounts,
     validate_prob_vector,
 )
-from oracles import BitString, fourier_character, hamming_distance
+from oracles import BitString, bitstrings, fourier_character, hamming_distance
 
 
 def test_hamming_distance_examples():
@@ -262,6 +262,6 @@ def test_stream_children_are_independent_of_sibling_order():
 def test_sample_set_validation_and_rendering():
     s = SampleSet(3, [0, 5, 7])
     assert len(s) == 3
-    assert s.bitstrings() == ["000", "101", "111"]
+    assert bitstrings(s) == ["000", "101", "111"]
     with pytest.raises(ValueError):
         SampleSet(2, [4])

@@ -209,7 +209,7 @@ def test_blocked_mmdtest_rates_equal_the_repetition_loop(monkeypatch, n, samples
     for index, token in enumerate(ALL_KINDS):
         family = parse_family(token)
         if chunk is not None:
-            rep_bytes = cli._mmdtest_rep_bytes(family, n, samples)
+            rep_bytes = lab._mmdtest_rep_bytes(family, n, samples)
             monkeypatch.setattr(lab, "CHUNK_BYTES", chunk * rep_bytes + rep_bytes // 2)
         stream = RandomStream(40 + n).child(index)
         got = _mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
@@ -226,7 +226,7 @@ def test_a_sigmas_mmdtest_rows_do_not_depend_on_the_other_sigmas_across_chunks(m
     # streams still give one seed's two rates out of 7 about one time in
     # five, so three seeds run
     n, samples = 5, 40
-    rep_bytes = cli._mmdtest_rep_bytes(parse_family(token), n, samples)
+    rep_bytes = lab._mmdtest_rep_bytes(parse_family(token), n, samples)
     monkeypatch.setattr(lab, "CHUNK_BYTES", 2 * rep_bytes)
     configs = [ExperimentConfig("mmdtest", (token,), n_min=n, n_max=n, trials=7, seed=seed,
                                 alpha=1.0, samples=samples, sigmas=("1", "n"), workers=1)
@@ -244,7 +244,7 @@ def test_an_mmdtest_cell_is_bounded_before_allocation():
     for token, n, samples, trials, chunk in [("dirichlet", 16, 1000, 4, 1), ("iqp", 8, 200, 200, 199),
                                              ("peaked_iqp", 12, 500, 27, 26)]:
         family = parse_family(token)
-        rep_bytes = cli._mmdtest_rep_bytes(family, n, samples)
+        rep_bytes = lab._mmdtest_rep_bytes(family, n, samples)
         assert lab.CHUNK_BYTES // rep_bytes == chunk < trials
         assert metrics.counts_route(n, samples, samples)
         tracemalloc.start()
@@ -282,7 +282,8 @@ def test_fan_out_memory_is_bounded_before_allocation_across_threads():
                          n_min=12, n_max=12, trials=1 << 17, seed=3, workers=2),
     ]
     routes = [(FAMILIES[spec.kind].mass, spec) for spec in map(parse_family, ("pareto:alpha=2", "product"))]
-    bound = max(route.chunk(spec, 12) * route.bytes_per_instance(spec, 12) for route, spec in routes)
+    bound = max(lab._chunk(route.bytes_per_instance(spec, 12)) * route.bytes_per_instance(spec, 12)
+                for route, spec in routes)
     peak = _traced_peak(*configs)
     assert peak < 1.1 * 2 * bound, (peak, bound)
 
@@ -771,9 +772,9 @@ def test_family_parameter_values_name_parameter_and_family(tmp_path, capsys, tok
 
 def test_rows_take_their_identity_from_the_cell():
     # reports carry statistics only; every row's experiment, family label, n,
-    # trials and seed come from the config and cell that produced it
+    # metric, sigma, trials and seed come from the config and cell that produced it
     for report in (lab.TailCurve, lab.MomentReport, lab.AnticoncentrationReport):
-        assert not {"family", "n"} & {f.name for f in dataclasses.fields(report)}
+        assert not {"family", "n", "metric", "sigma"} & {f.name for f in dataclasses.fields(report)}
     for experiment in EXPERIMENTS:
         config = ExperimentConfig(experiment, ("uniform", "peaked:k=4"), n_min=3, n_max=4,
                                   trials=100, seed=5, samples=20, workers=1)
@@ -781,6 +782,23 @@ def test_rows_take_their_identity_from_the_cell():
         assert {(r.experiment, r.family, r.n, r.trials, r.seed) for r in rows} == {
             (experiment, label, n, 100, 5) for label in ("uniform", "peaked(K=4)") for n in (3, 4)
         }
+
+
+def test_moment_rows_take_their_metric_and_sigma_from_the_config():
+    # an observable's metric names its subset's sorted distinct positions, a
+    # distance to uniform is sd_to_uniform, and pairwise rows follow the
+    # config's (metric, sigma) combos in order, a mean and a variance row each
+    common = dict(families=("dirichlet",), n_min=3, n_max=4, trials=100, seed=5, workers=1)
+    observable = run_config(ExperimentConfig("observable", subset=(2, 1, 1), **common))
+    assert [(r.metric, r.sigma) for r in observable] == [("z12", None)] * 4
+    uniform = run_config(ExperimentConfig("uniform_distance", **common))
+    assert [(r.metric, r.sigma) for r in uniform] == [("sd_to_uniform", None)] * 4
+    pairwise = run_config(ExperimentConfig("pairwise", metrics=("tvd", "mmd2", "sd"), sigmas=("n", "0"),
+                                           **common))
+    for n in (3, 4):
+        combos = [("tvd", None), ("mmd2", float(n)), ("mmd2", 0.0), ("sd", None)]
+        rows = [(r.metric, r.sigma, r.statistic) for r in pairwise if r.n == n]
+        assert rows == [(*combo, stat) for combo in combos for stat in ("mean", "variance")]
 
 
 def test_config_key_document_is_an_unknown_key(tmp_path, capsys):

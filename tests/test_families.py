@@ -22,6 +22,7 @@ from bornlab.lab import (
 )
 from oracles import (
     ProductParams,
+    bitstrings,
     gini_coefficient,
     hypergeometric_overlap_moments,
     iqp_product_weights,
@@ -78,7 +79,7 @@ def test_sample_product_degenerate_weights():
     params = ProductParams((1.0, 0.0))  # x_1 = 0 always, x_2 = 1 always
     s = sample_product(params, RandomStream(0).child(0), 50)
     assert set(s.outcomes.tolist()) == {2}
-    assert s.bitstrings()[0] == "10"
+    assert bitstrings(s)[0] == "10"
 
 
 def test_sample_product_single_bit_frequency():

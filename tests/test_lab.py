@@ -161,7 +161,7 @@ def test_pairwise_product_sd_mean():
     report = pairwise_loss_moments(FamilySpec("product"), n, [("sd", None)], pairs=4000, stream=RandomStream(7))[0]
     expected = 2 * ((2 / 3) ** n - 2.0**-n)
     assert abs(report.mean - expected) < 3 * report.se_mean
-    assert report.metric == "sd" and report.trials == 4000
+    assert report.trials == 4000
 
 
 def test_pairwise_dirichlet_sd_mean():
@@ -238,7 +238,7 @@ def test_chunk_memory_is_bounded_before_allocation(spec):
         for n in range(1, min(route.max_n, 20) + 1):
             if spec.k is not None and spec.k > 1 << n:
                 continue
-            chunk = route.chunk(spec, n)
+            chunk = lab._chunk(route.bytes_per_instance(spec, n))
             tracemalloc.start()
             try:
                 route.draw(spec, n, chunk, np.random.default_rng(n))
@@ -252,15 +252,18 @@ def test_float_chunks_keep_their_size_where_small_terms_fit_the_slack():
     # 2^20 outcomes a chunk from n = 8 on, as before the byte budget, and the
     # closed-form marginals at the instance cap: up to n = 15, and the
     # product forms' one Gamma draw an instance up to their cap
+    def chunk(kind, route, n):
+        return lab._chunk(getattr(FAMILIES[kind], route).bytes_per_instance(_spec(kind), n))
+
     for kind in ("product", "iqp_product", "dirichlet", "pareto", "peaked", "peaked_iqp", "uniform", "point"):
         for n in range(8, FAMILIES[kind].dense.max_n + 1):
-            assert FAMILIES[kind].dense.chunk(_spec(kind), n) == max(1, (1 << 20) >> n), (kind, n)
+            assert chunk(kind, "dense", n) == max(1, (1 << 20) >> n), (kind, n)
     for kind in ("dirichlet", "peaked", "uniform", "point"):
         for n in range(1, 16):
-            assert FAMILIES[kind].mass.chunk(_spec(kind), n) == lab.MAX_CHUNK, (kind, n)
+            assert chunk(kind, "mass", n) == lab.MAX_CHUNK, (kind, n)
     for kind in ("product", "iqp_product"):
         for n in range(1, FAMILIES[kind].mass.max_n + 1):
-            assert FAMILIES[kind].mass.chunk(_spec(kind), n) == lab.MAX_CHUNK, (kind, n)
+            assert chunk(kind, "mass", n) == lab.MAX_CHUNK, (kind, n)
 
 
 def test_pairwise_validation():
@@ -312,7 +315,6 @@ def test_observable_variance_product():
     )
     assert abs(report.mean) < 3 * report.se_mean
     assert abs(report.variance - 1 / 3) < 3 * report.se_variance
-    assert report.metric == "z1"
     # n-independence of the single-bit variance
     other = diagonal_observable_variance(
         FamilySpec("product"), 10, SubsetMask(0b1, 10), 4000, RandomStream(23)
@@ -323,7 +325,6 @@ def test_observable_variance_product():
         FamilySpec("product"), 6, SubsetMask(0b11, 6), 4000, RandomStream(24)
     )
     assert abs(pair.variance - 1 / 9) < 3 * pair.se_variance
-    assert pair.metric == "z12"
 
 
 def test_observable_variance_dirichlet_bound():
@@ -425,7 +426,7 @@ def _fail_first(task, drawn):
         time.sleep(0.01)
         return np.zeros(count)
 
-    return lab._collect(draw, SLOW_CHUNKS, 1, RandomStream(task))
+    return lab._collect(draw, SLOW_CHUNKS, lab.CHUNK_BYTES, RandomStream(task))  # one item a chunk
 
 
 def test_parallel_map_raises_at_the_first_failing_cell():
@@ -445,7 +446,8 @@ def test_a_failed_fan_out_leaves_the_next_one_running():
     with pytest.raises(ValueError):
         _parallel_map(lambda task: _fail_first(task, []), [0, 0], workers=2)
     sums = _parallel_map(
-        lambda total: lab._collect(lambda rng, count: np.ones(count), total, 2, RandomStream(total)).sum(),
+        lambda total: lab._collect(lambda rng, count: np.ones(count), total, lab.CHUNK_BYTES // 2,
+                                   RandomStream(total)).sum(),  # two items a chunk
         [3, 4, 5], workers=2,
     )
     assert sums == [3, 4, 5]

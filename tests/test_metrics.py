@@ -29,6 +29,7 @@ from bornlab.metrics import (
 )
 from bornlab.mps import mps_prob_values
 from oracles import (
+    bitstrings,
     l1_distance,
     mmd2_fourier,
     mmd2_population,
@@ -415,7 +416,7 @@ def _mmdtest(tmp_path, capsys, x_lines, y_lines, sigma):
 def test_mmdtest_on_40_bit_outcomes(tmp_path, capsys):
     n = 40
     X, Y = _support_samples(n, 60, 45, seed=40)
-    estimate = _mmdtest(tmp_path, capsys, X.bitstrings(), Y.bitstrings(), sigma=3.0)
+    estimate = _mmdtest(tmp_path, capsys, bitstrings(X), bitstrings(Y), sigma=3.0)
     expected, magnitude = _oracle(X, Y, bandwidth_kernel(3.0).rho)
     assert abs(estimate - expected) <= 1e-12 * magnitude
 
@@ -433,7 +434,6 @@ def test_threshold_values():
     assert mmd_test_threshold(100, 100, 0.05) == pytest.approx(
         math.sqrt(8 * math.log(20) / 200)
     )
-    assert mmd_test_threshold(4, 4, 0.05, k_max=2.0) == 2 * mmd_test_threshold(4, 4, 0.05)
     with pytest.raises(ValueError, match="domain error"):
         mmd_test_threshold(4, 4, 0.0)
     with pytest.raises(ValueError, match="domain error"):
