@@ -15,7 +15,9 @@ Every run writes two artifacts: a CSV with the fixed header
 (floats at 17 significant digits; a NaN anywhere aborts the run) and a JSON
 manifest holding the exact config; `run --config manifest.json` reproduces
 the CSV byte for byte. The master seed comes from --seed, else the BORN_SEED
-environment variable, else 0.
+environment variable, else 0. Each input is checked here, where it enters: a
+bad one exits with status 2 before any cell runs, and lab and metrics take
+only checked values.
 """
 
 from __future__ import annotations
@@ -63,7 +65,22 @@ FIGURE_FAMILIES = ("iqp_product", "mps", "iqp", "pareto:alpha=2", "peaked_iqp")
 
 DEFAULT_Y_GRID = tuple(float(y) for y in np.geomspace(1e-4, 2.0, 10))
 
-FIGURE_KINDS = ("fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
+_FIG4 = dict(families=("dirichlet", "pareto:alpha=2"), n_min=8, n_max=12, n_step=2)
+_FIG_PAIRWISE = dict(experiment="pairwise", families=FIGURE_FAMILIES, n_min=2, n_max=13)
+
+# each figure kind and the fields of its configs, beside their count, seed and workers
+FIGURES = {
+    "fig2": [dict(experiment="tails", families=("product",), n_min=4, n_max=12, n_step=4)],
+    "fig4": [
+        dict(_FIG4, experiment="tails", y_grid=tuple(float(y) for y in np.geomspace(0.01, 4.0, 12))),
+        dict(_FIG4, experiment="anticoncentration"),
+    ],
+    "fig5": [dict(_FIG_PAIRWISE, metrics=("sd",))],
+    "fig6": [dict(_FIG_PAIRWISE, metrics=("sd",))],
+    "fig7": [dict(_FIG_PAIRWISE, metrics=("mmd2",), sigmas=("1",))],
+    "fig8": [dict(_FIG_PAIRWISE, metrics=("mmd2",), sigmas=("n",))],
+    "fig9": [dict(_FIG_PAIRWISE, metrics=("l1", "tvd"))],
+}
 
 
 class CliError(Exception):
@@ -454,7 +471,8 @@ def read_sample_file(path: str) -> SampleSet:
     outcomes: list[int] = []
     n = None
     try:
-        handle = open(path)
+        # undecodable bytes become U+FFFD, which the 0/1 check below refuses by line
+        handle = open(path, errors="replace")
     except OSError as e:
         raise CliError(f"{path}: {e.strerror}") from e
     with handle:
@@ -545,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pair)
 
     p_fig = sub.add_parser("figures", help="preset experiment bundles, one <kind>.csv each")
-    p_fig.add_argument("kinds", nargs="+", choices=FIGURE_KINDS, metavar="kind",
-                       help=f"one or more of {', '.join(FIGURE_KINDS)}")
+    p_fig.add_argument("kinds", nargs="+", choices=FIGURES, metavar="kind",
+                       help=f"one or more of {', '.join(FIGURES)}")
     _add_count(p_fig, "--pairs", "--trials", noun="pairs or trials")
     _add_common(p_fig)
 
@@ -559,31 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def figure_configs(kind: str, trials: int, seed: int, workers) -> list[ExperimentConfig]:
-    common = dict(trials=trials, seed=seed, workers=workers)
-    if kind == "fig2":
-        return [
-            ExperimentConfig(
-                "tails", ("product",), n_min=4, n_max=12, n_step=4,
-                y_grid=DEFAULT_Y_GRID, **common,
-            )
-        ]
-    if kind == "fig4":
-        families = ("dirichlet", "pareto:alpha=2")
-        grid = tuple(float(y) for y in np.geomspace(0.01, 4.0, 12))
-        return [
-            ExperimentConfig("tails", families, n_min=8, n_max=12, n_step=2, y_grid=grid, **common),
-            ExperimentConfig("anticoncentration", families, n_min=8, n_max=12, n_step=2, **common),
-        ]
-    pairwise = dict(families=FIGURE_FAMILIES, n_min=2, n_max=13, **common)
-    if kind in ("fig5", "fig6"):
-        return [ExperimentConfig("pairwise", metrics=("sd",), **pairwise)]
-    if kind == "fig7":
-        return [ExperimentConfig("pairwise", metrics=("mmd2",), sigmas=("1",), **pairwise)]
-    if kind == "fig8":
-        return [ExperimentConfig("pairwise", metrics=("mmd2",), sigmas=("n",), **pairwise)]
-    if kind == "fig9":
-        return [ExperimentConfig("pairwise", metrics=("l1", "tvd"), **pairwise)]
-    raise CliError(f"unknown figure {kind!r}")
+    return [ExperimentConfig(**fields, trials=trials, seed=seed, workers=workers)
+            for fields in FIGURES[kind]]
 
 
 def _write(configs: list[ExperimentConfig], rows: list[ExperimentRow], out: str):

@@ -14,6 +14,12 @@ draws its pairs once and scores every requested (metric, sigma) combo on
 them, so a combo's values never depend on which other combos were asked
 for. A report holds statistics only: cli names its rows.
 
+cli checks each input once, where it enters. The functions here take the
+values it has checked (n within the route's cap, MIN_TRIALS trials or more,
+MIN_VARIANCE_TRIALS for the observable, PAIR_METRICS with a sigma per mmd2,
+a non-empty y grid and subset, alpha in (0, 1], 2 samples or more) and refuse
+only what a draw produces: a non-finite mass, a row past its redraw bound.
+
 One byte budget sizes every chunk. A caller of _collect states an upper
 bound on the bytes an item holds at its peak (a Route's bytes per instance,
 or _mmdtest_rep_bytes per repetition), and _collect derives the chunk from
@@ -52,14 +58,13 @@ from .bitmath import (MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS
                       SubsetMask, validate_prob_vector)
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
-from .metrics import (KernelSpec, bandwidth_kernel, mmd2_fourier_batch, mmd2_unbiased_pairs,
-                      mmd_test_threshold)
+from .metrics import bandwidth_kernel, mmd2_fourier_batch, mmd2_unbiased_pairs, mmd_test_threshold
 from .mps import bond_dims, mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
 
-# fewest trials (instances or pairs) an experiment accepts: the moment and
-# tail statistics need MIN_TRIALS, a bare variance needs MIN_VARIANCE_TRIALS
+# fewest trials (instances or pairs) the statistics need, which cli requires:
+# the moment and tail statistics need MIN_TRIALS, a bare variance MIN_VARIANCE_TRIALS
 MIN_TRIALS = 100
 MIN_VARIANCE_TRIALS = 2
 
@@ -101,10 +106,6 @@ class AnticoncentrationReport:
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; valid near 0 and 1."""
-    if trials < 1:
-        raise ValueError("domain error: trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError("domain error: successes out of range")
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom
@@ -601,8 +602,6 @@ def _moment_report(values: np.ndarray) -> MomentReport:
 
 def _reference_masses(family: FamilySpec, n: int, trials: int, stream) -> np.ndarray:
     """p(x*) of `trials` instances in draw order, for the tail statistics."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
     masses = _collect(lambda rng, count: reference_mass_values(family, n, count, rng),
                       trials, FAMILIES[family.kind].mass.bytes_per_instance(family, n), stream)
     if not np.isfinite(masses).all():  # a tail count would take NaN as a miss
@@ -619,8 +618,6 @@ def estimate_tail_curve(
     makes the point estimates exactly non-increasing in y.
     """
     grid = sorted(float(y) for y in y_grid)
-    if not grid:
-        raise ValueError("domain error: empty y grid")
     masses = _reference_masses(family, n, trials, stream)
     hits = [int(np.count_nonzero(masses >= y / (1 << n))) for y in grid]
     lows, highs = zip(*(wilson_interval(h, trials) for h in hits))
@@ -628,30 +625,17 @@ def estimate_tail_curve(
                      ci_low=lows, ci_high=highs, trials=trials)
 
 
-def _kernel_for(sigma: float | None, metric: str) -> KernelSpec | None:
-    if metric not in PAIR_METRICS:
-        raise ValueError(f"domain error: unknown metric {metric!r}; known: {PAIR_METRICS}")
-    if metric != "mmd2":
-        return None
-    if sigma is None:
-        raise ValueError("domain error: mmd2 requires a bandwidth (sigma; 0 means rho=0)")
-    return bandwidth_kernel(sigma)
-
-
 def pairwise_loss_values(
     family: FamilySpec,
     n: int,
     combos: list[tuple[str, float | None]],
-    pairs: int = 10_000,
-    stream: RandomStream = RandomStream(0),
+    pairs: int,
+    stream: RandomStream,
 ) -> np.ndarray:
     """Losses of `pairs` independent instance pairs in draw order, one row per
     (metric, sigma) combo; every combo is scored on the same pairs."""
-    if pairs < MIN_TRIALS:
-        raise ValueError(f"domain error: need at least {MIN_TRIALS} pairs")
-    kernels = [_kernel_for(sigma, metric) for metric, sigma in combos]
     mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
-    mmd2_kernels = tuple(kernels[i] for i in mmd2)
+    mmd2_kernels = tuple(bandwidth_kernel(sigma) for metric, sigma in combos if metric == "mmd2")
 
     def draw(rng, count):
         diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
@@ -677,8 +661,8 @@ def pairwise_loss_moments(
     family: FamilySpec,
     n: int,
     combos: list[tuple[str, float | None]],
-    pairs: int = 10_000,
-    stream: RandomStream = RandomStream(0),
+    pairs: int,
+    stream: RandomStream,
 ) -> list[MomentReport]:
     """Mean/variance of each combo's loss across the same instance pairs, in
     combo order."""
@@ -706,14 +690,6 @@ def diagonal_observable_variance(
     family: FamilySpec, n: int, S: SubsetMask, trials: int, stream: RandomStream
 ) -> MomentReport:
     """Across-instance moments of <Z_S> = sum_x chi_S(x) p(x)."""
-    if S.n != n:
-        raise ValueError(f"dimension error: n mismatch {S.n} != {n}")
-    if S.weight == 0:
-        raise ValueError("domain error: S must be non-empty")
-    if trials < MIN_VARIANCE_TRIALS:
-        raise ValueError(
-            f"domain error: need at least {MIN_VARIANCE_TRIALS} trials for a variance"
-        )
     x = np.arange(1 << n, dtype=np.uint64)
     signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
     values = _collect(
@@ -727,8 +703,6 @@ def distance_to_uniform_moments(
     family: FamilySpec, n: int, trials: int, stream: RandomStream
 ) -> MomentReport:
     """Moments of the squared distance to the uniform distribution."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"domain error: need at least {MIN_TRIALS} trials")
 
     def draw(rng, count):
         diff = instance_prob_values(family, n, count, rng) - 1.0 / (1 << n)

@@ -438,6 +438,11 @@ def test_mmdtest_parse_error_names_file_and_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{bad}:2" in err and "parse error" in err
+    # bytes that are no text are refused by the same check, at their line
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe0101\n")
+    assert run_cli(["mmdtest", binary, binary]) == 2
+    assert f"{binary}:1: parse error: not a 0/1 bitstring" in capsys.readouterr().err
 
 
 def test_mmdtest_ragged_lines_rejected(tmp_path, capsys):
@@ -456,10 +461,14 @@ def test_mmdtest_width_mismatch_between_files(tmp_path, capsys):
 
 
 def test_mmdtest_needs_two_samples_per_side(tmp_path, capsys):
-    x, y = tmp_path / "x.txt", tmp_path / "y.txt"
-    write_samples(x, 4, [3])
-    write_samples(y, 4, [0, 1, 2])
-    assert run_cli(["mmdtest", x, y]) == 2
+    one, three = tmp_path / "one.txt", tmp_path / "three.txt"
+    write_samples(one, 4, [3])
+    write_samples(three, 4, [0, 1, 2])
+    for x, y in ((one, three), (three, one)):
+        assert run_cli(["mmdtest", x, y]) == 2
+        captured = capsys.readouterr()
+        assert "need at least 2 samples on each side" in captured.err
+        assert "estimate" not in captured.out
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "1e8", "1e300"])
@@ -561,7 +570,7 @@ def test_config_validation():
     ExperimentConfig("tails", ("product",), n_min=2, n_max=20, trials=100, seed=0)
     with pytest.raises(CliError, match="trials"):
         ExperimentConfig("tails", ("uniform",), n_min=2, n_max=4, trials=0, seed=0)
-    # the trial minimums, metric names and sigma tokens lab would refuse mid-run
+    # the trial minimums, metric names and sigma tokens that lab takes unchecked
     with pytest.raises(CliError, match="tails needs at least 100 trials"):
         ExperimentConfig("tails", **dict(ok, trials=99))
     with pytest.raises(CliError, match="observable needs at least 2 trials"):
@@ -643,7 +652,7 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
     ],
 )
 def test_bad_config_rejected_before_any_cell_runs(tmp_path, capsys, args, message):
-    # lab would refuse these too, but only when the run reached the cell
+    # cli is the one place these are checked: lab takes the values unchecked
     out = tmp_path / "t.csv"
     rc = run_cli(args + ["--family", "product", "--n-min", "2", "--n-max", "3", "--out", out])
     assert rc == 2

@@ -189,15 +189,6 @@ def test_unbiased_identical_points_give_zero():
     assert mmd2_unbiased(X, Y, (bandwidth_kernel(1.0),))[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_unbiased_requires_two_samples():
-    X = SampleSet(3, np.array([5], dtype=np.uint64))
-    Y = SampleSet(3, np.array([1, 2], dtype=np.uint64))
-    with pytest.raises(ValueError, match="domain error"):
-        mmd2_unbiased(X, Y, (bandwidth_kernel(1.0),))
-    with pytest.raises(ValueError, match="dimension error"):
-        mmd2_unbiased(SampleSet(2, np.array([0, 1], dtype=np.uint64)), Y, (bandwidth_kernel(1.0),))
-
-
 def test_unbiased_point_mass_value():
     # X ~ delta_0, Y ~ delta_{1...1}: within-terms 1, cross rho^n, so the
     # estimate is exactly 2(1 - rho^n) for any sample sizes
@@ -434,12 +425,6 @@ def test_threshold_values():
     assert mmd_test_threshold(100, 100, 0.05) == pytest.approx(
         math.sqrt(8 * math.log(20) / 200)
     )
-    with pytest.raises(ValueError, match="domain error"):
-        mmd_test_threshold(4, 4, 0.0)
-    with pytest.raises(ValueError, match="domain error"):
-        mmd_test_threshold(4, 4, 1.5)
-    with pytest.raises(ValueError, match="domain error"):
-        mmd_test_threshold(0, 0, 0.05)
 
 
 def test_l1_examples():
