@@ -114,7 +114,7 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     re, im = fwht(planes)
     del planes
     p = re * re + im * im
-    return p / p.sum(axis=1, keepdims=True)
+    return np.divide(p, p.sum(axis=1, keepdims=True), out=p)
 
 
 def sample_prob_vector(p: ProbVector, uniforms: np.ndarray, rows=None) -> np.ndarray:

@@ -369,15 +369,15 @@ def _config_rows(configs: list[ExperimentConfig]) -> list[list[ExperimentRow]]:
     Every (family, n) cell of every config is one task of a single
     lab._parallel_map call, so one worker pool serves the whole invocation,
     with the largest worker count that any config asks for (a config that
-    names none asks for every usable CPU). A cell runs its chunks one after
-    another on one worker. Rows come back in cell order: config by config,
-    family-major. Streams fan out as seed -> family index -> n -> child(0)
-    -> chunk, and every metric and bandwidth of a cell scores that one draw,
-    so a row depends only on its (seed, family index, n, metric, sigma),
-    never on the worker count or the other configs.
+    names none asks for every usable CPU), capped at the usable CPUs. A cell
+    runs its chunks one after another on one worker. Rows come back in cell
+    order: config by config, family-major. Streams fan out as seed -> family
+    index -> n -> child(0) -> chunk, and every metric and bandwidth of a cell
+    scores that one draw, so a row depends only on its (seed, family index,
+    n, metric, sigma), never on the worker count or the other configs.
     """
     grids = [[(c, f, n) for f in range(len(c.families)) for n in c.n_values] for c in configs]
-    workers = max(lab.usable_cpus() if c.workers is None else c.workers for c in configs)
+    workers = min(lab.usable_cpus(), max(c.workers or lab.usable_cpus() for c in configs))
     results = iter(lab._parallel_map(_cell_rows, [cell for grid in grids for cell in grid], workers))
     return [[row for _ in grid for row in next(results)] for grid in grids]
 

@@ -48,7 +48,7 @@ class GammaLaw:
             raise ValueError(f"Gamma shape must be at least 1/1074 (most draws 0.0), got {self.shape}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.gamma(self.shape, 1.0, size)
+        return rng.standard_gamma(self.shape, size)
 
 
 @dataclass(frozen=True)

@@ -731,7 +731,7 @@ def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -
     """
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
-    score = mmd2_unbiased_pairs(n, samples, specs)
+    score = mmd2_unbiased_pairs(n, samples, samples, specs)
 
     def draw(rng, count):
         p = validate_prob_vector(instance_prob_values(family, n, 2 * count, rng), n)

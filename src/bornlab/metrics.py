@@ -23,29 +23,29 @@ sigma so wide that rho rounds to 1 (above about 9.5e7), a constant kernel.
 mmd2_fourier_batch evaluates every requested bandwidth from one transform,
 and each column equals, bit for bit, a call with that kernel alone.
 
-The two-sample U-statistic mmd2_unbiased needs the kernel sums
-c^T K c' over the outcome histograms c, c' of m and l samples, for each
-requested kernel. It takes one of two exact routes, picked from (n, m, l)
-alone, and every kernel shares that route's transform or histograms:
+The two-sample U-statistic has one scorer, mmd2_unbiased_pairs, which
+scores pairs of sample sets of m and l outcomes; mmd2_unbiased is its one
+pair. The statistic needs the kernel sums c^T K c' over the outcome
+histograms c, c' of each pair, for each requested kernel. The scorer takes
+one of two exact routes, picked from (n, m, l) alone, and every kernel
+shares that route's transform or histograms:
 
-* counts: one batched transform of the two histograms, after which
-  c^T K c' = sum_S w_S chat_S chat'_S / 2^n. Cost about 2 n 2^n.
+* counts: one offset bincount makes every set's histogram and one batched
+  transform turns them all, after which c^T K c' = sum_S w_S chat_S chat'_S
+  / 2^n. Cost about 2 n 2^n a lone pair.
 * distances: exact int64 histograms of the Hamming distances over the
   sample pairs, each unordered within-sample pair visited once, so each
-  kernel sum is (rho^0..rho^n) @ h. Cost m(m+1)/2 + l(l+1)/2 + m l cells.
-  This route covers outcomes up to 64 bits.
+  kernel sum is (rho^0..rho^n) @ h. A set's own histogram is made once
+  however many pairs hold it. Cost m(m+1)/2 + l(l+1)/2 + m l cells a lone
+  pair. This route covers outcomes up to 64 bits.
 
 The counts route runs when its units number at most _DISTANCE_CELL_UNITS
 times the distance route's cells, and its working memory, 40 bytes per
-outcome, fits MMD_MEMORY_BYTES; the distance route works in row blocks of
-8 bytes a cell that fit the same budget (or in one row, if that is
-larger). Neither allocates anything of size m x m. counts_route is that
-rule, the one place it is stated.
-
-mmd2_unbiased_pairs scores many pairs of equal-size sample sets on the
-route the rule picks, each estimate bit for bit that of mmd2_unbiased: on
-the counts route one transform serves every set's histogram and one
-stacked Gram product every pair, a kernel at a time.
+outcome for one kernel, fits MMD_MEMORY_BYTES; each kernel beyond the first
+adds 8 bytes an outcome of weights, which the scorer holds. The distance
+route works in row blocks of 8 bytes a cell that fit the same budget (or in
+one row, if that is larger). Neither allocates anything of size m x m.
+counts_route is that rule, the one place it is stated.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ import numpy as np
 
 from .bitmath import SampleSet, fwht, popcounts
 
-# mmd2_unbiased's peak working memory: either route's arrays fit in this many
+# the two-sample scorer's peak working memory: either route's arrays fit in this many
 # bytes (or in one row of the distance route, if that is larger)
 MMD_MEMORY_BYTES = 1 << 26
 
-# what a distance cell costs in counts units, as mmd2_unbiased's route rule
+# what a distance cell costs in counts units, as the scorer's route rule
 # weighs them. On one core a counts unit costs about 1 ns and a distance cell
 # 4-6 ns; timed over m = l, the counts route wins below 2 n 2^n / cells of
 # about 4-5 at n = 16..20, and at every ratio up to 20 for n <= 14, where the
@@ -71,10 +71,11 @@ MMD_MEMORY_BYTES = 1 << 26
 # whose route flips, so it changes only with a version bump.
 _DISTANCE_CELL_UNITS = 4.5
 
-# the counts route's peak per outcome (tracemalloc, n = 20: 40.0086): the two
-# transformed float64 histograms, one kernel's square-rooted eigenvalues and
-# that kernel's weighted copy of the histograms. The transform itself peaks
-# lower (32.25), at the histograms, their copy and one matmul block.
+# the counts route's peak per outcome at one kernel (tracemalloc, n = 20:
+# 40.41): the kernel's square-rooted eigenvalues, held by the scorer, beside
+# the transform's histograms, their float copy and one matmul block; then
+# beside the two transformed histograms and their weighted copy (40.0). The
+# largest N the rule admits, 2^20, leaves the 0.41 well inside MMD_MEMORY_BYTES.
 _COUNTS_BYTES_PER_OUTCOME = 40.0
 
 
@@ -137,25 +138,20 @@ def _counts_kernel_sums(hats: np.ndarray, pairs, roots) -> np.ndarray:
     transformed outcome histograms, per kernel: shape (3, kernels, pairs).
 
     K is diagonal in the Walsh basis, so the quadratic forms are Gram matrices
-    weighted by the eigenvalues. roots yields each kernel's square-rooted
-    eigenvalues over 2^n in turn (a generator builds each only when its turn
-    comes). For each kernel the pairs are gathered into one array, weighted
-    in place, and multiplied by their own transpose in one stacked product:
-    numpy runs pair @ pair.T over one buffer as a BLAS syrk per pair, which
-    rounds as a lone pair's product does, where copies on the two sides
-    would not.
+    weighted by the eigenvalues; roots holds each kernel's square-rooted
+    eigenvalues over 2^n. For each kernel the pairs are gathered into one
+    array, weighted in place, and multiplied by their own transpose in one
+    stacked product: numpy runs pair @ pair.T over one buffer as a BLAS syrk
+    per pair, which rounds as a lone pair's product does, where copies on
+    the two sides would not.
     """
     sums = []
     for root in roots:
         gathered = np.take(hats, pairs, axis=0)
         gathered *= root
         sums.append(np.matmul(gathered, gathered.swapaxes(1, 2))[:, [0, 0, 1], [0, 1, 1]].T)
-        del gathered, root  # freed before the next kernel's weights are built
+        del gathered  # freed before the next kernel's pairs are gathered
     return np.stack(sums, axis=1)
-
-
-def _kernel_roots(n: int, spec: KernelSpec) -> np.ndarray:
-    return np.sqrt(fourier_weights(n, spec) / (1 << n))
 
 
 def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -190,8 +186,8 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def counts_route(n: int, m: int, l: int) -> bool:
-    """Whether mmd2_unbiased takes the counts route for m and l outcomes of
-    n bits: the one route rule, from (n, m, l) alone."""
+    """Whether the scorer takes the counts route for sets of m and l outcomes
+    of n bits: the one route rule, from (n, m, l) alone."""
     N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
     counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
     return counts_cheaper and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES
@@ -208,55 +204,47 @@ def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> 
 
     Averages the kernel over distinct ordered pairs within each sample and
     over all cross pairs; can be negative and is never clamped (clamping
-    would break the unbiasedness the concentration bound relies on). The
-    kernel sums take the counts or the distance route of the module
-    docstring; both are exact and neither holds an m x m array. Each
-    estimate equals, bit for bit, a call with that kernel alone.
+    would break the unbiasedness the concentration bound relies on). It is
+    mmd2_unbiased_pairs' one pair (X, Y); each estimate equals, bit for bit,
+    a call with that kernel alone.
     """
-    n, m, l = X.n, len(X), len(Y)
-    if counts_route(n, m, l):
-        c = np.empty((2, 1 << n))
-        c[0] = np.bincount(X.outcomes.view(np.int64), minlength=1 << n)
-        c[1] = np.bincount(Y.outcomes.view(np.int64), minlength=1 << n)
-        c = fwht(c)
-        roots = (_kernel_roots(n, spec) for spec in specs)
-        return _estimates(_counts_kernel_sums(c, [(0, 1)], roots)[:, :, 0], m, l)
-    hists = (
-        _self_hamming_histogram(X.outcomes, n),
-        _hamming_histogram(X.outcomes, Y.outcomes, n),
-        _self_hamming_histogram(Y.outcomes, n),
-    )
-    sums = [[(spec.rho ** np.arange(n + 1)) @ h for h in hists] for spec in specs]
-    return _estimates(np.array(sums).T, m, l)
+    return mmd2_unbiased_pairs(X.n, len(X), len(Y), specs)([X.outcomes, Y.outcomes], [(0, 1)])[:, 0]
 
 
-def mmd2_unbiased_pairs(n: int, m: int, specs: tuple[KernelSpec, ...]) -> Callable:
-    """A scorer of sample sets of m outcomes of n bits each: score(outcomes,
-    pairs) is mmd2_unbiased of the sets outcomes[i] and outcomes[j] for each
-    row (i, j) of pairs, shape (len(specs), len(pairs)), bit for bit.
+def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -> Callable:
+    """A scorer of sets of n-bit outcomes: score(sets, pairs) is the
+    U-statistic of set i (m outcomes) against set j (l outcomes) for each row
+    (i, j) of pairs, shape (len(specs), len(pairs)). sets is a 2-D array of
+    equal sets, one a row, or a sequence of 1-D arrays.
 
-    The route is mmd2_unbiased's for (n, m, m), fixed here. On the counts
-    route the kernels' weights are built here, once, and a call makes every
-    set's histogram with one offset bincount, transforms them all in one
-    fwht (exact, since they hold integers) and takes one stacked Gram
-    product a kernel, holding 8 bytes per outcome for each set and 16 for
-    each pair at its peak. On the distance route each pair is one
-    mmd2_unbiased call.
+    The route is counts_route(n, m, l), and each kernel's weights are built
+    here, once. At its peak the counts route holds 8 bytes per outcome for
+    each set and 16 for each pair.
     """
-    if not counts_route(n, m, m):
-        def score(outcomes, pairs):
-            sets = [SampleSet(n, row) for row in outcomes]
-            return np.stack([mmd2_unbiased(sets[i], sets[j], specs) for i, j in pairs], axis=1)
+    if not counts_route(n, m, l):
+        powers = [spec.rho ** np.arange(n + 1) for spec in specs]
+
+        def score(sets, pairs):
+            own = {i: _self_hamming_histogram(sets[i], n) for i in np.unique(pairs)}
+            hists = [(own[i], _hamming_histogram(sets[i], sets[j], n), own[j]) for i, j in pairs]
+            sums = [[[power @ h for power in powers] for h in pair] for pair in hists]
+            return _estimates(np.transpose(sums, (1, 2, 0)), m, l)
 
         return score
     N = 1 << n
-    roots = [_kernel_roots(n, spec) for spec in specs]
+    roots = [np.sqrt(fourier_weights(n, spec) / N) for spec in specs]
 
-    def score(outcomes, pairs):
-        keys = outcomes.view(np.int64) + N * np.arange(len(outcomes))[:, None]
-        hats = fwht(np.bincount(keys.ravel(), minlength=N * len(outcomes)).reshape(-1, N))
+    def score(sets, pairs):
+        # outcomes offset by N times their set's index. An array of equal sets
+        # (an mmdtest chunk) is read through a view, so the keys are the one
+        # copy that lab._mmdtest_rep_bytes counts; a sequence is joined first
+        equal = isinstance(sets, np.ndarray)
+        sizes = sets.shape[1] if equal else [len(s) for s in sets]
+        keys = np.repeat(N * np.arange(len(sets)), sizes)
+        keys += (sets.reshape(-1) if equal else np.concatenate(sets)).view(np.int64)
+        hats = fwht(np.bincount(keys, minlength=N * len(sets)).reshape(-1, N))
         del keys
-        return _estimates(_counts_kernel_sums(hats, pairs, roots), m, m)
+        return _estimates(_counts_kernel_sums(hats, pairs, roots), m, l)
 
     return score
 

@@ -87,4 +87,4 @@ def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> n
     """
     check_statevector_cap(n)
     p = np.abs(_amplitudes(_gaussian_tensors(n, chi, batch, rng))) ** 2
-    return p / p.sum(axis=1, keepdims=True)
+    return np.divide(p, p.sum(axis=1, keepdims=True), out=p)

@@ -99,11 +99,20 @@ WORKER_CONFIGS = {
 }
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a two-worker run opens a two-thread pool on any machine."""
+    monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+
+
 @pytest.mark.parametrize("experiment", list(WORKER_CONFIGS))
-def test_worker_count_does_not_change_bytes(tmp_path, experiment):
+def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch, experiment):
     # the cells share one process: with more threads than cores, switching
     # between them as often as the interpreter allows, every row still comes
-    # from its own cell's stream and lands in its cell's place
+    # from its own cell's stream and lands in its cell's place; the pool is
+    # capped at the usable CPUs, so two more are reported than there are
+    cpus = lab.usable_cpus() + 2
+    monkeypatch.setattr(lab, "usable_cpus", lambda: cpus)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(WORKER_CONFIGS[experiment], experiment=experiment, seed=11)))
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
@@ -112,7 +121,7 @@ def test_worker_count_does_not_change_bytes(tmp_path, experiment):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert run_cli(["run", "--config", cfg_path, "--workers", lab.usable_cpus() + 2, "--out", c]) == 0
+        assert run_cli(["run", "--config", cfg_path, "--workers", cpus, "--out", c]) == 0
     finally:
         sys.setswitchinterval(interval)
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
@@ -131,7 +140,7 @@ def _count_pools(monkeypatch) -> list:
     return opened
 
 
-def test_one_config_opens_one_pool(tmp_path, monkeypatch):
+def test_one_config_opens_one_pool(tmp_path, monkeypatch, two_cpus):
     # six cells of two chunks each: one Pool serves them all
     opened = _count_pools(monkeypatch)
     out = tmp_path / "t.csv"
@@ -141,7 +150,7 @@ def test_one_config_opens_one_pool(tmp_path, monkeypatch):
     assert len(read_rows(out)) == 2 * 3 * 10
 
 
-def test_one_invocation_opens_one_pool(tmp_path, monkeypatch):
+def test_one_invocation_opens_one_pool(tmp_path, monkeypatch, two_cpus):
     # every config of a run --config file and every kind of a figures call
     # share one Pool, and still write the bytes of a one-worker run
     record = {"configs": [
@@ -179,6 +188,22 @@ def test_default_workers_are_the_usable_cpus(tmp_path, monkeypatch):
     assert lab.usable_cpus() == 3
     assert run_cli(args) == 0
     assert opened == [3]
+
+
+def test_the_pool_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, two_cpus):
+    # workers: 64 over 8 cells on two usable CPUs opens a pool of two threads
+    asked, opened = [], _count_pools(monkeypatch)
+    parallel_map = lab._parallel_map
+
+    def asking_map(fn, tasks, workers):
+        asked.append(workers)
+        return parallel_map(fn, tasks, workers)
+
+    monkeypatch.setattr(lab, "_parallel_map", asking_map)
+    config = ExperimentConfig("tails", ("product", "dirichlet"), n_min=3, n_max=6, trials=200,
+                              seed=1, workers=64)
+    assert len(run_config(config)) == 8 * 10
+    assert asked == [2] and opened == [2]
 
 
 def test_a_stopped_fan_out_ends_an_mmdtest_cell_between_chunks(monkeypatch):
@@ -272,7 +297,7 @@ PARETO_CELL = ExperimentConfig(experiment="anticoncentration", families=("pareto
                                n_min=12, n_max=12, trials=2048, seed=3)
 
 
-def test_fan_out_memory_is_bounded_before_allocation_across_threads():
+def test_fan_out_memory_is_bounded_before_allocation_across_threads(two_cpus):
     # both workers' chunks live in this process, and tracemalloc traces every
     # thread: the Pareto mass cell beside a product tail cell (two
     # 2^16-instance chunks) stays within the bound of two chunks

@@ -577,6 +577,14 @@ def test_law_moments():
             ParetoLaw(bad)
 
 
+@pytest.mark.parametrize("shape", [1 / 1074, 0.5, 1.0, 3.0])
+def test_gamma_law_draws_numpys_gamma_stream(shape):
+    # every Dirichlet and peaked row draws through GammaLaw: its values are
+    # those of rng.gamma(shape, 1.0, size), bit for bit
+    got = GammaLaw(shape).sample(np.random.default_rng(29), (7, 33))
+    assert got.tobytes() == np.random.default_rng(29).gamma(shape, 1.0, (7, 33)).tobytes()
+
+
 def test_law_domains_stop_where_half_the_draws_are_zero():
     # the bounds the laws refuse past: at each about half of the float64
     # draws are 0.0, and a little inside it fewer than half

@@ -374,25 +374,47 @@ def test_unbiased_route_rule_weighs_distance_cells(routes, n, m, route):
     assert set(routes) == {route}
 
 
+def _scorer_case(n, m, route, l=None):
+    """Sets of m and l outcomes (l = m by default); an equal case keeps its
+    n-m-route name."""
+    ident = [n, m, route] if l is None else [n, m, l, route]
+    return pytest.param(n, m, m if l is None else l, route, id="-".join(map(str, ident)))
+
+
 @pytest.mark.parametrize(
-    "n, m, route",
+    "n, m, l, route",
     # N = 64..65536 on the counts route, each m just past the rule's crossover
-    [(n, max(16, math.ceil(math.sqrt(n * (1 << n) / 4.5))), "counts") for n in range(6, 17, 2)]
-    + [(16, 150, "distances"), (40, 30, "distances")],
+    [_scorer_case(n, max(16, math.ceil(math.sqrt(n * (1 << n) / 4.5))), "counts")
+     for n in range(6, 17, 2)]
+    + [_scorer_case(16, 150, "distances"), _scorer_case(40, 30, "distances")]
+    # unequal sets, joined in one copy before the offset bincount
+    + [_scorer_case(10, 60, "counts", l=45), _scorer_case(40, 30, "distances", l=20)],
 )
-def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, route):
+def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, l, route):
     # the stacked Gram product of the gathered pairs rounds as each pair's own
-    # product does, so every estimate equals its lone call bit for bit
-    rng = np.random.default_rng(n + m)
-    outcomes = rng.integers(0, 1 << n, size=(5, m), dtype=np.uint64)
-    pairs = np.array([[0, 1], [0, 2], [3, 4], [4, 3], [2, 2]])
+    # product does, so every estimate equals its lone call bit for bit; equal
+    # sets come as one array, unequal ones as a list
+    rng = np.random.default_rng(n + m + l)
+    sets = [rng.integers(0, 1 << n, size=size, dtype=np.uint64) for size in (m, l, l, m, l)]
+    pairs = np.array([[0, 1], [0, 2], [3, 4], [3, 1]] + ([[4, 3], [2, 2]] if m == l else []))
     specs = tuple(bandwidth_kernel(s) for s in (0.0, 1.0, float(n)))
-    block = metrics.mmd2_unbiased_pairs(n, m, specs)(outcomes, pairs)
+    block = metrics.mmd2_unbiased_pairs(n, m, l, specs)(np.stack(sets) if m == l else sets, pairs)
     assert set(routes) == {route}
     assert block.shape == (len(specs), len(pairs))
     for column, (i, j) in zip(block.T, pairs):
-        single = mmd2_unbiased(SampleSet(n, outcomes[i]), SampleSet(n, outcomes[j]), specs)
+        single = mmd2_unbiased(SampleSet(n, sets[i]), SampleSet(n, sets[j]), specs)
         assert column.tobytes() == single.tobytes()
+
+
+def test_distance_route_makes_each_own_histogram_once(monkeypatch):
+    # a repetition's p-sample sits in both of its pairs: three own histograms, not four
+    made, own = [], metrics._self_hamming_histogram
+    monkeypatch.setattr(metrics, "_self_hamming_histogram", lambda a, n: made.append(n) or own(a, n))
+    n, m = 40, 30
+    assert not metrics.counts_route(n, m, m)
+    sets = np.random.default_rng(3).integers(0, 1 << n, size=(3, m), dtype=np.uint64)
+    metrics.mmd2_unbiased_pairs(n, m, m, (bandwidth_kernel(1.0),))(sets, [(0, 1), (0, 2)])
+    assert len(made) == 3
 
 
 def _mmdtest(tmp_path, capsys, x_lines, y_lines, sigma):
