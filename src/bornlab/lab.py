@@ -35,9 +35,15 @@ FAMILIES is the one table of family kinds. Each entry holds two Routes with
 their own bytes per instance and n cap: `dense` draws a chunk of B instances
 as a (B, 2^n) array, `mass` their reference-outcome masses, from the kind's
 closed-form marginal where it has one. The sparse kinds draw that mass only
-for the instances whose support holds x*, a share of K/2^n. The entry also
-names the FamilySpec parameters its kind reads and its underlying law, from
-which FamilySpec builds its CSV label and refuses parameters the kind ignores.
+for the instances whose support holds x*, a share of K/2^n. Their entries
+also hold the compact form (Support): K masses and K positions an instance,
+which `dense` scatters into 2^n rows. Where K^2 <= 2^n and K < 2^n, where
+the positions are K drawn integers, a pairwise cell scores the compact pairs
+on their 2K support points, with a byte bound of their own
+(_support_pair_bytes); every other shape and experiment densifies. The
+entry also names the FamilySpec parameters its kind reads and its
+underlying law, from which FamilySpec builds its CSV label and refuses
+parameters the kind ignores.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ from .bitmath import (MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS
                       SubsetMask, validate_prob_vector)
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
-from .metrics import bandwidth_kernel, mmd2_fourier_batch, mmd2_unbiased_pairs, mmd_test_threshold
+from .metrics import (bandwidth_kernel, mmd2_fourier_batch, mmd2_points_batch, mmd2_unbiased_pairs,
+                      mmd_test_threshold)
 from .mps import bond_dims, mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
@@ -137,24 +144,30 @@ def _distinct_positions(B: int, K: int, N: int, rng: np.random.Generator) -> np.
     return positions
 
 
-def _scatter_rows(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Place each row of K masses on K distinct outcomes of [N]: independently
-    per row, the outcomes of masses 1..K are an exactly uniform ordered K-tuple.
+def _support_positions(B: int, K: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """(B, K) distinct outcomes of [N] a row for the masses 1..K of B rows:
+    independently per row, an exactly uniform ordered K-tuple.
 
     Where K^2 <= N a row draws K iid positions, O(K) draws, and draws them
     again while they hold a repeat; they are distinct with probability at least
     1 - K(K-1)/(2N) >= 1/2. Where a repeat is likely (K^2 > N), the K smallest
-    of N iid uniform keys a row give the positions. K = N keeps the masses in place.
+    of N iid uniform keys a row give the positions. K = N keeps the masses in
+    place and draws nothing.
     """
-    B, K = values.shape
     if K == N:
-        return values.copy()
+        return np.broadcast_to(np.arange(N), (B, N))
     if K * K > N:
-        idx = np.argpartition(rng.random((B, N)), K, axis=1)[:, :K]
-    else:
-        idx = _distinct_positions(B, K, N, rng)
-    out = np.zeros((B, N))
-    np.put_along_axis(out, idx, values, axis=1)
+        return np.argpartition(rng.random((B, N)), K, axis=1)[:, :K]
+    return _distinct_positions(B, K, N, rng)
+
+
+def _scatter_rows(masses: np.ndarray, positions: np.ndarray, N: int) -> np.ndarray:
+    """Dense rows of N outcomes: each row's masses at its positions, 0 elsewhere.
+    N masses a row sit at 0..N-1 (_support_positions), so they are copied."""
+    if masses.shape[1] == N:
+        return masses.copy()
+    out = np.zeros((len(masses), N))
+    np.put_along_axis(out, positions, masses, axis=1)
     return out
 
 
@@ -271,19 +284,40 @@ class Route:
 
 
 @dataclass(frozen=True)
+class Support:
+    """The compact form of a sparse kind: an instance puts K masses on K
+    distinct outcomes. size(spec, n) is K, and masses(spec, n, count, rng)
+    draws the (count, K) masses."""
+
+    size: Callable[[FamilySpec, int], int]
+    masses: Callable
+
+    def draw(self, spec, n, count, rng) -> tuple[np.ndarray, np.ndarray]:
+        """`count` fresh instances: their masses, then their positions, (count, K) each."""
+        masses = self.masses(spec, n, count, rng)
+        return masses, _support_positions(count, masses.shape[1], 1 << n, rng)
+
+    def dense(self, spec, n, count, rng) -> np.ndarray:
+        """The same draw, scattered into (count, 2^n) rows."""
+        return _scatter_rows(*self.draw(spec, n, count, rng), 1 << n)
+
+
+@dataclass(frozen=True)
 class Family:
     """How the experiments draw the instances of one family kind.
 
     dense returns `count` output distributions, shape (count, 2^n); mass
     returns their p(x*), shape (count,). params names the FamilySpec
     parameters the kind reads, and law, for the kinds built on iid positive
-    draws, the underlying law that alpha parameterizes.
+    draws, the underlying law that alpha parameterizes. support is the
+    compact form of the sparse kinds, whose dense draw is support.dense.
     """
 
     dense: Route
     mass: Route
     params: tuple[str, ...] = ()
     law: type | None = None
+    support: Support | None = None
 
 
 def _iqp_product_weights(n: int, count: int, rng) -> np.ndarray:
@@ -355,12 +389,6 @@ def _peaked_iqp_mass(spec, n, count, rng) -> np.ndarray:
     return out
 
 
-def _point_dense(spec, n, count, rng) -> np.ndarray:
-    out = np.zeros((count, 1 << n))
-    out[np.arange(count), rng.integers(0, 1 << n, count)] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # what a draw holds at its peak, per instance (tracemalloc, tests/test_lab.py)
 
@@ -401,6 +429,15 @@ def _peaked_iqp_bytes(spec: FamilySpec, n: int) -> int:
     return max(_iqp_bytes(K.bit_length() - 1), _scatter_bytes(K, 1 << n))
 
 
+def _support_pair_bytes(K: int, n: int) -> int:
+    """A pair scored on its 2K support points (tracemalloc, n = 1..20): 16
+    bytes a pair of points (a distance key, a weight product), 64 a point (the
+    two draws while their union is sorted, then the union and its
+    differences) and the histogram's n + 1 bins. A combo's row adds 8, which
+    the point terms cover for the four metrics at a few bandwidths."""
+    return 64 * K * K + 128 * K + 8 * (n + 1)
+
+
 # What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
 # per outcome, the transforms of its three histograms and its two pairs
 # gathered for the Gram product (56 bytes), more than its two instances hold
@@ -428,6 +465,13 @@ _DENSE_COLUMN = Route(
     lambda spec, n: FAMILIES[spec.kind].dense.bytes_per_instance(spec, n),
     MAX_STATEVECTOR_QUBITS,
 )
+
+# the sparse kinds' compact forms: K masses from the kind's law, from a
+# log2(K)-qubit IQP, or a mass of 1, a read-only view that holds no bytes
+_PEAKED = Support(FamilySpec.support_size,
+                  lambda spec, n, count, rng: _law_rows(spec, spec.support_size(n), count, rng))
+_PEAKED_IQP = Support(FamilySpec.support_size, _peaked_iqp_masses)
+_POINT = Support(lambda spec, n: 1, lambda spec, n, count, rng: np.broadcast_to(1.0, (count, 1)))
 
 # Every family is exchangeable over outcomes, so the tail law of p(x*) does
 # not depend on the choice of x* = 0...0. The entries call the generators
@@ -460,12 +504,10 @@ FAMILIES = {
         params=("alpha",), law=ParetoLaw,
     ),
     "peaked": Family(
-        Route(lambda spec, n, count, rng: _scatter_rows(
-            _law_rows(spec, spec.support_size(n), count, rng), 1 << n, rng
-        ), lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
+        Route(_PEAKED.dense, lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
         # the hit mask, the output and a Beta variate a hit: 17 bytes where all hit
         Route(_peaked_mass, lambda spec, n: 17),
-        params=("alpha", "k"), law=GammaLaw,
+        params=("alpha", "k"), law=GammaLaw, support=_PEAKED,
     ),
     "iqp": Family(
         Route(lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
@@ -473,14 +515,12 @@ FAMILIES = {
         _DENSE_COLUMN,
     ),
     "peaked_iqp": Family(
-        Route(lambda spec, n, count, rng: _scatter_rows(
-            _peaked_iqp_masses(spec, n, count, rng), 1 << n, rng
-        ), _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
+        Route(_PEAKED_IQP.dense, _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
         # the log2(K)-qubit IQP of every hit beside the 1-byte hit mask; the picks
         # and the output after it hold less
         Route(_peaked_iqp_mass, lambda spec, n: _iqp_bytes(spec.support_size(n).bit_length() - 1) + 1,
               MAX_STATEVECTOR_QUBITS),
-        params=("k",),
+        params=("k",), support=_PEAKED_IQP,
     ),
     "mps": Family(
         Route(lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
@@ -495,9 +535,10 @@ FAMILIES = {
         Route(lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n)), lambda spec, n: 8),
     ),
     "point": Family(
-        Route(_point_dense, lambda spec, n: _float_bytes(1 << n, 16)),
+        Route(_POINT.dense, lambda spec, n: _float_bytes(1 << n, 16)),
         Route(lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float),
               lambda spec, n: 16),
+        support=_POINT,
     ),
 }
 
@@ -625,6 +666,34 @@ def estimate_tail_curve(
                      ci_low=lows, ci_high=highs, trials=trials)
 
 
+def _on_supports(family: FamilySpec, n: int) -> bool:
+    """Whether a pairwise cell scores its pairs on their 2K support points: a
+    sparse kind where its K positions are drawn, not ranked (K^2 <= 2^n, K < 2^n)."""
+    support = FAMILIES[family.kind].support
+    if support is None:
+        return False
+    K = support.size(family, n)
+    return K * K <= 1 << n and K < 1 << n
+
+
+def _support_difference(family: FamilySpec, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """p - q of `count` fresh pairs of a sparse kind on the union of their
+    supports: (points, diff), (count, 2K) each, points sorted along a row. A
+    point of both supports holds p - q at its first entry and 0 at its second."""
+    draw = FAMILIES[family.kind].support.draw
+    (p, x), (q, y) = draw(family, n, count, rng), draw(family, n, count, rng)
+    points = np.concatenate([x, y], axis=1)
+    order = np.argsort(points, axis=1)
+    points = np.take_along_axis(points, order, axis=1)
+    diff = np.take_along_axis(np.concatenate([p, -q], axis=1), order, axis=1)
+    del p, q, x, y, order  # freed before the twins are merged, as _support_pair_bytes counts
+    # a row's positions are distinct within p and within q, so a point occurs at most twice
+    twin = points[:, 1:] == points[:, :-1]
+    diff[:, :-1][twin] += diff[:, 1:][twin]
+    diff[:, 1:][twin] = 0.0
+    return points, diff
+
+
 def pairwise_loss_values(
     family: FamilySpec,
     n: int,
@@ -633,17 +702,27 @@ def pairwise_loss_values(
     stream: RandomStream,
 ) -> np.ndarray:
     """Losses of `pairs` independent instance pairs in draw order, one row per
-    (metric, sigma) combo; every combo is scored on the same pairs."""
+    (metric, sigma) combo; every combo is scored on the same pairs.
+
+    A pair is scored on its dense difference p - q, or, where _on_supports,
+    on that difference over the 2K points of its two supports, drawn from the
+    same generator calls: SD, L1 and TVD sum it, and MMD^2 is the kernel
+    double sum over the points."""
     mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
     mmd2_kernels = tuple(bandwidth_kernel(sigma) for metric, sigma in combos if metric == "mmd2")
+    on_supports = _on_supports(family, n)
 
     def draw(rng, count):
-        diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
-            family, n, count, rng
-        )
+        if on_supports:
+            points, diff = _support_difference(family, n, count, rng)
+        else:
+            diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
+                family, n, count, rng
+            )
         out = np.empty((len(combos), count))
         if mmd2:
-            out[mmd2] = mmd2_fourier_batch(diff, n, mmd2_kernels).T
+            out[mmd2] = (mmd2_points_batch(points, diff, n, mmd2_kernels) if on_supports
+                         else mmd2_fourier_batch(diff, n, mmd2_kernels)).T
         l1 = None
         for i, (metric, _) in enumerate(combos):
             if metric == "sd":
@@ -654,7 +733,9 @@ def pairwise_loss_values(
                 out[i] = l1 if metric == "l1" else 0.5 * l1
         return out
 
-    return _collect(draw, pairs, FAMILIES[family.kind].dense.bytes_per_instance(family, n), stream)
+    item_bytes = (_support_pair_bytes(FAMILIES[family.kind].support.size(family, n), n) if on_supports
+                  else FAMILIES[family.kind].dense.bytes_per_instance(family, n))
+    return _collect(draw, pairs, item_bytes, stream)
 
 
 def pairwise_loss_moments(

@@ -1,7 +1,8 @@
 """Loss functions between distributions over bit strings, batched.
 
 Implements the maximum mean discrepancy (MMD^2) under the Gaussian-Hamming
-kernel in its Fourier-diagonal form over batches of differences, the
+kernel in its Fourier-diagonal form over batches of dense differences, as a
+kernel double sum over batches of differences held on a few points, the
 two-sample U-statistic and its test threshold. The pairwise experiments in
 lab take SD, L1 and TVD of a batch directly. The single-pair form of every
 metric, and the kernel double sum that checks the Fourier form, are test
@@ -131,6 +132,26 @@ def mmd2_fourier_batch(diffs: np.ndarray, n: int, specs: tuple[KernelSpec, ...])
     """MMD^2 of diffs, shape (..., 2^n), under each kernel: one column per kernel."""
     power = fwht(np.asarray(diffs, dtype=float)) ** 2
     return np.stack([power @ fourier_weights(n, spec) / (1 << n) for spec in specs], axis=-1)
+
+
+def _point_pair_histogram(points: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the sum of w_i w_j over the pairs of points at Hamming
+    distance 0..n, shape (B, n + 1); the pair tables are freed on return."""
+    B = len(points)
+    keys = points[:, :, None] ^ points[:, None, :]
+    np.bitwise_count(keys, out=keys)
+    keys += (n + 1) * np.arange(B)[:, None, None]
+    products = weights[:, :, None] * weights[:, None, :]
+    return np.bincount(keys.reshape(-1), products.reshape(-1), minlength=B * (n + 1)).reshape(B, n + 1)
+
+
+def mmd2_points_batch(points: np.ndarray, weights: np.ndarray, n: int,
+                      specs: tuple[KernelSpec, ...]) -> np.ndarray:
+    """MMD^2 of differences given as weights on n-bit points, shape (B, M)
+    each, under each kernel: the double sum sum_ij w_i w_j rho^{d_H(x_i, x_j)}
+    of each row, one column per kernel, every kernel from one histogram."""
+    h = _point_pair_histogram(points, weights, n)
+    return np.stack([h @ spec.rho ** np.arange(n + 1) for spec in specs], axis=-1)
 
 
 def _counts_kernel_sums(hats: np.ndarray, pairs, roots) -> np.ndarray:

@@ -280,6 +280,21 @@ def test_an_mmdtest_cell_is_bounded_before_allocation():
             tracemalloc.stop()
         bound = chunk * rep_bytes + (8 << n)
         assert peak < 1.1 * bound, (token, peak, bound)
+    # a one-chunk cell where the samples, not the 2^n outcomes, fill a
+    # repetition (48 x 500 bytes against 56 x 2^6), run once first so that
+    # the process's one-time caches are not in its peak
+    family, n, samples, trials = parse_family("dirichlet"), 6, 500, 40
+    rep_bytes = lab._mmdtest_rep_bytes(family, n, samples)
+    assert lab.CHUNK_BYTES // rep_bytes > trials and metrics.counts_route(n, samples, samples)
+    _mmdtest_rejection_rates(family, n, [1.0], 0.05, samples, trials, RandomStream(1))
+    tracemalloc.start()
+    try:
+        _mmdtest_rejection_rates(family, n, [1.0], 0.05, samples, trials, RandomStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = trials * rep_bytes + (8 << n)
+    assert peak < 1.1 * bound, ("dirichlet", peak, bound)
 
 
 def _traced_peak(*configs: ExperimentConfig) -> int:
@@ -1017,7 +1032,7 @@ def test_metric_order_does_not_change_rows(tmp_path):
 
 
 @pytest.mark.parametrize("version", ["0.1.0", "0.2.0", "0.3.0", "0.5.0", "0.7.0", "0.8.0", "0.9.0",
-                                     "0.10.0"])
+                                     "0.10.0", "0.11.0"])
 def test_manifest_of_another_version_is_refused(tmp_path, capsys, version):
     first = tmp_path / "first.csv"
     run_cli(["pairwise", "--family", "dirichlet", "--n-min", "3", "--n-max", "3",

@@ -17,6 +17,7 @@ from bornlab.lab import (
     _iqp_product_weights,
     _normalized_rows,
     _scatter_rows,
+    _support_positions,
     instance_prob_values,
     reference_mass_values,
 )
@@ -233,18 +234,24 @@ def test_peaked_support_positions_uniform():
     assert pvalue > 0.01
 
 
+def _scatter(values, N, rng):
+    """values placed as a sparse kind's dense draw places its masses: their
+    positions drawn from rng, then the scatter."""
+    return _scatter_rows(values, _support_positions(len(values), values.shape[1], N, rng), N)
+
+
 def test_random_k_subset_properties():
     # _scatter_rows puts each row's K masses on distinct positions of [N];
     # both shapes here (K^2 <= N) draw K positions a row
     rng = np.random.default_rng(12)
     values = rng.random((200, 7)) + 0.5
-    out = _scatter_rows(values, 50, rng)
+    out = _scatter(values, 50, rng)
     assert out.shape == (200, 50)
     assert np.all(np.count_nonzero(out, axis=1) == 7)
     np.testing.assert_array_equal(np.sort(out, axis=1)[:, -7:], np.sort(values, axis=1))
     # exhaustive-case uniformity: all C(5,2) = 10 subsets
     rng = np.random.default_rng(13)
-    support = _scatter_rows(np.ones((5000, 2)), 5, rng) > 0
+    support = _scatter(np.ones((5000, 2)), 5, rng) > 0
     _, subset_counts = np.unique(support @ (1 << np.arange(5)), return_counts=True)
     assert subset_counts.size == 10
     _, pvalue = stats.chisquare(subset_counts)
@@ -254,7 +261,7 @@ def test_random_k_subset_properties():
 def test_scatter_keys_path_subsets_uniform():
     # K^2 > N ranks N keys a row: all C(6, 3) = 20 subsets, chi-square at 1%
     rng = np.random.default_rng(14)
-    support = _scatter_rows(np.ones((6000, 3)), 6, rng) > 0
+    support = _scatter(np.ones((6000, 3)), 6, rng) > 0
     assert np.all(support.sum(axis=1) == 3)
     _, subset_counts = np.unique(support @ (1 << np.arange(6)), return_counts=True)
     assert subset_counts.size == 20
@@ -267,7 +274,7 @@ def test_scatter_each_mass_lands_on_each_outcome_equally_often(K, N):
     # mass j is the value j + 1, so a row's table reads off where each mass
     # went; chi-square over the K x N cells, whose K rows each sum to B
     B = 4000
-    out = _scatter_rows(np.tile(np.arange(1.0, K + 1), (B, 1)), N, np.random.default_rng(15 + N))
+    out = _scatter(np.tile(np.arange(1.0, K + 1), (B, 1)), N, np.random.default_rng(15 + N))
     table = np.stack([(out == j + 1).sum(axis=0) for j in range(K)])
     assert np.all(table.sum(axis=1) == B)
     _, pvalue = stats.chisquare(table.ravel(), ddof=K - 1)
@@ -278,7 +285,7 @@ def test_scatter_full_support_keeps_masses_and_draws_nothing():
     values = np.random.default_rng(16).random((5, 8))
     rng = np.random.default_rng(17)
     state = rng.bit_generator.state
-    out = _scatter_rows(values, 8, rng)
+    out = _scatter(values, 8, rng)
     np.testing.assert_array_equal(out, values)
     assert out is not values and rng.bit_generator.state == state
 
@@ -288,7 +295,7 @@ def test_scatter_keys_shapes_are_the_ranked_keys_draw():
     for K, N in ((2, 2), (3, 4), (4, 8), (5, 16), (7, 32), (8, 32), (16, 128)):
         values = np.random.default_rng(K).random((300, K))
         np.testing.assert_array_equal(
-            _scatter_rows(values, N, np.random.default_rng(N)),
+            _scatter(values, N, np.random.default_rng(N)),
             scatter_rows_by_ranked_keys(values, N, np.random.default_rng(N)),
         )
 
@@ -302,9 +309,9 @@ class _RepeatingPositions:
 
 def test_scatter_redraw_is_bounded():
     with pytest.raises(ValueError, match=rf"domain error: .* repeat in {MAX_REDRAW_ROUNDS} redraws"):
-        _scatter_rows(np.ones((3, 2)), 4, _RepeatingPositions())
+        _scatter(np.ones((3, 2)), 4, _RepeatingPositions())
     # a single mass never repeats, so it is placed at once
-    np.testing.assert_array_equal(_scatter_rows(np.ones((3, 1)), 4, _RepeatingPositions())[:, 0], 1.0)
+    np.testing.assert_array_equal(_scatter(np.ones((3, 1)), 4, _RepeatingPositions())[:, 0], 1.0)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -583,6 +590,18 @@ def test_gamma_law_draws_numpys_gamma_stream(shape):
     # those of rng.gamma(shape, 1.0, size), bit for bit
     got = GammaLaw(shape).sample(np.random.default_rng(29), (7, 33))
     assert got.tobytes() == np.random.default_rng(29).gamma(shape, 1.0, (7, 33)).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 1000, (7, 33), (64, 1024)])
+def test_gamma_law_at_shape_one_is_the_gamma_draw(size):
+    # at shape 1 GammaLaw draws standard_exponential: the values of
+    # standard_gamma(1.0), bit for bit, on the lab's Philox streams, and the
+    # draws after it are those after standard_gamma
+    for seed in (0, 1, 29, 2**40 + 7):
+        ours, numpys = RandomStream(seed).generator, RandomStream(seed).generator
+        assert ours is not numpys
+        assert GammaLaw(1.0).sample(ours, size).tobytes() == numpys.standard_gamma(1.0, size).tobytes()
+        assert ours.random(8).tobytes() == numpys.random(8).tobytes()
 
 
 def test_law_domains_stop_where_half_the_draws_are_zero():

@@ -24,6 +24,7 @@ from bornlab.lab import (
     reference_mass_values,
     wilson_interval,
 )
+from bornlab.metrics import bandwidth_kernel, mmd2_fourier_batch
 from oracles import pareto_mass_one_array, porter_thomas_survival, product_tail_exact
 
 STREAM = RandomStream(424242)
@@ -209,6 +210,51 @@ def test_pairwise_combos_share_draws_across_chunks():
     np.testing.assert_array_equal(values[0], values[4] / 2)
 
 
+SUPPORT_SPECS = [FamilySpec("peaked"), FamilySpec("peaked", k=4), FamilySpec("peaked_iqp"), FamilySpec("point")]
+
+
+def _support_cells(spec, n_max):
+    """The n <= n_max whose pairwise cells of spec are scored on supports."""
+    return [n for n in range(1, n_max + 1)
+            if (spec.k is None or spec.k <= 1 << n) and lab._on_supports(spec, n)]
+
+
+def _every_combo(n):
+    return [("sd", None), ("mmd2", 0.0), ("mmd2", 1.0), ("mmd2", float(n)), ("l1", None), ("tvd", None)]
+
+
+def test_sparse_pairs_take_the_support_route_where_positions_are_drawn():
+    # K^2 <= 2^n and K < 2^n: fig5's peaked_iqp cells at n = 3 and 5 rank keys
+    assert _support_cells(FamilySpec("peaked_iqp"), 13) == [2, 4] + list(range(6, 14))
+    assert _support_cells(FamilySpec("peaked", k=4), 16) == list(range(4, 17))
+    assert _support_cells(FamilySpec("peaked", k=64), 16) == list(range(12, 17))
+    assert _support_cells(FamilySpec("point"), 16) == list(range(1, 17))
+    for kind in ("product", "dirichlet", "iqp", "mps", "uniform"):
+        assert _support_cells(_spec(kind), 16) == []
+
+
+@pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=FamilySpec.label)
+def test_support_pairs_match_dense_pairs_of_one_draw(spec):
+    # the support route draws its compact pairs from the chunk's generator;
+    # the same generator gives the dense pairs, and every metric of the two
+    # agrees, also for pairs whose supports share points
+    overlapping = 0
+    for n in _support_cells(spec, 16):
+        pairs = max(8, min(200, (1 << 20) >> n))  # one chunk; dense pairs of at most 8 MiB
+        stream = RandomStream(37).child(n)
+        values = pairwise_loss_values(spec, n, _every_combo(n), pairs, stream)
+        rng = stream.child(0).generator
+        p, q = instance_prob_values(spec, n, pairs, rng), instance_prob_values(spec, n, pairs, rng)
+        diff = p - q
+        l1 = np.abs(diff).sum(axis=1)
+        kernels = tuple(bandwidth_kernel(sigma) for _, sigma in _every_combo(n)[1:4])
+        dense = np.vstack([np.einsum("ij,ij->i", diff, diff), mmd2_fourier_batch(diff, n, kernels).T,
+                           l1, l1 / 2])
+        np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0, err_msg=f"n={n}")
+        overlapping += np.count_nonzero(((p > 0) & (q > 0)).any(axis=1))
+    assert overlapping > 100
+
+
 # a chunk's traced peak may pass chunk * bytes_per_instance by this factor:
 # lab._float_bytes leaves to it the terms under a tenth of a float row
 MEMORY_SLACK = 1.1
@@ -235,6 +281,18 @@ def test_chunk_memory_is_bounded_before_allocation(spec):
             finally:
                 tracemalloc.stop()
             assert peak <= MEMORY_SLACK * chunk * route.bytes_per_instance(spec, n), (name, n, chunk, peak)
+    # a pairwise chunk on the supports, every metric scored: at most the
+    # bytes its pairs state
+    for n in _support_cells(spec, 20):
+        pair_bytes = lab._support_pair_bytes(FAMILIES[spec.kind].support.size(spec, n), n)
+        chunk = lab._chunk(pair_bytes)
+        tracemalloc.start()
+        try:
+            pairwise_loss_values(spec, n, _every_combo(n), chunk, RandomStream(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= MEMORY_SLACK * chunk * pair_bytes, ("support", n, chunk, peak)
 
 
 def test_float_chunks_keep_their_size_where_small_terms_fit_the_slack():
