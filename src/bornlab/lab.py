@@ -64,8 +64,8 @@ from .bitmath import (MAX_DENSE_QUBITS, MAX_OUTCOME_BITS, MAX_STATEVECTOR_QUBITS
                       SubsetMask, validate_prob_vector)
 from .circuits import iqp_prob_values
 from .families import GammaLaw, ParetoLaw, product_prob_values
-from .metrics import (bandwidth_kernel, mmd2_fourier_batch, mmd2_points_batch, mmd2_unbiased_pairs,
-                      mmd_test_threshold)
+from .metrics import (bandwidth_kernel, counts_bytes_per_outcome, mmd2_fourier_batch, mmd2_points_batch,
+                      mmd2_unbiased_pairs, mmd_test_threshold)
 from .mps import bond_dims, mps_prob_values
 
 PAIR_METRICS = ("sd", "mmd2", "l1", "tvd")
@@ -439,21 +439,19 @@ def _support_pair_bytes(K: int, n: int) -> int:
 
 
 # What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
-# per outcome, the transforms of its three histograms and its two pairs
-# gathered for the Gram product (56 bytes), more than its two instances hold
-# while they are validated and turned into CDFs (36); per sample of its three
-# sets, the uniform and the outcome, or the outcome and its histogram key
-# (16); beside these, the draw of its two instances. The kernels' weights are
-# built once a cell and held for all its chunks, so they size no chunk, and a
-# bandwidth's rows do not depend on the other bandwidths of the config
-_MMDTEST_BYTES_PER_OUTCOME = 56
+# per outcome, the scorer's three sets and two pairs (56 bytes), more than
+# its two instances hold while they are validated and turned into CDFs (36);
+# per sample of its three sets, the uniform and the outcome, or the outcome
+# and its histogram key (16); beside these, the draw of its two instances.
+# The cell holds the kernels' weights for all its chunks, so they size no
+# chunk, and a bandwidth's rows do not depend on the other bandwidths
 _MMDTEST_BYTES_PER_SAMPLE = 3 * 16
 
 
 def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int) -> int:
     """An upper bound on the bytes an mmdtest repetition holds at its peak."""
     draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
-    return (_MMDTEST_BYTES_PER_OUTCOME << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
+    return (counts_bytes_per_outcome(3, 2, 0) << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
 
 
 # product and iqp_product share their marginal, whose draw is 8 bytes an instance

@@ -41,9 +41,8 @@ shares that route's transform or histograms:
   pair. This route covers outcomes up to 64 bits.
 
 The counts route runs when its units number at most _DISTANCE_CELL_UNITS
-times the distance route's cells, and its working memory, 40 bytes per
-outcome for one kernel, fits MMD_MEMORY_BYTES; each kernel beyond the first
-adds 8 bytes an outcome of weights, which the scorer holds. The distance
+times the distance route's cells, and a lone pair's working memory at one
+kernel (counts_bytes_per_outcome) fits MMD_MEMORY_BYTES. The distance
 route works in row blocks of 8 bytes a cell that fit the same budget (or in
 one row, if that is larger). Neither allocates anything of size m x m.
 counts_route is that rule, the one place it is stated.
@@ -71,13 +70,6 @@ MMD_MEMORY_BYTES = 1 << 26
 # The weight sits at that crossover; moving it moves the rows of the cells
 # whose route flips, so it changes only with a version bump.
 _DISTANCE_CELL_UNITS = 4.5
-
-# the counts route's peak per outcome at one kernel (tracemalloc, n = 20:
-# 40.41): the kernel's square-rooted eigenvalues, held by the scorer, beside
-# the transform's histograms, their float copy and one matmul block; then
-# beside the two transformed histograms and their weighted copy (40.0). The
-# largest N the rule admits, 2^20, leaves the 0.41 well inside MMD_MEMORY_BYTES.
-_COUNTS_BYTES_PER_OUTCOME = 40.0
 
 
 @dataclass(frozen=True)
@@ -206,12 +198,22 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+def counts_bytes_per_outcome(sets: int, pairs: int, kernels: int) -> int:
+    """The counts route's peak bytes per outcome for a call holding the
+    transforms of `sets` histograms (8 bytes each), `pairs` of them gathered
+    for the Gram product (16 each) and the square-rooted eigenvalues of
+    `kernels` kernels (8 each). A lone pair at one kernel holds 40
+    (tracemalloc, n = 20: 40.41), inside MMD_MEMORY_BYTES at the largest N the
+    route rule admits, 2^20."""
+    return 8 * sets + 16 * pairs + 8 * kernels
+
+
 def counts_route(n: int, m: int, l: int) -> bool:
     """Whether the scorer takes the counts route for sets of m and l outcomes
     of n bits: the one route rule, from (n, m, l) alone."""
     N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
     counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
-    return counts_cheaper and _COUNTS_BYTES_PER_OUTCOME * N <= MMD_MEMORY_BYTES
+    return counts_cheaper and counts_bytes_per_outcome(2, 1, 1) * N <= MMD_MEMORY_BYTES
 
 
 def _estimates(sums, m: int, l: int) -> np.ndarray:
@@ -239,8 +241,8 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
     equal sets, one a row, or a sequence of 1-D arrays.
 
     The route is counts_route(n, m, l), and each kernel's weights are built
-    here, once. At its peak the counts route holds 8 bytes per outcome for
-    each set and 16 for each pair.
+    here, once. At its peak the counts route holds counts_bytes_per_outcome
+    of its sets, its pairs and the kernels.
     """
     if not counts_route(n, m, l):
         powers = [spec.rho ** np.arange(n + 1) for spec in specs]

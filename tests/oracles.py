@@ -241,6 +241,56 @@ def porter_thomas_survival(N: int, y: float, form: str = "exact") -> float:
     raise ValueError(f"unknown form {form!r}")
 
 
+# Exact moments of the weight-<=2 IQP ensemble (Bremner, Montanaro and
+# Shepherd, Quantum 1, 8, 2017), with N = 2^n. Averaged over the uniform gate
+# angles, a quadruple (z1, z2, z3, z4) survives only where every gate sees
+# chi(z1) + chi(z3) = chi(z2) + chi(z4): the weight-1 gates force
+# {z2_i, z4_i} = {z1_i, z3_i} on every qubit, and the weight-2 gates make the
+# same choice on every qubit where z1 and z3 differ. So (z2, z4) is (z1, z3)
+# or (z3, z1), and E[p(x) p(y)] = (N - 1)/N^3 + [x = y]/N^2. The weight-2
+# gates turn the product law's 2^{2n} E[p(x)^2] = (4/3)^n into 2 - 1/N.
+
+
+def iqp_second_moment(n: int) -> float:
+    """2^{2n} E[p(x)^2] of an iqp instance: 2 - 1/N (Porter-Thomas: 2)."""
+    return 2.0 - 2.0**-n
+
+
+def iqp_sd_mean(n: int) -> float:
+    """Mean squared distance between two iqp instances: 2(N - 1)/N^2."""
+    N = 2.0**n
+    return 2.0 * (N - 1.0) / N**2
+
+
+def iqp_mmd2_mean(n: int, rho: float) -> float:
+    """Mean MMD^2 between two iqp instances under the kernel rho^{d_H}:
+    (2/N)(1 - ((1 + rho)/2)^n), since the kernel sums to N (1 + rho)^n."""
+    return 2.0 * 2.0**-n * (1.0 - ((1.0 + rho) / 2.0) ** n)
+
+
+def iqp_uniform_distance_mean(n: int) -> float:
+    """Mean squared distance of an iqp instance to the uniform law: (N - 1)/N^2."""
+    N = 2.0**n
+    return (N - 1.0) / N**2
+
+
+def iqp_observable_variance(n: int) -> float:
+    """Across-instance variance of <Z_S> for every S != {}: 1/N."""
+    return 2.0**-n
+
+
+def peaked_iqp_sd_mean(n: int, K: int) -> float:
+    """Mean squared distance between two peaked_iqp instances: 2e - 2/N,
+    where e = (2K - 1)/K^2 is E||p||^2 of a log2(K)-qubit iqp instance."""
+    return 2.0 * (2 * K - 1) / K**2 - 2.0 * 2.0**-n
+
+
+def peaked_iqp_second_moment(n: int, K: int) -> float:
+    """2^{2n} E[p(x)^2] of a peaked_iqp instance: x lies in the support with
+    probability K/N, and there E[p^2] = (2K - 1)/K^3, so N(2K - 1)/K^2."""
+    return 2.0**n * (2 * K - 1) / K**2
+
+
 def peaked_tail_bound(n: int, k: int) -> float:
     """Prob(p(x) >= y 2^-n) <= K/2^n for any y: mass misses the support."""
     if k > (1 << n):

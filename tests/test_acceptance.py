@@ -14,6 +14,9 @@ direct numpy simulation, without going through bornlab.
 
 Criteria 10 and 11 each take more than 10 s and carry the `slow` marker, so
 -m 'not slow' skips them in a quick loop; the full suite still runs them.
+
+Criteria 15-20 hold the iqp and peaked_iqp rows that cli writes to their
+exact means (tests/oracles.py), each grid at one joint 99% level.
 """
 
 import math
@@ -25,6 +28,7 @@ import pytest
 
 from bornlab import lab
 from bornlab.bitmath import RandomStream, SampleSet, SubsetMask, validate_prob_vector
+from bornlab.cli import ExperimentConfig, parse_family, run_config
 from bornlab.lab import (
     FamilySpec,
     anticoncentration_statistic,
@@ -41,7 +45,18 @@ from bornlab.metrics import (
     mmd2_unbiased,
     mmd_test_threshold,
 )
-from oracles import mmd2_fourier, mmd2_population, product_tail_exact
+from oracles import (
+    iqp_mmd2_mean,
+    iqp_observable_variance,
+    iqp_sd_mean,
+    iqp_second_moment,
+    iqp_uniform_distance_mean,
+    mmd2_fourier,
+    mmd2_population,
+    peaked_iqp_second_moment,
+    peaked_iqp_sd_mean,
+    product_tail_exact,
+)
 
 N_FULL_RANGE = range(2, 13)
 
@@ -381,3 +396,82 @@ def test_criterion_14_estimator_concentrates_at_hoeffding_rate():
         frequency = float((deviations > t).mean())
         bound = math.exp(-(t ** 2) * (m + m) / 8)
         assert frequency <= bound, (t, frequency, bound)
+
+
+# criteria 15-20 check every cell of a grid against its exact value at once:
+# each row at the two-sided Bonferroni level 1 - 0.01/cells, so all of a
+# grid's rows hold together with probability at least 99%
+EXACT_JOINT_ALPHA = 0.01
+
+
+def assert_exact_rows(rows, exact):
+    """Every row within z standard errors of exact(row), z at the joint level."""
+    z = NormalDist().inv_cdf(1 - EXACT_JOINT_ALPHA / (2 * len(rows)))
+    misses = [(r.family, r.n, r.metric, r.value, exact(r), r.stderr)
+              for r in rows if abs(r.value - exact(r)) > z * r.stderr]
+    assert not misses, (z, misses)
+
+
+def exact_rows(statistic, **config):
+    """The rows of one config, run through cli, whose statistic is statistic."""
+    return [r for r in run_config(ExperimentConfig(**config)) if r.statistic == statistic]
+
+
+def test_criterion_15_iqp_second_moment_is_exact():
+    # weight-2 IQP anticoncentrates: 2^{2n} E[p(x*)^2] = 2 - 1/N, against the
+    # product law's (4/3)^n; n = 2..8, 10^5 instances per n, 7 cells
+    rows = exact_rows("second_moment", experiment="anticoncentration", families=("iqp",),
+                      n_min=2, n_max=8, trials=100_000, seed=415)
+    assert_exact_rows(rows, lambda r: iqp_second_moment(r.n))
+
+
+def test_criterion_16_iqp_pairwise_means_are_exact():
+    # mean SD 2(N - 1)/N^2 and mean MMD^2 at sigma = 1 (rho = e^{-1/2})
+    # (2/N)(1 - ((1 + rho)/2)^n); n = 2..10, 10^4 pairs per n, 18 cells
+    rho = math.exp(-0.5)
+    rows = exact_rows("mean", experiment="pairwise", families=("iqp",), n_min=2, n_max=10,
+                      trials=10_000, metrics=("sd", "mmd2"), sigmas=("1",), seed=416)
+    assert_exact_rows(rows, lambda r: iqp_sd_mean(r.n) if r.metric == "sd" else iqp_mmd2_mean(r.n, rho))
+
+
+def test_criterion_17_iqp_distance_to_uniform_is_exact():
+    # mean squared distance to the uniform law (N - 1)/N^2; n = 2..10, 10^4
+    # instances per n, 9 cells
+    rows = exact_rows("mean", experiment="uniform_distance", families=("iqp",), n_min=2, n_max=10,
+                      trials=10_000, seed=417)
+    assert_exact_rows(rows, lambda r: iqp_uniform_distance_mean(r.n))
+
+
+def test_criterion_18_iqp_observable_variance_is_exact():
+    # Var<Z_S> = 1/N for every S != {}: S = {1}, {1, 2}, {1, 2, 3} at
+    # n = 3..9, 10^4 instances per n, 21 cells
+    configs = [ExperimentConfig(experiment="observable", families=("iqp",), n_min=3, n_max=9,
+                                trials=10_000, subset=subset, seed=418)
+               for subset in ((1,), (1, 2), (1, 2, 3))]
+    rows = [r for r in run_config(*configs) if r.statistic == "variance"]
+    assert_exact_rows(rows, lambda r: iqp_observable_variance(r.n))
+
+
+PEAKED_IQP = ("peaked_iqp", "peaked_iqp:k=4")
+
+
+def peaked_iqp_support(row) -> int:
+    """K of the peaked_iqp row's family at its n."""
+    return {parse_family(t).label(): parse_family(t) for t in PEAKED_IQP}[row.family].support_size(row.n)
+
+
+def test_criterion_19_peaked_iqp_sd_mean_is_exact():
+    # mean SD 2(2K - 1)/K^2 - 2/N at the default K and at K = 4, n = 2..12:
+    # dense pairs where K = N or K^2 > N (n = 3 and 5 by default, n = 2 and 3
+    # at K = 4), support pairs elsewhere; 10^4 pairs per n, 22 cells
+    rows = exact_rows("mean", experiment="pairwise", families=PEAKED_IQP, n_min=2, n_max=12,
+                      trials=10_000, seed=419)
+    assert_exact_rows(rows, lambda r: peaked_iqp_sd_mean(r.n, peaked_iqp_support(r)))
+
+
+def test_criterion_20_peaked_iqp_second_moment_is_exact():
+    # 2^{2n} E[p(x*)^2] = N(2K - 1)/K^2 at the default K and at K = 4;
+    # n = 2..8, 10^5 instances per n, 14 cells
+    rows = exact_rows("second_moment", experiment="anticoncentration", families=PEAKED_IQP,
+                      n_min=2, n_max=8, trials=100_000, seed=420)
+    assert_exact_rows(rows, lambda r: peaked_iqp_second_moment(r.n, peaked_iqp_support(r)))

@@ -87,8 +87,9 @@ def test_rerun_same_seed_is_byte_identical(tmp_path):
 # one small config per experiment kind, each with several (family, n) cells
 WORKER_CONFIGS = {
     "tails": dict(families=["dirichlet", "product"], n_min=5, n_max=7, trials=500),
-    "pairwise": dict(families=["dirichlet", "iqp"], n_min=3, n_max=5, trials=150,
-                     metrics=["sd", "mmd2", "l1", "tvd"], sigmas=["1", "n"]),
+    # peaked_iqp at n = 4 and point at every n score their pairs on supports
+    "pairwise": dict(families=["dirichlet", "iqp", "peaked_iqp", "point"], n_min=3, n_max=5,
+                     trials=150, metrics=["sd", "mmd2", "l1", "tvd"], sigmas=["1", "n"]),
     "mmdtest": dict(families=["dirichlet", "iqp"], n_min=3, n_max=4, trials=3, samples=30,
                     sigmas=["1", "n"]),
     "observable": dict(families=["product", "dirichlet"], n_min=3, n_max=5, trials=200,

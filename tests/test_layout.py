@@ -3,15 +3,20 @@
 A top-level name stays in src/bornlab only if `bornlab.cli.main` reaches it;
 the oracles that tests check the production routes against live in
 tests/oracles.py. Importing and running the command line loads no scipy.
+CI's replay table holds a case for every experiment.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from bornlab.cli import EXPERIMENTS, FIGURES
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bornlab"
+WORKFLOW = PACKAGE.parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
@@ -109,3 +114,39 @@ def test_cli_loads_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), *paths])},
     )
     assert result.stdout.splitlines()[-1] == "[]", result.stdout
+
+
+def _step_script(name: str) -> str:
+    """The run block of the workflow step whose name starts with name, dedented."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith(f"- name: {name}"))
+    run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip()) + 2
+    block = []
+    for line in lines[run + 1 :]:
+        if line.strip() and not line.startswith(" " * indent):
+            break
+        block.append(line[indent:])
+    return "\n".join(block)
+
+
+def test_the_replay_table_covers_every_experiment(tmp_path):
+    # the replay step's case list, run alone, lists its cases and writes their
+    # configs: an experiment added without a replay case fails here
+    script = _step_script("Replay smoke")
+    case_list = script[: script.index('for c in "${cases[@]}"')]
+    cases = subprocess.run(
+        ["bash", "-ec", case_list + 'printf "%s\\n" "${cases[@]}"'],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+    ).stdout.split("\n")[:-1]
+    named = set()
+    for case in cases:
+        name, command, *args = case.split()
+        if command == "figures":
+            named.update(c["experiment"] for kind in args if kind in FIGURES for c in FIGURES[kind])
+        else:
+            assert command == "run" and "--config" in args, case
+            config = json.loads((tmp_path / "replay" / name / "config.json").read_text())
+            named.add(config["experiment"])
+    assert any(case.split()[1] == "figures" for case in cases), cases
+    assert sorted(set(EXPERIMENTS) - named) == []

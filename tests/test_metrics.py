@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import metrics
+from bornlab import lab, metrics
 from bornlab.bitmath import (
     ProbVector,
     RandomStream,
@@ -404,6 +404,19 @@ def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, l, route):
     for column, (i, j) in zip(block.T, pairs):
         single = mmd2_unbiased(SampleSet(n, sets[i]), SampleSet(n, sets[j]), specs)
         assert column.tobytes() == single.tobytes()
+
+
+def test_counts_route_bytes_are_stated_once():
+    # a lone pair at one kernel, as the route rule weighs it; an mmdtest
+    # repetition's three sets and two pairs, whose kernels the cell holds
+    assert metrics.counts_bytes_per_outcome(2, 1, 1) == 40
+    assert metrics.counts_bytes_per_outcome(3, 2, 0) == 56
+    family = lab.FamilySpec("dirichlet")
+    draw = 2 * lab.FAMILIES["dirichlet"].dense.bytes_per_instance(family, 10)
+    assert lab._mmdtest_rep_bytes(family, 10, 200) == (56 << 10) + 3 * 16 * 200 + draw
+    # 40 bytes an outcome fit MMD_MEMORY_BYTES at n = 20, not at 21
+    assert metrics.counts_route(20, 1 << 20, 1 << 20)
+    assert not metrics.counts_route(21, 1 << 21, 1 << 21)
 
 
 def test_distance_route_makes_each_own_histogram_once(monkeypatch):
