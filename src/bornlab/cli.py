@@ -14,8 +14,9 @@ Every run writes two artifacts: a CSV with the fixed header
 
 (floats at 17 significant digits; a NaN anywhere aborts the run) and a JSON
 manifest holding the exact config; `run --config manifest.json` reproduces
-the CSV byte for byte. The master seed comes from --seed, else the BORN_SEED
-environment variable, else 0. Each input is checked here, where it enters: a
+the CSV byte for byte. The master seed comes from --seed, else the config's,
+else 0. The command line and the config and sample files are the only
+inputs: no environment variable is read. Each input is checked here, where it enters: a
 bad one exits with status 2 before any cell runs, and lab and metrics take
 only checked values.
 """
@@ -28,7 +29,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import re
 import sys
 from collections.abc import Callable
@@ -47,6 +47,7 @@ from .lab import (
     PAIR_METRICS,
     FamilySpec,
     anticoncentration_statistic,
+    family_reading,
     diagonal_observable_variance,
     distance_to_uniform_moments,
     estimate_tail_curve,
@@ -59,7 +60,6 @@ from .metrics import bandwidth_kernel, mmd2_unbiased, mmd_test_threshold
 CSV_HEADER = "experiment,family,n,metric,sigma,statistic,value,stderr,trials,seed"
 
 DESK_TRIALS = 10_000
-PAPER_TRIALS = 100_000
 
 FIGURE_FAMILIES = ("iqp_product", "mps", "iqp", "pareto:alpha=2", "peaked_iqp")
 
@@ -132,10 +132,11 @@ class ExperimentConfig:
             cap = getattr(FAMILIES[spec.kind], route).max_n
             if self.n_max > cap:
                 raise CliError(f"n_max {self.n_max} exceeds the {route} route cap {cap} of {spec.kind}")
-            if spec.k is not None and spec.k > 1 << self.n_min:
-                raise CliError(
-                    f"{spec.kind} support k={spec.k} exceeds the 2^{self.n_min} outcomes at n_min"
-                )
+            if spec.k is not None:
+                try:
+                    spec.support_size(self.n_min)  # a given k fits at n_min or nowhere
+                except ValueError as e:
+                    raise CliError(str(e)) from None
         min_trials = EXPERIMENTS[self.experiment].min_trials
         if self.trials < min_trials:
             raise CliError(
@@ -199,15 +200,18 @@ class ExperimentRow:
 
 
 def parse_family(token: str) -> FamilySpec:
-    """Parse 'kind' or 'kind:key=value,...' (keys alpha, k, chi)."""
+    """Parse 'kind' or 'kind:key=value,...'. A key must name a parameter the
+    kind reads (lab.family_reading), whatever its value: `iqp:alpha=1` is
+    refused as `iqp:alpha=5` is."""
     kind, _, params = token.partition(":")
-    kwargs = {}
-    if params:
-        for item in params.split(","):
+    kind, kwargs = kind.strip(), {}
+    try:
+        for item in params.split(",") if params else ():
             key, eq, value = item.partition("=")
-            key = key.strip()
-            if not eq or key not in ("alpha", "k", "chi"):
+            if not eq:
                 raise CliError(f"bad family parameter {item!r} in {token!r}")
+            key = key.strip()
+            family_reading(kind, [key])
             parse, expected = (float, "a number") if key == "alpha" else (int, "an integer")
             try:
                 kwargs[key] = parse(value)
@@ -215,8 +219,7 @@ def parse_family(token: str) -> FamilySpec:
                 raise CliError(
                     f"family {token!r}: {key} must be {expected}, got {value.strip()!r}"
                 ) from None
-    try:
-        return FamilySpec(kind.strip(), **kwargs)
+        return FamilySpec(kind, **kwargs)
     except ValueError as e:
         raise CliError(str(e)) from e
 
@@ -500,38 +503,19 @@ def read_sample_file(path: str) -> SampleSet:
 
 
 def _resolve_seed(value: int | None) -> int:
-    """--seed, else $BORN_SEED, else 0; a seed is a non-negative integer."""
-    if value is not None:
-        if value < 0:
-            raise CliError(f"--seed must be a non-negative integer, got {value}")
-        return value
-    env = os.environ.get("BORN_SEED")
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise CliError(f"BORN_SEED must be a non-negative integer, got {env!r}")
-    return seed
+    """--seed, else 0; a seed is a non-negative integer."""
+    if value is not None and value < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {value}")
+    return value or 0
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: $BORN_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (default: the config's, else 0)")
     parser.add_argument(
         "--workers", type=int, default=None,
         help="parallel workers (default: every usable CPU; results do not depend on this)",
     )
     parser.add_argument("--out", default=None, help="output CSV path")
-
-
-def _add_count(parser: argparse.ArgumentParser, *flags: str, noun: str):
-    """args.count, from flags or --paper-scale (10^5); giving both is a usage error."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(*flags, dest="count", type=int, default=DESK_TRIALS, help=f"{noun} per cell")
-    group.add_argument("--paper-scale", dest="count", action="store_const", const=PAPER_TRIALS,
-                       help=f"use 10^5 {noun}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tails.add_argument("--family", default="product", help="comma list, e.g. product,dirichlet")
     p_tails.add_argument("--n-min", type=int, default=4)
     p_tails.add_argument("--n-max", type=int, default=12)
-    _add_count(p_tails, "--trials", noun="trials")
+    p_tails.add_argument("--trials", dest="count", type=int, default=DESK_TRIALS, help="trials per cell")
     _add_common(p_tails)
 
     p_pair = sub.add_parser("pairwise", help="pairwise loss moments")
@@ -559,13 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--sigma", default="1", help="comma list of bandwidths; 'n' scales with n")
     p_pair.add_argument("--n-min", type=int, default=2)
     p_pair.add_argument("--n-max", type=int, default=12)
-    _add_count(p_pair, "--pairs", noun="pairs")
+    p_pair.add_argument("--pairs", dest="count", type=int, default=DESK_TRIALS, help="pairs per cell")
     _add_common(p_pair)
 
     p_fig = sub.add_parser("figures", help="preset experiment bundles, one <kind>.csv each")
     p_fig.add_argument("kinds", nargs="+", choices=FIGURES, metavar="kind",
                        help=f"one or more of {', '.join(FIGURES)}")
-    _add_count(p_fig, "--pairs", "--trials", noun="pairs or trials")
+    p_fig.add_argument("--pairs", "--trials", dest="count", type=int, default=DESK_TRIALS,
+                       help="pairs or trials per cell")
     _add_common(p_fig)
 
     p_test = sub.add_parser("mmdtest", help="two-sample MMD^2 test on bitstring files")

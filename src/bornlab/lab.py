@@ -27,9 +27,12 @@ it: as many items as CHUNK_BYTES holds, at most MAX_CHUNK. So memory is
 bounded before it is allocated, and the chunk size depends on the cell's
 parameters only. A pairwise chunk holds two draws at once, then
 their difference and the metrics' temporaries: its traced peak is about
-twice CHUNK_BYTES for the float families, and less for IQP and MPS. The
-workers' chunks share one process, so a fan-out holds at most about
-workers times the largest chunk's peak.
+twice CHUNK_BYTES for the float families, and less for IQP and MPS. Beside
+its chunks a cell holds its values, 8 bytes a trial and combo, and may hold
+a constant of its own: an observable cell its sign row, 8 bytes an outcome,
+an mmdtest cell its kernels' weights. The workers' chunks share one
+process, so a fan-out holds at most about workers times the largest chunk's
+peak.
 
 FAMILIES is the one table of family kinds. Each entry holds two Routes with
 their own bytes per instance and n cap: `dense` draws a chunk of B instances
@@ -42,8 +45,8 @@ the positions are K drawn integers, a pairwise cell scores the compact pairs
 on their 2K support points, with a byte bound of their own
 (_support_pair_bytes); every other shape and experiment densifies. The
 entry also names the FamilySpec parameters its kind reads and its
-underlying law, from which FamilySpec builds its CSV label and refuses
-parameters the kind ignores.
+underlying law. FamilySpec builds its CSV label from them, and
+family_reading refuses a parameter the kind ignores, whatever its value.
 """
 
 from __future__ import annotations
@@ -209,10 +212,10 @@ class FamilySpec:
     """Tagged description of a distribution family.
 
     kind selects the FAMILIES entry; a parameter other than the kind may
-    leave its default only if the entry lists it as read. k=None and
-    chi=None mean "use the size-dependent default" (2^ceil(log2 n) support
-    and chi = n respectively). Parameters are checked here, so a bad spec
-    fails before any run starts.
+    leave its default only if the entry lists it as read (family_reading).
+    k=None and chi=None mean "use the size-dependent default" (2^ceil(log2 n)
+    support and chi = n respectively). Parameters are checked here, so a bad
+    spec fails before any run starts.
     """
 
     kind: str
@@ -221,13 +224,7 @@ class FamilySpec:
     chi: int | None = None
 
     def __post_init__(self):
-        family = FAMILIES.get(self.kind)
-        if family is None:
-            raise ValueError(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}")
-        for name in self._set_parameters():
-            if name not in family.params:
-                takes = ", ".join(family.params) or "no parameters"
-                raise ValueError(f"family {self.kind} does not take {name} (it takes {takes})")
+        family = family_reading(self.kind, self._set_parameters())
         if self.k is not None and self.k < 1:
             raise ValueError(f"support size k must be at least 1, got {self.k}")
         if self.kind == "peaked_iqp" and self.k is not None and self.k & (self.k - 1):
@@ -249,7 +246,7 @@ class FamilySpec:
         """Peaked-family support: k, by default the smallest power of two >= n."""
         K = self.k if self.k is not None else 1 << max(1, math.ceil(math.log2(n)))
         if K > 1 << n:
-            raise ValueError(f"domain error: support {K} exceeds 2^{n}")
+            raise ValueError(f"domain error: {self.kind} support k={K} exceeds the 2^{n} outcomes")
         return K
 
     def bond_dimension(self, n: int) -> int:
@@ -259,6 +256,19 @@ class FamilySpec:
         """Stable CSV label: kind(...) over the parameters not at their default."""
         parts = [_LABEL_FORMATS[p].format(getattr(self, p)) for p in self._set_parameters()]
         return f"{self.kind}({','.join(parts)})" if parts else self.kind
+
+
+def family_reading(kind: str, names) -> Family:
+    """The FAMILIES entry of kind, which must read every parameter named: one
+    refusal for a token's given keys and a FamilySpec's set parameters alike."""
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ValueError(f"unknown family {kind!r}; known: {tuple(FAMILIES)}")
+    for name in names:
+        if name not in family.params:
+            takes = ", ".join(family.params) or "no parameters"
+            raise ValueError(f"family {kind} does not take {name} (it takes {takes})")
+    return family
 
 
 # how label() writes each parameter, e.g. peaked(0.5,K=4) and mps(chi=3)
@@ -768,9 +778,12 @@ def anticoncentration_statistic(
 def diagonal_observable_variance(
     family: FamilySpec, n: int, S: SubsetMask, trials: int, stream: RandomStream
 ) -> MomentReport:
-    """Across-instance moments of <Z_S> = sum_x chi_S(x) p(x)."""
-    x = np.arange(1 << n, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(S.mask)) % 2)
+    """Across-instance moments of <Z_S> = sum_x chi_S(x) p(x). The signs
+    chi_S are one float row of 2^n beside the cell's chunks, built in place."""
+    signs = np.ones(1 << n)
+    for i in range(n):  # outcomes with bit i set: those without, negated where i is in S
+        h = 1 << i
+        np.multiply(signs[:h], -1.0 if S.mask >> i & 1 else 1.0, out=signs[h : 2 * h])
     values = _collect(
         lambda rng, count: instance_prob_values(family, n, count, rng) @ signs,
         trials, FAMILIES[family.kind].dense.bytes_per_instance(family, n), stream,

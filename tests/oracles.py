@@ -285,6 +285,18 @@ def peaked_iqp_sd_mean(n: int, K: int) -> float:
     return 2.0 * (2 * K - 1) / K**2 - 2.0 * 2.0**-n
 
 
+def peaked_iqp_mmd2_mean(n: int, K: int, rho: float) -> float:
+    """Mean MMD^2 between two peaked_iqp instances under the kernel rho^{d_H}:
+    2(e + (1 - e)c) - 2(1 + rho)^n/N. An instance's K positions are distinct
+    and uniform, so <p, p> is ||p||^2, of mean e, plus 1 - ||p||^2 of mass on
+    pairs of distinct outcomes, whose mean kernel is c = ((1 + rho)^n - 1)/(N - 1);
+    two instances are independent with E p(x) = 1/N, so E<p, q> = (1 + rho)^n/N."""
+    N = 2.0**n
+    e = (2 * K - 1) / K**2
+    c = ((1.0 + rho) ** n - 1.0) / (N - 1.0)
+    return 2.0 * (e + (1.0 - e) * c) - 2.0 * (1.0 + rho) ** n / N
+
+
 def peaked_iqp_second_moment(n: int, K: int) -> float:
     """2^{2n} E[p(x)^2] of a peaked_iqp instance: x lies in the support with
     probability K/N, and there E[p^2] = (2K - 1)/K^3, so N(2K - 1)/K^2."""

@@ -15,7 +15,7 @@ direct numpy simulation, without going through bornlab.
 Criteria 10 and 11 each take more than 10 s and carry the `slow` marker, so
 -m 'not slow' skips them in a quick loop; the full suite still runs them.
 
-Criteria 15-20 hold the iqp and peaked_iqp rows that cli writes to their
+Criteria 15-21 hold the iqp and peaked_iqp rows that cli writes to their
 exact means (tests/oracles.py), each grid at one joint 99% level.
 """
 
@@ -53,6 +53,7 @@ from oracles import (
     iqp_uniform_distance_mean,
     mmd2_fourier,
     mmd2_population,
+    peaked_iqp_mmd2_mean,
     peaked_iqp_second_moment,
     peaked_iqp_sd_mean,
     product_tail_exact,
@@ -398,7 +399,7 @@ def test_criterion_14_estimator_concentrates_at_hoeffding_rate():
         assert frequency <= bound, (t, frequency, bound)
 
 
-# criteria 15-20 check every cell of a grid against its exact value at once:
+# criteria 15-21 check every cell of a grid against its exact value at once:
 # each row at the two-sided Bonferroni level 1 - 0.01/cells, so all of a
 # grid's rows hold together with probability at least 99%
 EXACT_JOINT_ALPHA = 0.01
@@ -475,3 +476,15 @@ def test_criterion_20_peaked_iqp_second_moment_is_exact():
     rows = exact_rows("second_moment", experiment="anticoncentration", families=PEAKED_IQP,
                       n_min=2, n_max=8, trials=100_000, seed=420)
     assert_exact_rows(rows, lambda r: peaked_iqp_second_moment(r.n, peaked_iqp_support(r)))
+
+
+def test_criterion_21_peaked_iqp_mmd2_mean_is_exact():
+    # mean MMD^2 2(e + (1 - e)c) - 2(1 + rho)^n/N at the default K and at
+    # K = 4, at sigma = 1 and sigma = n, n = 2..12 over both pair routes;
+    # 10^4 pairs per n, 44 cells. The two sigmas of a cell score one set of
+    # pairs, and the Bonferroni level holds for dependent cells too
+    rows = exact_rows("mean", experiment="pairwise", families=PEAKED_IQP, n_min=2, n_max=12,
+                      trials=10_000, metrics=("mmd2",), sigmas=("1", "n"), seed=421)
+    assert len(rows) == 44
+    assert_exact_rows(rows, lambda r: peaked_iqp_mmd2_mean(r.n, peaked_iqp_support(r),
+                                                           bandwidth_kernel(r.sigma).rho))

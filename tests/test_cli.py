@@ -9,9 +9,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from bornlab.cli import (
     CSV_HEADER,
     DESK_TRIALS,
     EXPERIMENTS,
-    PAPER_TRIALS,
     CliError,
     ExperimentConfig,
     ExperimentRow,
@@ -350,37 +351,66 @@ def test_manifest_round_trip_reproduces_run(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_born_seed_env_is_default(tmp_path, monkeypatch):
-    a, b, c = (tmp_path / f"{k}.csv" for k in "abc")
-    monkeypatch.setenv("BORN_SEED", "77")
-    run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
-             "--pairs", "100", "--out", a])
-    run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
-             "--pairs", "100", "--seed", "77", "--out", b])
-    # explicit flag wins over the environment
-    run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
-             "--pairs", "100", "--seed", "5", "--out", c])
-    assert a.read_bytes() == b.read_bytes()
-    assert read_rows(c)[0]["seed"] == "5"
+def test_born_seed_is_not_read(tmp_path, monkeypatch):
+    # the seed is --seed, else the config's, else 0: BORN_SEED in the
+    # environment changes no byte, whatever it holds
+    args = ["tails", "--family", "dirichlet", "--n-min", "3", "--n-max", "4", "--trials", "200",
+            "--workers", "1"]
+    assert run_cli(args + ["--out", tmp_path / "plain.csv"]) == 0
+    for value in ("5", "not-a-number", "-2"):
+        monkeypatch.setenv("BORN_SEED", value)
+        out = tmp_path / f"env{value}.csv"
+        assert run_cli(args + ["--out", out]) == 0
+        assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert {r["seed"] for r in read_rows(out)} == {"0"}
 
 
-def test_bad_born_seed_is_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BORN_SEED", "not-a-number")
-    rc = run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
-                  "--pairs", "100", "--out", tmp_path / "x.csv"])
-    assert rc == 2
-    assert "BORN_SEED" in capsys.readouterr().err
+def test_src_reads_no_environment_variable(tmp_path, monkeypatch):
+    # every subcommand runs with os.environ replaced by a mapping that notes
+    # each key read from a frame of src/bornlab (os.getenv reads through it)
+    package = Path(cli.__file__).parent
+    read = []
+
+    class Noting(dict):
+        def note(self, key):
+            frame = sys._getframe(2)
+            while frame.f_code.co_filename == os.__file__:
+                frame = frame.f_back
+            if Path(frame.f_code.co_filename).parent == package:
+                read.append(key)
+
+        def __getitem__(self, key):
+            self.note(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.note(key)
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            self.note(key)
+            return super().__contains__(key)
+
+    monkeypatch.setattr(os, "environ", Noting(os.environ))
+    out = tmp_path / "t.csv"
+    write_samples(tmp_path / "x.txt", 4, [1, 2, 3, 4, 5])
+    for args in (["tails", "--family", "product", "--n-min", "3", "--n-max", "3", "--trials", "100"],
+                 ["pairwise", "--family", "iqp", "--n-min", "3", "--n-max", "3", "--pairs", "100"],
+                 ["figures", "fig2", "--trials", "100"],
+                 ["run", "--config", f"{out}.manifest.json"]):
+        assert run_cli(args + ["--workers", "2", "--out", out]) == 0, args
+    assert run_cli(["mmdtest", tmp_path / "x.txt", tmp_path / "x.txt"]) == 0
+    assert read == []
 
 
-def test_negative_seed_is_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+def test_scripts_are_gone():
+    # bornlab is the one driver: the concentration table's numbers are rows
+    # of its second_moment and tail@y=0.5 statistics
+    assert not (Path(cli.__file__).parents[2] / "scripts").exists()
+
+
+def test_negative_seed_is_rejected_before_any_cell_runs(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    monkeypatch.setenv("BORN_SEED", "-2")
-    rc = run_cli(["pairwise", "--family", "uniform", "--n-min", "3", "--n-max", "3",
-                  "--pairs", "100", "--out", out])
-    assert rc == 2
-    assert "BORN_SEED must be a non-negative integer, got '-2'" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.delenv("BORN_SEED")
     run_cli(["tails", "--family", "uniform", "--n-min", "3", "--n-max", "3",
              "--trials", "100", "--out", out])
     rc = run_cli(["run", "--config", f"{out}.manifest.json", "--seed=-1",
@@ -653,6 +683,12 @@ def test_config_validation():
         ("mps:k=2", "family mps does not take k (it takes chi)"),
         ("iqp:alpha=5", "family iqp does not take alpha (it takes no parameters)"),
         ("peaked_iqp:alpha=0.5", "family peaked_iqp does not take alpha (it takes k)"),
+        # whatever its value: a key at the parameter's default is refused too
+        ("iqp:alpha=1", "family iqp does not take alpha (it takes no parameters)"),
+        ("mps:alpha=1", "family mps does not take alpha (it takes chi)"),
+        ("point:alpha=1", "family point does not take alpha (it takes no parameters)"),
+        ("uniform:alpha=1", "family uniform does not take alpha (it takes no parameters)"),
+        ("peaked_iqp:alpha=1", "family peaked_iqp does not take alpha (it takes k)"),
         # a law parameter must be finite
         ("pareto:alpha=inf", "Pareto alpha must exceed 1 and be finite, got inf"),
         ("dirichlet:alpha=inf", "Gamma shape must be positive and finite, got inf"),
@@ -1081,20 +1117,21 @@ def test_bare_config_may_name_the_current_version(tmp_path, capsys):
         ["figures", "fig2", "--paper-scale", "--trials", "300"],
     ],
 )
-def test_count_flag_and_paper_scale_are_exclusive(tmp_path, capsys, args):
+def test_paper_scale_is_refused(tmp_path, capsys, args):
+    # a count has one flag (figures: --pairs or --trials); tails, pairwise
+    # and figures refuse --paper-scale alike
     out = tmp_path / "r.csv"
     with pytest.raises(SystemExit) as exit_info:
         run_cli(args + ["--out", out])
     assert exit_info.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+    assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_paper_scale_sets_the_count():
+def test_count_flags_default_to_desk_trials():
     parser = build_parser()
     for args in (["tails"], ["pairwise"], ["figures", "fig5"]):
         assert parser.parse_args(args).count == DESK_TRIALS
-        assert parser.parse_args(args + ["--paper-scale"]).count == PAPER_TRIALS
 
 
 def test_figure_count_has_two_spellings(tmp_path):

@@ -295,6 +295,48 @@ def test_chunk_memory_is_bounded_before_allocation(spec):
         assert peak <= MEMORY_SLACK * chunk * pair_bytes, ("support", n, chunk, peak)
 
 
+@pytest.mark.parametrize("spec", MEMORY_SPECS, ids=FamilySpec.label)
+def test_observable_and_distance_cells_are_bounded_before_allocation(spec):
+    # a cell of two chunks, n = 1..20: at its peak it holds a chunk's draw
+    # within the route's bound, its values (8 bytes an instance) and what it
+    # states it holds beside its chunks: the observable's sign row of 2^n
+    # floats, and nothing for the distance to uniform
+    route = FAMILIES[spec.kind].dense
+    for n in range(1, min(route.max_n, 20) + 1):
+        if spec.k is not None and spec.k > 1 << n:
+            continue
+        item_bytes = route.bytes_per_instance(spec, n)
+        chunk = lab._chunk(item_bytes)
+        cells = [
+            (lambda: diagonal_observable_variance(spec, n, SubsetMask((1 << n) - 1, n), chunk + 1,
+                                                  RandomStream(n)), 8 << n),
+            (lambda: distance_to_uniform_moments(spec, n, chunk + 1, RandomStream(n)), 0),
+        ]
+        for cell, beside in cells:
+            tracemalloc.start()
+            try:
+                cell()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = MEMORY_SLACK * chunk * item_bytes + 8 * (chunk + 1) + beside
+            assert peak <= bound, (n, chunk, beside, peak)
+
+
+def test_observable_signs_are_the_parity_of_the_outcome_in_s(monkeypatch):
+    # an instance that is the point mass on x reads <Z_S> = chi_S(x), so with
+    # the 2^n point masses as the draw and the moments replaced by the values,
+    # the cell returns its sign row: 1 - 2 (popcount(x & S) mod 2), every S
+    eye = {n: np.eye(1 << n) for n in range(1, 11)}
+    monkeypatch.setattr(lab, "instance_prob_values", lambda family, n, count, rng: eye[n][:count])
+    monkeypatch.setattr(lab, "_moment_report", lambda values: values)
+    for n in range(1, 11):
+        x = np.arange(1 << n, dtype=np.uint64)
+        for mask in range(1 << n):
+            signs = diagonal_observable_variance(_spec("uniform"), n, SubsetMask(mask, n), 1 << n, STREAM)
+            np.testing.assert_array_equal(signs, 1.0 - 2.0 * (np.bitwise_count(x & np.uint64(mask)) % 2))
+
+
 def test_float_chunks_keep_their_size_where_small_terms_fit_the_slack():
     # 2^20 outcomes a chunk from n = 8 on, as before the byte budget, and the
     # closed-form marginals at the instance cap: up to n = 15, and the

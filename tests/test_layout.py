@@ -3,17 +3,20 @@
 A top-level name stays in src/bornlab only if `bornlab.cli.main` reaches it;
 the oracles that tests check the production routes against live in
 tests/oracles.py. Importing and running the command line loads no scipy.
-CI's replay table holds a case for every experiment.
+CI's replay table holds a case for every experiment. Every input the
+program reads is listed here once.
 """
 
+import argparse
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from bornlab.cli import EXPERIMENTS, FIGURES
+from bornlab.cli import EXPERIMENTS, FIGURES, ExperimentConfig, build_parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bornlab"
 WORKFLOW = PACKAGE.parent.parent / ".github" / "workflows" / "tests.yml"
@@ -150,3 +153,51 @@ def test_the_replay_table_covers_every_experiment(tmp_path):
             named.add(config["experiment"])
     assert any(case.split()[1] == "figures" for case in cases), cases
     assert sorted(set(EXPERIMENTS) - named) == []
+
+
+# Every input the program reads, listed once: the option strings of each
+# subcommand, the fields of a config, and the environment variables that
+# src/bornlab reads. One added or removed without editing this list fails
+# test_every_input_is_listed.
+OPTIONS = {
+    "run": ["--config", "--seed", "--workers", "--out"],
+    "tails": ["--family", "--n-min", "--n-max", "--trials", "--seed", "--workers", "--out"],
+    "pairwise": ["--family", "--metric", "--sigma", "--n-min", "--n-max", "--pairs", "--seed", "--workers",
+                 "--out"],
+    "figures": ["--pairs", "--trials", "--seed", "--workers", "--out"],
+    "mmdtest": ["--sigma", "--alpha"],
+}
+CONFIG_FIELDS = ["experiment", "families", "n_min", "n_max", "trials", "seed", "metrics", "sigmas", "n_step",
+                 "y_grid", "subset", "alpha", "samples", "workers", "out"]
+ENVIRONMENT = []
+
+
+def environment_reads() -> list[str]:
+    """The environment variables src/bornlab reads: the key of each
+    os.environ[...], os.environ.get(...) and os.getenv(...), and '?' for a key
+    that is not a constant or for any other use of the environment."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name not in ("environ", "environb", "getenv", "getenvb"):
+                continue
+            use = parents[node]
+            if isinstance(use, ast.Attribute) and use.attr == "get":
+                use = parents[use]
+            key = (use.slice if isinstance(use, ast.Subscript)
+                   else use.args[0] if isinstance(use, ast.Call) and use.args else None)
+            found.append(key.value if isinstance(key, ast.Constant) else "?")
+    return sorted(found)
+
+
+def test_every_input_is_listed():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: [o for action in command._actions for o in action.option_strings if o not in ("-h", "--help")]
+               for name, command in commands.items()}
+    assert options == OPTIONS
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == CONFIG_FIELDS
+    assert environment_reads() == ENVIRONMENT
