@@ -351,18 +351,27 @@ def test_manifest_round_trip_reproduces_run(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_born_seed_is_not_read(tmp_path, monkeypatch):
-    # the seed is --seed, else the config's, else 0: BORN_SEED in the
-    # environment changes no byte, whatever it holds
+def _assert_born_seed_changes_no_byte(tmp_path, monkeypatch, values):
     args = ["tails", "--family", "dirichlet", "--n-min", "3", "--n-max", "4", "--trials", "200",
             "--workers", "1"]
     assert run_cli(args + ["--out", tmp_path / "plain.csv"]) == 0
-    for value in ("5", "not-a-number", "-2"):
+    for value in values:
         monkeypatch.setenv("BORN_SEED", value)
         out = tmp_path / f"env{value}.csv"
         assert run_cli(args + ["--out", out]) == 0
         assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
         assert {r["seed"] for r in read_rows(out)} == {"0"}
+
+
+def test_born_seed_is_not_read(tmp_path, monkeypatch):
+    # the seed is --seed, else the config's, else 0: BORN_SEED in the
+    # environment changes no byte
+    _assert_born_seed_changes_no_byte(tmp_path, monkeypatch, ["5"])
+
+
+def test_a_bad_born_seed_is_not_refused(tmp_path, monkeypatch):
+    # BORN_SEED is not read, so a value that is no seed runs as if unset
+    _assert_born_seed_changes_no_byte(tmp_path, monkeypatch, ["not-a-number", "-2"])
 
 
 def test_src_reads_no_environment_variable(tmp_path, monkeypatch):
