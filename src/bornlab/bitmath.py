@@ -166,12 +166,14 @@ def _apply_factor(v: np.ndarray, h: np.ndarray) -> None:
             block[...] = np.matmul(h, block)
 
 
-def fwht(a: np.ndarray) -> np.ndarray:
+def fwht(a: np.ndarray, *, in_place: bool = False) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
     out[S] = sum_x a[x] * (-1)^popcount(S & x). Works on batched (..., N)
     arrays; N must be a power of two. The transform is an involution up to
-    the factor N.
+    the factor N. in_place transforms a, which must then be a writeable
+    C-contiguous float64 array, and returns it: beside a it holds one
+    matmul block, about _BLOCK_BYTES.
 
     H_N is the Kronecker product of Hadamard matrices of at most
     2^_FACTOR_BITS, one per group of index bits. Each factor is one BLAS
@@ -186,7 +188,12 @@ def fwht(a: np.ndarray) -> np.ndarray:
     N = a.shape[-1]
     if N == 0 or N & (N - 1):
         raise ValueError(f"length {N} is not a power of two")
-    x = np.array(a, dtype=np.result_type(a.dtype, np.float64), order="C")
+    if in_place:
+        if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError("an in-place transform needs a writeable C-contiguous float64 array")
+        x = a
+    else:
+        x = np.array(a, dtype=np.result_type(a.dtype, np.float64), order="C")
     flat, lo = x.reshape(-1), 1  # a view, since x is C-contiguous
     for k in _factor_sizes(x.shape[-1].bit_length() - 1):
         _apply_factor(flat.reshape(-1, k, lo), _hadamard(k))

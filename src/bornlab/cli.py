@@ -202,7 +202,7 @@ class ExperimentRow:
 def parse_family(token: str) -> FamilySpec:
     """Parse 'kind' or 'kind:key=value,...'. A key must name a parameter the
     kind reads (lab.family_reading), whatever its value: `iqp:alpha=1` is
-    refused as `iqp:alpha=5` is."""
+    refused as `iqp:alpha=5` is. A key given twice is refused too."""
     kind, _, params = token.partition(":")
     kind, kwargs = kind.strip(), {}
     try:
@@ -211,6 +211,8 @@ def parse_family(token: str) -> FamilySpec:
             if not eq:
                 raise CliError(f"bad family parameter {item!r} in {token!r}")
             key = key.strip()
+            if key in kwargs:
+                raise CliError(f"family {token!r} gives {key} twice")
             family_reading(kind, [key])
             parse, expected = (float, "a number") if key == "alpha" else (int, "an integer")
             try:

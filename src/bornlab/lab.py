@@ -25,18 +25,25 @@ bound on the bytes an item holds at its peak (a Route's bytes per instance,
 or _mmdtest_rep_bytes per repetition), and _collect derives the chunk from
 it: as many items as CHUNK_BYTES holds, at most MAX_CHUNK. So memory is
 bounded before it is allocated, and the chunk size depends on the cell's
-parameters only. A pairwise chunk holds two draws at once, then
-their difference and the metrics' temporaries: its traced peak is about
-twice CHUNK_BYTES for the float families, and less for IQP and MPS. Beside
-its chunks a cell holds its values, 8 bytes a trial and combo, and may hold
-a constant of its own: an observable cell its sign row, 8 bytes an outcome,
-an mmdtest cell its kernels' weights. The workers' chunks share one
-process, so a fan-out holds at most about workers times the largest chunk's
-peak.
+parameters only. A dense pairwise chunk holds one chunk of rows: it draws
+p whole, then q a block of at most BLOCK_BYTES at a time, subtracted into p
+in draw order, and scores that one array in place, MMD^2 last. Beside its
+draw of p it holds one block of q, one working block (|p - q| or fwht's)
+and its scores: 8 bytes a pair for each combo, again for each MMD^2 kernel
+and for the L1 row. iqp and mps hand out q whole:
+batching changes an IQP row's last bit, and an MPS draw already holds more
+than the pair. A chunk of one row (n >= 20 for the float kinds) still holds
+p and q, about 2.1 times its bound. Beside its chunks a cell holds its
+values, 8 bytes a trial and combo, and may hold a constant of its own: an
+observable cell its sign row, 8 bytes an outcome, an mmdtest cell its
+scorer's class order, 8 bytes an outcome, and its kernels' weights. The
+workers' chunks share one process, so a fan-out holds at most about workers
+times the largest chunk's peak.
 
-FAMILIES is the one table of family kinds. Each entry holds two Routes with
-their own bytes per instance and n cap: `dense` draws a chunk of B instances
-as a (B, 2^n) array, `mass` their reference-outcome masses, from the kind's
+FAMILIES is the one table of family kinds. Each entry holds two routes with
+their own bytes per instance and n cap: `dense` (Rows) hands out the rows of
+B instances in blocks, in draw order, and its draw joins them into a
+(B, 2^n) array; `mass` draws their reference-outcome masses, from the kind's
 closed-form marginal where it has one. The sparse kinds draw that mass only
 for the instances whose support holds x*, a share of K/2^n. Their entries
 also hold the compact form (Support): K masses and K positions an instance,
@@ -174,8 +181,8 @@ def _scatter_rows(masses: np.ndarray, positions: np.ndarray, N: int) -> np.ndarr
     return out
 
 
-# how many times _normalized_rows redraws a row whose draws all underflowed to
-# 0, and _distinct_positions a row of positions that holds a repeat, before it
+# how many times _law_blocks redraws a row whose draws all underflowed to 0,
+# and _distinct_positions a row of positions that holds a repeat, before it
 # gives up. The laws refuse the parameters past which half their draws are 0.0
 # (see families), and a row of positions is free of repeats with probability at
 # least 1/2, so a row outlives 50 rounds with probability below 2^-50; the bound
@@ -183,24 +190,55 @@ def _scatter_rows(masses: np.ndarray, positions: np.ndarray, N: int) -> np.ndarr
 MAX_REDRAW_ROUNDS = 50
 
 
+def _law_blocks(law, rng, count: int, K: int, rows: int):
+    """`count` rows of K iid draws from law, each divided by its total, as
+    (index, values) blocks of at most `rows` rows. A row whose total is not
+    positive is handed out as zeros and drawn again in the next round, after
+    the last block of this one, at most MAX_REDRAW_ROUNDS times: the draws of
+    one (count, K) array and its redraws, in row order, bit for bit."""
+    redo = None  # the first round draws every row, in blocks of whole slices
+    for _ in range(MAX_REDRAW_ROUNDS + 1):
+        size, still = count if redo is None else redo.size, []
+        for a in range(0, size, rows):
+            b = min(a + rows, size)
+            index = slice(a, b) if redo is None else redo[a:b]
+            y = law.sample(rng, (b - a, K))
+            totals = y.sum(axis=1)
+            bad = np.flatnonzero(totals <= 0)
+            totals[bad] = 1.0  # the row stays 0 until it is drawn again
+            y /= totals[:, None]
+            still.append(bad + a if redo is None else index[bad])
+            yield index, y
+            del y  # freed before the next block is drawn
+        redo = np.concatenate(still)
+        if redo.size == 0:
+            return
+    raise ValueError(
+        f"domain error: a row of {K} draws from {law} held no positive "
+        f"value in {MAX_REDRAW_ROUNDS} redraws; the parameter is too extreme for float64"
+    )
+
+
+def _blocks_of(count: int, rows: int, make):
+    """(index, make(start, stop)) over the blocks of `rows` rows of `count`, in order."""
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        yield slice(start, stop), make(start, stop)
+
+
+def _join(blocks) -> np.ndarray:
+    """The rows that (index, values) blocks hand out, as one array: the first
+    block, drawn as one, holds them all, and later ones replace rows drawn again."""
+    _, out = next(blocks)
+    for index, values in blocks:
+        out[index] = values
+    return out
+
+
 def _normalized_rows(law, rng, shape) -> np.ndarray:
     """Rows of iid draws from law, each divided by its total; a row whose
     total is not positive is drawn again, at most MAX_REDRAW_ROUNDS times."""
-    y = law.sample(rng, shape)
-    totals = y.sum(axis=1)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        bad = np.flatnonzero(totals <= 0)
-        if bad.size == 0:
-            break
-        y[bad] = law.sample(rng, (bad.size, shape[1]))
-        totals[bad] = y[bad].sum(axis=1)
-    if np.any(totals <= 0):
-        raise ValueError(
-            f"domain error: a row of {shape[1]} draws from {law} held no positive "
-            f"value in {MAX_REDRAW_ROUNDS} redraws; the parameter is too extreme for float64"
-        )
-    y /= totals[:, None]
-    return y
+    return _join(_law_blocks(law, rng, *shape, shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +319,11 @@ _LABEL_FORMATS = {"alpha": "{:g}", "k": "K={}", "chi": "chi={}"}
 CHUNK_BYTES = 1 << 23
 MAX_CHUNK = 1 << 16
 
+# A dense route hands out a draw's rows in blocks of at most BLOCK_BYTES at
+# their peak (one row where a row holds more): the second draw of a pairwise
+# chunk is drawn a block at a time into its difference.
+BLOCK_BYTES = CHUNK_BYTES // 8
+
 
 @dataclass(frozen=True)
 class Route:
@@ -291,6 +334,34 @@ class Route:
     draw: Callable
     bytes_per_instance: Callable[[FamilySpec, int], int]
     max_n: int = MAX_DENSE_QUBITS
+
+
+@dataclass(frozen=True)
+class Rows:
+    """The dense route of a family kind, a Route whose draw is the join of
+    its blocks. blocks(spec, n, count, rng, rows) hands out the (count, 2^n)
+    rows of `count` fresh instances in draw order as (index, values) pairs:
+    blocks of at most `rows` rows, then any rows drawn again (an index
+    array), which replace what their index held. A `whole` kind hands out
+    its draw as one block, whatever `rows` asks."""
+
+    blocks: Callable
+    bytes_per_instance: Callable[[FamilySpec, int], int]
+    max_n: int = MAX_DENSE_QUBITS
+    whole: bool = False
+
+    def draw(self, spec, n, count, rng) -> np.ndarray:
+        return _join(self.blocks(spec, n, count, rng, count))
+
+    def block_rows(self, spec, n, count) -> int:
+        """The rows of a block: as many as BLOCK_BYTES holds, or `count` for a whole kind."""
+        return count if self.whole else max(1, BLOCK_BYTES // self.bytes_per_instance(spec, n))
+
+
+def _whole(draw, bytes_per_instance, max_n) -> Rows:
+    """The dense route that hands out draw(spec, n, count, rng) as one block."""
+    return Rows(lambda spec, n, count, rng, rows: iter([(slice(0, count), draw(spec, n, count, rng))]),
+                bytes_per_instance, max_n, whole=True)
 
 
 @dataclass(frozen=True)
@@ -307,9 +378,16 @@ class Support:
         masses = self.masses(spec, n, count, rng)
         return masses, _support_positions(count, masses.shape[1], 1 << n, rng)
 
-    def dense(self, spec, n, count, rng) -> np.ndarray:
-        """The same draw, scattered into (count, 2^n) rows."""
-        return _scatter_rows(*self.draw(spec, n, count, rng), 1 << n)
+    def blocks(self, spec, n, count, rng, rows):
+        """The same draw scattered into rows of 2^n outcomes, `rows` a block:
+        the masses and drawn positions first, ranked positions from their
+        keys a block at a time (_support_positions draws them row by row)."""
+        masses = self.masses(spec, n, count, rng)
+        K, N = masses.shape[1], 1 << n
+        ranked = K < N < K * K
+        positions = None if ranked else _support_positions(count, K, N, rng)
+        return _blocks_of(count, rows, lambda a, b: _scatter_rows(
+            masses[a:b], _support_positions(b - a, K, N, rng) if ranked else positions[a:b], N))
 
 
 @dataclass(frozen=True)
@@ -320,10 +398,10 @@ class Family:
     returns their p(x*), shape (count,). params names the FamilySpec
     parameters the kind reads, and law, for the kinds built on iid positive
     draws, the underlying law that alpha parameterizes. support is the
-    compact form of the sparse kinds, whose dense draw is support.dense.
+    compact form of the sparse kinds, whose dense route scatters its draw.
     """
 
-    dense: Route
+    dense: Rows
     mass: Route
     params: tuple[str, ...] = ()
     law: type | None = None
@@ -449,19 +527,20 @@ def _support_pair_bytes(K: int, n: int) -> int:
 
 
 # What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
-# per outcome, the scorer's three sets and two pairs (56 bytes), more than
-# its two instances hold while they are validated and turned into CDFs (36);
-# per sample of its three sets, the uniform and the outcome, or the outcome
-# and its histogram key (16); beside these, the draw of its two instances.
-# The cell holds the kernels' weights for all its chunks, so they size no
-# chunk, and a bandwidth's rows do not depend on the other bandwidths
+# per outcome, the scorer's three sets and a working row (56 bytes), more
+# than its two instances hold while they are validated and turned into CDFs
+# (36); per sample of its three sets, the uniform and the outcome, or the
+# outcome and its histogram key (16); beside these, the draw of its two
+# instances. The cell holds the scorer's class order and the kernels'
+# weights for all its chunks, so they size no chunk, and a bandwidth's rows
+# do not depend on the other bandwidths
 _MMDTEST_BYTES_PER_SAMPLE = 3 * 16
 
 
 def _mmdtest_rep_bytes(family: FamilySpec, n: int, samples: int) -> int:
     """An upper bound on the bytes an mmdtest repetition holds at its peak."""
     draw = 2 * FAMILIES[family.kind].dense.bytes_per_instance(family, n)
-    return (counts_bytes_per_outcome(3, 2, 0) << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
+    return (counts_bytes_per_outcome(3) << n) + _MMDTEST_BYTES_PER_SAMPLE * samples + draw
 
 
 # product and iqp_product share their marginal, whose draw is 8 bytes an instance
@@ -481,49 +560,59 @@ _PEAKED = Support(FamilySpec.support_size,
 _PEAKED_IQP = Support(FamilySpec.support_size, _peaked_iqp_masses)
 _POINT = Support(lambda spec, n: 1, lambda spec, n, count, rng: np.broadcast_to(1.0, (count, 1)))
 
+
+def _product_rows(weights) -> Rows:
+    """A product form's dense route: its (count, n) weights(n, count, rng)
+    drawn first, then densified a block at a time. A row of it holds its n
+    weights, a column of 1 - a_i and a share of numpy's iterator buffers
+    besides its 2^n masses: 8 (n + 3) bytes."""
+    def blocks(spec, n, count, rng, rows):
+        w = weights(n, count, rng)
+        return _blocks_of(count, rows, lambda a, b: product_prob_values(w[a:b]))
+
+    return Rows(blocks, lambda spec, n: _float_bytes(1 << n, 8 * (n + 3)))
+
+
+# dirichlet and pareto: rows of 2^n draws from the kind's law, normalized
+_LAW_ROWS = Rows(lambda spec, n, count, rng, rows: _law_blocks(spec.underlying(), rng, count, 1 << n, rows),
+                 lambda spec, n: _float_bytes(1 << n, 16))
+
+
 # Every family is exchangeable over outcomes, so the tail law of p(x*) does
 # not depend on the choice of x* = 0...0. The entries call the generators
-# through this module's globals, never through stored function objects.
+# through this module's globals, never through stored function objects. A
+# dense route hands out its rows in blocks, as its draw makes them, except
+# iqp and mps: an IQP row changes in its last bit with the batch it is
+# transformed in, and an MPS batch draws its normals site by site, so either
+# draw is handed out whole.
 FAMILIES = {
-    # a product-form row holds its n weights, a column of 1 - a_i and a share
-    # of numpy's iterator buffers besides its 2^n masses: 8 (n + 3) bytes
-    "product": Family(
-        Route(lambda spec, n, count, rng: product_prob_values(rng.random((count, n))),
-              lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
-        _PRODUCT_MASS,
-    ),
-    "iqp_product": Family(
-        Route(lambda spec, n, count, rng: product_prob_values(_iqp_product_weights(n, count, rng)),
-              lambda spec, n: _float_bytes(1 << n, 8 * (n + 3))),
-        _PRODUCT_MASS,
-    ),
+    "product": Family(_product_rows(lambda n, count, rng: rng.random((count, n))), _PRODUCT_MASS),
+    "iqp_product": Family(_product_rows(_iqp_product_weights), _PRODUCT_MASS),
     "dirichlet": Family(
-        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
-              lambda spec, n: _float_bytes(1 << n, 16)),
+        _LAW_ROWS,
         # Beta(a, a(N-1)) by gamma additivity, exact at any N, so it runs past the dense cap
         Route(lambda spec, n, count, rng: rng.beta(spec.alpha, spec.alpha * ((1 << n) - 1), count),
               lambda spec, n: 8, MAX_OUTCOME_BITS),
         params=("alpha",), law=GammaLaw,
     ),
     "pareto": Family(
-        Route(lambda spec, n, count, rng: _law_rows(spec, 1 << n, count, rng),
-              lambda spec, n: _float_bytes(1 << n, 16)),
+        _LAW_ROWS,
         Route(_pareto_mass, lambda spec, n: _float_bytes(1 << n, 16)),
         params=("alpha",), law=ParetoLaw,
     ),
     "peaked": Family(
-        Route(_PEAKED.dense, lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
+        Rows(_PEAKED.blocks, lambda spec, n: _scatter_bytes(spec.support_size(n), 1 << n)),
         # the hit mask, the output and a Beta variate a hit: 17 bytes where all hit
         Route(_peaked_mass, lambda spec, n: 17),
         params=("alpha", "k"), law=GammaLaw, support=_PEAKED,
     ),
     "iqp": Family(
-        Route(lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
-              lambda spec, n: _iqp_bytes(n), MAX_STATEVECTOR_QUBITS),
+        _whole(lambda spec, n, count, rng: iqp_prob_values(n, count, rng),
+               lambda spec, n: _iqp_bytes(n), MAX_STATEVECTOR_QUBITS),
         _DENSE_COLUMN,
     ),
     "peaked_iqp": Family(
-        Route(_PEAKED_IQP.dense, _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
+        Rows(_PEAKED_IQP.blocks, _peaked_iqp_bytes, MAX_STATEVECTOR_QUBITS),
         # the log2(K)-qubit IQP of every hit beside the 1-byte hit mask; the picks
         # and the output after it hold less
         Route(_peaked_iqp_mass, lambda spec, n: _iqp_bytes(spec.support_size(n).bit_length() - 1) + 1,
@@ -531,19 +620,19 @@ FAMILIES = {
         params=("k",), support=_PEAKED_IQP,
     ),
     "mps": Family(
-        Route(lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
-              _mps_bytes, MAX_STATEVECTOR_QUBITS),
+        _whole(lambda spec, n, count, rng: mps_prob_values(n, spec.bond_dimension(n), count, rng),
+               _mps_bytes, MAX_STATEVECTOR_QUBITS),
         _DENSE_COLUMN,
         params=("chi",),
     ),
     # degenerate reference families, mainly for calibration runs
     "uniform": Family(
-        Route(lambda spec, n, count, rng: np.full((count, 1 << n), 1.0 / (1 << n)),
-              lambda spec, n: 8 << n),
+        Rows(lambda spec, n, count, rng, rows: _blocks_of(
+            count, rows, lambda a, b: np.full((b - a, 1 << n), 1.0 / (1 << n))), lambda spec, n: 8 << n),
         Route(lambda spec, n, count, rng: np.full(count, 1.0 / (1 << n)), lambda spec, n: 8),
     ),
     "point": Family(
-        Route(_POINT.dense, lambda spec, n: _float_bytes(1 << n, 16)),
+        Rows(_POINT.blocks, lambda spec, n: _float_bytes(1 << n, 16)),
         Route(lambda spec, n, count, rng: (rng.integers(0, 1 << n, count) == 0).astype(float),
               lambda spec, n: 16),
         support=_POINT,
@@ -634,7 +723,7 @@ def _collect(draw, total: int, item_bytes: int, stream: RandomStream) -> np.ndar
         if stop is not None and stop.is_set():
             raise FanOutStopped("another cell of the fan-out failed")
         parts.append(draw(stream.child(k).generator, size))
-    return np.concatenate(parts, axis=-1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _moment_report(values: np.ndarray) -> MomentReport:
@@ -702,6 +791,22 @@ def _support_difference(family: FamilySpec, n: int, count: int, rng) -> tuple[np
     return points, diff
 
 
+def _subtract_blocks(p: np.ndarray, blocks) -> None:
+    """p -= the rows that (index, values) blocks hand out, one block alive at a time."""
+    for index, values in blocks:
+        p[index] -= values
+        del values  # freed before the next block is drawn
+
+
+def _abs_row_sums(a: np.ndarray) -> np.ndarray:
+    """|a| summed along each row, BLOCK_BYTES of rows at a time, never |a| whole."""
+    out = np.empty(len(a))
+    rows = max(1, BLOCK_BYTES // a[0].nbytes)
+    for start in range(0, len(a), rows):
+        np.abs(a[start:start + rows]).sum(axis=1, out=out[start:start + rows])
+    return out
+
+
 def pairwise_loss_values(
     family: FamilySpec,
     n: int,
@@ -715,34 +820,37 @@ def pairwise_loss_values(
     A pair is scored on its dense difference p - q, or, where _on_supports,
     on that difference over the 2K points of its two supports, drawn from the
     same generator calls: SD, L1 and TVD sum it, and MMD^2 is the kernel
-    double sum over the points."""
+    double sum over the points. A dense chunk draws its p whole, then q's rows
+    block by block from the same generator (all of q for iqp and mps), each
+    subtracted into p as it comes, and scores that one array: SD and L1 read
+    it, and MMD^2 transforms it in place last."""
     mmd2 = [i for i, (metric, _) in enumerate(combos) if metric == "mmd2"]
     mmd2_kernels = tuple(bandwidth_kernel(sigma) for metric, sigma in combos if metric == "mmd2")
     on_supports = _on_supports(family, n)
+    route = FAMILIES[family.kind].dense
 
     def draw(rng, count):
         if on_supports:
             points, diff = _support_difference(family, n, count, rng)
         else:
-            diff = instance_prob_values(family, n, count, rng) - instance_prob_values(
-                family, n, count, rng
-            )
+            diff = instance_prob_values(family, n, count, rng)
+            _subtract_blocks(diff, route.blocks(family, n, count, rng, route.block_rows(family, n, count)))
         out = np.empty((len(combos), count))
-        if mmd2:
-            out[mmd2] = (mmd2_points_batch(points, diff, n, mmd2_kernels) if on_supports
-                         else mmd2_fourier_batch(diff, n, mmd2_kernels)).T
         l1 = None
         for i, (metric, _) in enumerate(combos):
             if metric == "sd":
-                out[i] = np.einsum("ij,ij->i", diff, diff)
+                np.einsum("ij,ij->i", diff, diff, out=out[i])
             elif metric != "mmd2":
                 if l1 is None:
-                    l1 = np.abs(diff).sum(axis=1)
-                out[i] = l1 if metric == "l1" else 0.5 * l1
+                    l1 = _abs_row_sums(diff)
+                np.multiply(l1, 1.0 if metric == "l1" else 0.5, out=out[i])
+        if mmd2:  # last: the dense transform runs in place in diff
+            out[mmd2] = (mmd2_points_batch(points, diff, n, mmd2_kernels) if on_supports
+                         else mmd2_fourier_batch(diff, n, mmd2_kernels)).T
         return out
 
     item_bytes = (_support_pair_bytes(FAMILIES[family.kind].support.size(family, n), n) if on_supports
-                  else FAMILIES[family.kind].dense.bytes_per_instance(family, n))
+                  else route.bytes_per_instance(family, n))
     return _collect(draw, pairs, item_bytes, stream)
 
 

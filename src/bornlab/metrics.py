@@ -22,30 +22,48 @@ through bandwidth_kernel) even though no finite bandwidth reaches it.
 bandwidth_kernel is the only conversion from sigma to rho; it refuses a
 sigma so wide that rho rounds to 1 (above about 9.5e7), a constant kernel.
 mmd2_fourier_batch evaluates every requested bandwidth from one transform,
-and each column equals, bit for bit, a call with that kernel alone.
+run in place in the batch it is given, and each column equals, bit for bit,
+a call with that kernel alone.
 
 The two-sample U-statistic has one scorer, mmd2_unbiased_pairs, which
 scores pairs of sample sets of m and l outcomes; mmd2_unbiased is its one
-pair. The statistic needs the kernel sums c^T K c' over the outcome
-histograms c, c' of each pair, for each requested kernel. The scorer takes
-one of two exact routes, picked from (n, m, l) alone, and every kernel
-shares that route's transform or histograms:
+pair. The statistic is
+
+    (xx - m)/(m(m-1)) + (yy - l)/(l(l-1)) - 2 xy/(m l),
+
+with xx, xy, yy the kernel sums c^T K c' over the outcome histograms of the
+pair. Between two samples of one law the three terms nearly cancel, so the
+scorer sums them exactly first. Either route splits each kernel sum into
+n + 1 classes with one weight each and counts every class exactly in int64.
+Per class it combines the three terms over one denominator in Python
+integers and rounds that once; each kernel's n + 1 weights are applied
+last. The route is picked from (n, m, l) alone, and every kernel shares its
+transform or histograms:
 
 * counts: one offset bincount makes every set's histogram and one batched
-  transform turns them all, after which c^T K c' = sum_S w_S chat_S chat'_S
-  / 2^n. Cost about 2 n 2^n a lone pair.
-* distances: exact int64 histograms of the Hamming distances over the
-  sample pairs, each unordered within-sample pair visited once, so each
-  kernel sum is (rho^0..rho^n) @ h. A set's own histogram is made once
+  transform turns them all; a class is the masks S of one Hamming weight k,
+  the sum of chat_S chat'_S over them, and its weight (1-rho)^k
+  (1+rho)^{n-k} / 2^n. Cost about 2 n 2^n a lone pair.
+* distances: int64 histograms of the Hamming distances over the sample
+  pairs, each unordered within-sample pair visited once; a class is one
+  distance d, with weight rho^d. A set's own histogram is made once
   however many pairs hold it. Cost m(m+1)/2 + l(l+1)/2 + m l cells a lone
   pair. This route covers outcomes up to 64 bits.
 
+Exact means: the result is the U-statistic of the float rho up to the
+rounding of the n + 1 class weights and of the terms, and no cancellation
+between the three terms is rounded. The int64 counts are exact while a class
+sum stays below 2^63: at most 2^n max(m, l)^2 on the counts route, which its
+rule requires, and max(m, l)^2 on the distance route, which the scorer
+checks.
+
 The counts route runs when its units number at most _DISTANCE_CELL_UNITS
-times the distance route's cells, and a lone pair's working memory at one
-kernel (counts_bytes_per_outcome) fits MMD_MEMORY_BYTES. The distance
-route works in row blocks of 8 bytes a cell that fit the same budget (or in
-one row, if that is larger). Neither allocates anything of size m x m.
-counts_route is that rule, the one place it is stated.
+times the distance route's cells, a lone pair's working memory
+(counts_bytes_per_outcome and the class order) fits MMD_MEMORY_BYTES, and
+its class sums are exact. The distance route works in row blocks of 8 bytes
+a cell that fit the same budget (or in one row, if that is larger). Neither
+allocates anything of size m x m. counts_route is that rule, the one place
+it is stated.
 """
 
 from __future__ import annotations
@@ -114,16 +132,30 @@ def bandwidth_kernel(sigma: float) -> KernelSpec:
     )
 
 
+def _class_weights(n: int, spec: KernelSpec) -> np.ndarray:
+    """Kernel eigenvalue (1-rho)^k (1+rho)^{n-k} of the masks of weight k = 0..n."""
+    k = np.arange(n + 1)
+    return (1.0 - spec.rho) ** k * (1.0 + spec.rho) ** (n - k)
+
+
 def fourier_weights(n: int, spec: KernelSpec) -> np.ndarray:
     """Kernel eigenvalue (1-rho)^|S| (1+rho)^{n-|S|} per subset mask."""
-    k = np.arange(n + 1)
-    return ((1.0 - spec.rho) ** k * (1.0 + spec.rho) ** (n - k))[popcounts(n)]
+    return _class_weights(n, spec)[popcounts(n)]
 
 
 def mmd2_fourier_batch(diffs: np.ndarray, n: int, specs: tuple[KernelSpec, ...]) -> np.ndarray:
-    """MMD^2 of diffs, shape (..., 2^n), under each kernel: one column per kernel."""
-    power = fwht(np.asarray(diffs, dtype=float)) ** 2
-    return np.stack([power @ fourier_weights(n, spec) / (1 << n) for spec in specs], axis=-1)
+    """MMD^2 of diffs, shape (..., 2^n), under each kernel: one column per kernel.
+
+    diffs is scratch: a writeable C-contiguous float64 array is transformed
+    and squared in place, so the batch is held once; any other is copied first.
+    """
+    power = fwht(np.require(diffs, np.float64, ["C", "W"]), in_place=True)
+    np.square(power, out=power)
+    out = np.empty((len(specs),) + power.shape[:-1])
+    for row, spec in zip(out, specs):
+        np.matmul(power, fourier_weights(n, spec), out=row)
+        row /= 1 << n
+    return np.moveaxis(out, 0, -1)
 
 
 def _point_pair_histogram(points: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -146,25 +178,15 @@ def mmd2_points_batch(points: np.ndarray, weights: np.ndarray, n: int,
     return np.stack([h @ spec.rho ** np.arange(n + 1) for spec in specs], axis=-1)
 
 
-def _counts_kernel_sums(hats: np.ndarray, pairs, roots) -> np.ndarray:
-    """(cx K cx, cx K cy, cy K cy) for each pair (x, y) of rows of hats, the
-    transformed outcome histograms, per kernel: shape (3, kernels, pairs).
-
-    K is diagonal in the Walsh basis, so the quadratic forms are Gram matrices
-    weighted by the eigenvalues; roots holds each kernel's square-rooted
-    eigenvalues over 2^n. For each kernel the pairs are gathered into one
-    array, weighted in place, and multiplied by their own transpose in one
-    stacked product: numpy runs pair @ pair.T over one buffer as a BLAS syrk
-    per pair, which rounds as a lone pair's product does, where copies on
-    the two sides would not.
-    """
-    sums = []
-    for root in roots:
-        gathered = np.take(hats, pairs, axis=0)
-        gathered *= root
-        sums.append(np.matmul(gathered, gathered.swapaxes(1, 2))[:, [0, 0, 1], [0, 1, 1]].T)
-        del gathered  # freed before the next kernel's pairs are gathered
-    return np.stack(sums, axis=1)
+def _fourier_class_sums(classed: np.ndarray, pairs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(cx cx, cx cy, cy cy) summed exactly over the masks of each Hamming
+    weight, for each pair (x, y) of rows of classed, the transformed
+    histograms as int64 in class order that starts splits: shape
+    (3, pairs, n + 1). A set's own sums are made once however many pairs
+    hold it, and one product row is alive at a time."""
+    own = [np.add.reduceat(row * row, starts) for row in classed]
+    return np.array([(own[i], np.add.reduceat(classed[i] * classed[j], starts), own[j])
+                     for i, j in pairs]).transpose(1, 0, 2)
 
 
 def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -198,28 +220,55 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def counts_bytes_per_outcome(sets: int, pairs: int, kernels: int) -> int:
-    """The counts route's peak bytes per outcome for a call holding the
-    transforms of `sets` histograms (8 bytes each), `pairs` of them gathered
-    for the Gram product (16 each) and the square-rooted eigenvalues of
-    `kernels` kernels (8 each). A lone pair at one kernel holds 40
-    (tracemalloc, n = 20: 40.41), inside MMD_MEMORY_BYTES at the largest N the
-    route rule admits, 2^20."""
-    return 8 * sets + 16 * pairs + 8 * kernels
+def counts_bytes_per_outcome(sets: int) -> int:
+    """The counts route's peak bytes per outcome for a call scoring `sets`
+    sets: 16 a set (its histogram and transform, then the transform and its
+    int64 copy in class order) and 8 for one working row (a set's row in
+    class order, then a product). The scorer holds the class order beside
+    its calls, 8 bytes an outcome; a lone pair holds 40 and that (tracemalloc,
+    n = 20: 48.0), inside MMD_MEMORY_BYTES at the largest N the route rule
+    admits, 2^20."""
+    return 16 * sets + 8
+
+
+# the U-statistic's class sums are exact in int64: a counts-route sum over
+# the masks of one weight is at most 2^n max(m, l)^2 (Cauchy-Schwarz and
+# Parseval), and a distance count at most max(m, l)^2
+_EXACT_LIMIT = 1 << 63
 
 
 def counts_route(n: int, m: int, l: int) -> bool:
     """Whether the scorer takes the counts route for sets of m and l outcomes
-    of n bits: the one route rule, from (n, m, l) alone."""
+    of n bits: the one route rule, from (n, m, l) alone. Beside cost and
+    memory, its class sums must be exact in int64."""
     N, pair_cells = 1 << n, m * (m + 1) // 2 + l * (l + 1) // 2 + m * l
     counts_cheaper = 2 * n * N <= _DISTANCE_CELL_UNITS * pair_cells
-    return counts_cheaper and counts_bytes_per_outcome(2, 1, 1) * N <= MMD_MEMORY_BYTES
+    fits = (counts_bytes_per_outcome(2) + 8) * N <= MMD_MEMORY_BYTES
+    return counts_cheaper and fits and N * max(m, l) ** 2 < _EXACT_LIMIT
 
 
-def _estimates(sums, m: int, l: int) -> np.ndarray:
-    """The U-statistic from the kernel sums (xx, xy, yy) over m and l outcomes."""
-    xx, xy, yy = sums
-    return (xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2.0 * xy / (m * l)
+def _estimates(tables, diagonal, m: int, l: int, weights) -> np.ndarray:
+    """The U-statistic per kernel and pair, shape (kernels, pairs), from the
+    exact class tables (xx, xy, yy), each (pairs, n + 1), whose diagonal
+    pairs (an outcome with itself) number m and l times diagonal a class.
+
+    Per pair and class the three terms
+    (xx - m d)/(m(m-1)) + (yy - l d)/(l(l-1)) - 2 xy/(m l), which nearly
+    cancel between two samples of one law, are combined over one
+    denominator in Python integers and rounded once. Each kernel's weights
+    are applied last, class after class, so an estimate is bit for bit that
+    of its pair and its kernel alone.
+    """
+    m, l = int(m), int(l)
+    xx, xy, yy = np.asarray(tables, dtype=object)
+    d = np.asarray(diagonal, dtype=object)
+    numerator = (xx - m * d) * (l * (l - 1)) + (yy - l * d) * (m * (m - 1)) - 2 * xy * ((m - 1) * (l - 1))
+    terms = (numerator / (m * (m - 1) * l * (l - 1))).astype(float)
+    out = np.zeros((len(weights), len(terms)))
+    for row, w in zip(out, weights):
+        for k, w_k in enumerate(w):
+            row += w_k * terms[:, k]
+    return out
 
 
 def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> np.ndarray:
@@ -240,22 +289,28 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
     (i, j) of pairs, shape (len(specs), len(pairs)). sets is a 2-D array of
     equal sets, one a row, or a sequence of 1-D arrays.
 
-    The route is counts_route(n, m, l), and each kernel's weights are built
-    here, once. At its peak the counts route holds counts_bytes_per_outcome
-    of its sets, its pairs and the kernels.
+    The route is counts_route(n, m, l), and each kernel's n + 1 weights and
+    the counts route's class order are built here, once. At its peak the
+    counts route holds counts_bytes_per_outcome of its sets.
     """
+    if max(m, l) ** 2 >= _EXACT_LIMIT:
+        raise ValueError(f"resource error: sets of {m} and {l} outcomes overflow the exact int64 counts")
     if not counts_route(n, m, l):
         powers = [spec.rho ** np.arange(n + 1) for spec in specs]
+        same = [1] + [0] * n  # an outcome is at distance 0 from itself
 
         def score(sets, pairs):
             own = {i: _self_hamming_histogram(sets[i], n) for i in np.unique(pairs)}
-            hists = [(own[i], _hamming_histogram(sets[i], sets[j], n), own[j]) for i, j in pairs]
-            sums = [[[power @ h for power in powers] for h in pair] for pair in hists]
-            return _estimates(np.transpose(sums, (1, 2, 0)), m, l)
+            tables = [(own[i], _hamming_histogram(sets[i], sets[j], n), own[j]) for i, j in pairs]
+            return _estimates(np.transpose(tables, (1, 0, 2)), same, m, l, powers)
 
         return score
     N = 1 << n
-    roots = [np.sqrt(fourier_weights(n, spec) / N) for spec in specs]
+    weights = [_class_weights(n, spec) / N for spec in specs]
+    order = np.argsort(popcounts(n), kind="stable")
+    starts = np.searchsorted(popcounts(n)[order], np.arange(n + 1))
+    # sum_S w_S / 2^n = k(x, x) = 1, so the diagonal holds C(n, k) of a class
+    binomials = [math.comb(n, k) for k in range(n + 1)]
 
     def score(sets, pairs):
         # outcomes offset by N times their set's index. An array of equal sets
@@ -267,7 +322,13 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
         keys += (sets.reshape(-1) if equal else np.concatenate(sets)).view(np.int64)
         hats = fwht(np.bincount(keys, minlength=N * len(sets)).reshape(-1, N))
         del keys
-        return _estimates(_counts_kernel_sums(hats, pairs, roots), m, l)
+        used, rows = np.unique(pairs, return_inverse=True)
+        classed = np.empty((len(used), N), dtype=np.int64)
+        for row, i in zip(classed, used):
+            row[...] = np.take(hats[i], order)  # exact: the transforms of counts below 2^53 are integers
+        del hats
+        tables = _fourier_class_sums(classed, rows.reshape(-1, 2), starts)
+        return _estimates(tables, binomials, m, l, weights)
 
     return score
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -641,6 +642,23 @@ def mmd2_population(p: ProbVector, q: ProbVector, spec: KernelSpec) -> float:
         d = np.bitwise_count(x[start : start + block, None] ^ x[None, :])
         total += g[start : start + block] @ (spec.rho**d.astype(float)) @ g
     return float(total)
+
+
+def mmd2_unbiased_exact(X: SampleSet, Y: SampleSet, rho: float) -> Fraction:
+    """The two-sample U-statistic under rho^{d_H} as an exact rational: the
+    float rho read exactly, and each kernel sum the sum of rho^d times the
+    integer count of ordered pairs at Hamming distance d, counted over every
+    pair of outcomes (m x l cells, so for small sets)."""
+    r = Fraction(rho)
+
+    def kernel_sum(a, b):
+        counts = np.bincount(np.bitwise_count(a[:, None] ^ b[None, :]).ravel(), minlength=X.n + 1)
+        return sum(int(c) * r**d for d, c in enumerate(counts))
+
+    m, l = len(X), len(Y)
+    xx, xy, yy = (kernel_sum(a, b) for a, b in ((X.outcomes, X.outcomes), (X.outcomes, Y.outcomes),
+                                                 (Y.outcomes, Y.outcomes)))
+    return (xx - m) / (m * (m - 1)) + (yy - l) / (l * (l - 1)) - 2 * xy / (m * l)
 
 
 def l1_distance(p: ProbVector, q: ProbVector) -> float:

@@ -145,8 +145,8 @@ def test_criterion_03_parseval_ties_rho0_mmd_to_sd():
     for idx, (family, n) in enumerate(cases):
         rows = instance_prob_values(family, n, 200, RandomStream(413).child(idx).generator)
         diffs = rows[0::2] - rows[1::2]
-        mmd0 = mmd2_fourier_batch(diffs, n, (spec,))[..., 0]
         sd = (diffs ** 2).sum(axis=-1)
+        mmd0 = mmd2_fourier_batch(diffs, n, (spec,))[..., 0]  # transforms diffs in place
         tol = 1e-12 * np.maximum(np.maximum(mmd0, sd), 1e-300)
         assert np.all(np.abs(mmd0 - sd) <= tol), family.label()
 

@@ -720,6 +720,23 @@ def test_bad_family_parameters_rejected_before_running(tmp_path, capsys, family,
         assert not out.exists(), experiment
 
 
+def test_a_family_key_given_twice_exits_2(tmp_path, capsys):
+    # the second value would win without a word; the token is refused and
+    # names the key, from --family and from a config file alike
+    out = tmp_path / "tails.csv"
+    rc = run_cli(["tails", "--family", "peaked:k=4,k=8", "--n-min", "4", "--n-max", "4",
+                  "--trials", "100", "--out", out])
+    assert rc == 2
+    assert "family 'peaked:k=4,k=8' gives k twice" in capsys.readouterr().err
+    assert not out.exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "tails", "families": ["dirichlet:alpha=2,alpha=2"],
+                                  "n_min": 4, "n_max": 4, "trials": 100, "seed": 0}))
+    assert run_cli(["run", "--config", config, "--out", out]) == 2
+    assert "gives alpha twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -248,7 +248,7 @@ def test_support_pairs_match_dense_pairs_of_one_draw(spec):
         diff = p - q
         l1 = np.abs(diff).sum(axis=1)
         kernels = tuple(bandwidth_kernel(sigma) for _, sigma in _every_combo(n)[1:4])
-        dense = np.vstack([np.einsum("ij,ij->i", diff, diff), mmd2_fourier_batch(diff, n, kernels).T,
+        dense = np.vstack([np.einsum("ij,ij->i", diff, diff), mmd2_fourier_batch(diff.copy(), n, kernels).T,
                            l1, l1 / 2])
         np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0, err_msg=f"n={n}")
         overlapping += np.count_nonzero(((p > 0) & (q > 0)).any(axis=1))
@@ -293,6 +293,82 @@ def test_chunk_memory_is_bounded_before_allocation(spec):
         finally:
             tracemalloc.stop()
         assert peak <= MEMORY_SLACK * chunk * pair_bytes, ("support", n, chunk, peak)
+
+
+@pytest.mark.parametrize("spec", MEMORY_SPECS, ids=FamilySpec.label)
+def test_a_dense_pairwise_chunk_is_bounded_before_allocation(spec):
+    # p drawn whole and q subtracted into it a block at a time: every combo
+    # scored, a dense chunk holds its draw of p within the route's bound and
+    # what it states beside it: one block of q (all of q for iqp and mps),
+    # one working block of BLOCK_BYTES (|p - q| or the transform's) and its
+    # scores, 8 bytes a pair for each combo, for each MMD^2 kernel again (its
+    # result before it is copied into its row) and for the L1 row; at
+    # n = 1..20 wherever a chunk holds two rows or more
+    route = FAMILIES[spec.kind].dense
+    for n in range(1, min(route.max_n, 20) + 1):
+        if (spec.k is not None and spec.k > 1 << n) or lab._on_supports(spec, n):
+            continue
+        item_bytes = route.bytes_per_instance(spec, n)
+        chunk = lab._chunk(item_bytes)
+        if chunk < 2:
+            continue
+        combos = _every_combo(n)
+        tracemalloc.start()
+        try:
+            pairwise_loss_values(spec, n, combos, chunk, RandomStream(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scores = len(combos) + sum(metric == "mmd2" for metric, _ in combos) + 1
+        beside = route.block_rows(spec, n, chunk) * item_bytes + lab.BLOCK_BYTES + 8 * scores * chunk
+        assert peak <= MEMORY_SLACK * chunk * item_bytes + beside, (n, chunk, beside, peak)
+
+
+@pytest.mark.parametrize("spec", MEMORY_SPECS + [FamilySpec("dirichlet", alpha=0.002)], ids=FamilySpec.label)
+def test_dense_blocks_join_to_the_whole_draw(spec):
+    # a route's blocks of 3 rows, then its rows drawn again, joined: the
+    # whole draw, bit for bit, with the generator left where the whole draw
+    # leaves it. dirichlet(0.002) at n = 2..4 draws rows whose draws all
+    # underflow to 0, which are redrawn after the last block
+    route = FAMILIES[spec.kind].dense
+    redrawn = 0
+    for n in range(1, min(route.max_n, 12) + 1):
+        if spec.k is not None and spec.k > 1 << n:
+            continue
+        count = 2000 if n <= 4 else 10
+        whole, blocked = np.random.default_rng(n), np.random.default_rng(n)
+        expected = route.draw(spec, n, count, whole)
+        joined = np.full_like(expected, np.nan)
+        for index, values in route.blocks(spec, n, count, blocked, 3):
+            assert len(values) <= (count if route.whole else 3)  # also a round of rows drawn again
+            redrawn += isinstance(index, np.ndarray) and len(index)
+            joined[index] = values
+        assert joined.tobytes() == expected.tobytes(), n
+        assert blocked.bit_generator.state == whole.bit_generator.state, n
+    assert (redrawn > 0) == (spec.alpha == 0.002)
+
+
+@pytest.mark.parametrize("spec", [_spec(kind) for kind in FAMILIES] + [FamilySpec("peaked", k=256)],
+                         ids=FamilySpec.label)
+def test_dense_pairs_score_the_two_whole_draws_bit_for_bit(spec):
+    # q handed out in blocks and subtracted into p, then scored in place,
+    # gives the values of p - q from two whole draws, bit for bit: at n = 14
+    # a chunk of 64 pairs spans eight blocks of q
+    for n in (3, 9, 14 if FAMILIES[spec.kind].dense.max_n >= 14 else 12):
+        if (spec.k is not None and spec.k > 1 << n) or lab._on_supports(spec, n):
+            continue
+        combos = _every_combo(n)
+        pairs = lab._chunk(FAMILIES[spec.kind].dense.bytes_per_instance(spec, n)) + 5
+        values = pairwise_loss_values(spec, n, combos, pairs, RandomStream(41).child(n))
+        chunks = []
+        for k, count in enumerate((pairs - 5, 5)):
+            rng = RandomStream(41).child(n).child(k).generator
+            diff = instance_prob_values(spec, n, count, rng) - instance_prob_values(spec, n, count, rng)
+            l1 = np.abs(diff).sum(axis=1)
+            kernels = tuple(bandwidth_kernel(sigma) for _, sigma in combos[1:4])
+            chunks.append(np.vstack([np.einsum("ij,ij->i", diff, diff), mmd2_fourier_batch(diff, n, kernels).T,
+                                     l1, 0.5 * l1]))
+        assert values.tobytes() == np.concatenate(chunks, axis=1).tobytes(), n
 
 
 @pytest.mark.parametrize("spec", MEMORY_SPECS, ids=FamilySpec.label)

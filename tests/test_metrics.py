@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     l1_distance,
     mmd2_fourier,
     mmd2_population,
+    mmd2_unbiased_exact,
     squared_distance,
     total_variation_distance,
 )
@@ -168,10 +170,28 @@ def test_fourier_batch_with_several_kernels_equals_one_call_per_kernel():
     pairs = [_random_pair(n, 400 + i) for i in range(5)]
     diffs = np.stack([p.values - q.values for p, q in pairs])
     specs = (KernelSpec(rho=0.0), bandwidth_kernel(1.0), bandwidth_kernel(float(n)))
-    batch = mmd2_fourier_batch(diffs, n, specs)
+    batch = mmd2_fourier_batch(diffs.copy(), n, specs)  # the call transforms its argument in place
     assert batch.shape == (5, 3)
     for column, spec in enumerate(specs):
-        np.testing.assert_array_equal(batch[:, column], mmd2_fourier_batch(diffs, n, (spec,))[:, 0])
+        np.testing.assert_array_equal(batch[:, column], mmd2_fourier_batch(diffs.copy(), n, (spec,))[:, 0])
+
+
+def test_fourier_batch_transforms_a_float_array_in_place_and_copies_any_other():
+    # a C-contiguous float64 batch is the call's scratch and ends as its
+    # squared transform; a strided view or an integer array is copied first
+    n, spec = 5, bandwidth_kernel(1.0)
+    diffs = np.stack([p.values - q.values for p, q in (_random_pair(n, 420 + i) for i in range(3))])
+    expected = mmd2_fourier_batch(diffs.copy(), n, (spec,))
+    scratch = diffs.copy()
+    np.testing.assert_array_equal(mmd2_fourier_batch(scratch, n, (spec,)), expected)
+    np.testing.assert_array_equal(scratch, fwht(diffs) ** 2)
+    wide = np.repeat(diffs, 2, axis=0)
+    view = wide[::2]
+    np.testing.assert_array_equal(mmd2_fourier_batch(view, n, (spec,)), expected)
+    np.testing.assert_array_equal(view, diffs)
+    ints = np.eye(1 << n, dtype=np.int64)[:3]
+    mmd2_fourier_batch(ints, n, (spec,))
+    np.testing.assert_array_equal(ints, np.eye(1 << n, dtype=np.int64)[:3])
 
 
 def test_fourier_batch_matches_scalar_route():
@@ -198,6 +218,34 @@ def test_unbiased_point_mass_value():
     assert mmd2_unbiased(X, Y, (spec,))[0] == pytest.approx(2 * (1 - spec.rho**n), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, m, seed, route", [(10, 300, 1758, "counts"), (16, 400, 1053, "distances")])
+def test_unbiased_estimate_is_exact_where_its_terms_cancel(routes, n, m, seed, route):
+    # two samples of one law on 64 outcomes whose estimate is 2.6e6 (counts)
+    # and 2.9e5 (distances) times smaller than its three terms, the seeds
+    # picked for that from 2000: the terms are combined per class in
+    # integers, so the estimate is within 1e-13 of the exact rational one.
+    # Rounding the kernel sums first missed it by 5e-10 and 1e-11
+    rng = np.random.default_rng(seed)
+    support = rng.choice(1 << n, size=64, replace=False).astype(np.uint64)
+    law = rng.dirichlet(np.ones(support.size))
+    X, Y = (SampleSet(n, rng.choice(support, m, p=law)) for _ in range(2))
+    spec = bandwidth_kernel(1.0)
+    value = mmd2_unbiased(X, Y, (spec,))[0]
+    exact = mmd2_unbiased_exact(X, Y, spec.rho)
+    assert set(routes) == {route}
+    assert abs(Fraction(value) - exact) <= 1e-13 * abs(exact), (value, float(exact))
+
+
+def test_unbiased_routes_refuse_sizes_past_exact_int64_counts():
+    # a class sum of the counts route is at most 2^n max(m, l)^2, so the route
+    # rule sends a larger shape to the distances, whose counts are at most
+    # max(m, l)^2; sets past that are refused before anything is scored
+    assert metrics.counts_route(20, 2_900_000, 2_900_000)
+    assert not metrics.counts_route(20, 3_000_000, 10)
+    with pytest.raises(ValueError, match="resource error"):
+        metrics.mmd2_unbiased_pairs(40, 1 << 32, 2, (bandwidth_kernel(1.0),))
+
+
 def test_unbiased_estimator_is_unbiased():
     n, m, reps = 5, 100, 400
     spec = bandwidth_kernel(1.0)
@@ -222,7 +270,7 @@ def test_unbiased_estimator_is_unbiased():
 def routes(monkeypatch):
     """Names of the mmd2_unbiased routes taken, in call order."""
     taken = []
-    for name, route in (("counts", "_counts_kernel_sums"), ("distances", "_hamming_histogram")):
+    for name, route in (("counts", "_fourier_class_sums"), ("distances", "_hamming_histogram")):
         inner = getattr(metrics, route)
 
         def spy(*args, _inner=inner, _name=name):
@@ -391,9 +439,9 @@ def _scorer_case(n, m, route, l=None):
     + [_scorer_case(10, 60, "counts", l=45), _scorer_case(40, 30, "distances", l=20)],
 )
 def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, l, route):
-    # the stacked Gram product of the gathered pairs rounds as each pair's own
-    # product does, so every estimate equals its lone call bit for bit; equal
-    # sets come as one array, unequal ones as a list
+    # a pair's class sums are exact and its weights are applied pair by pair,
+    # so every estimate equals its lone call bit for bit; equal sets come as
+    # one array, unequal ones as a list
     rng = np.random.default_rng(n + m + l)
     sets = [rng.integers(0, 1 << n, size=size, dtype=np.uint64) for size in (m, l, l, m, l)]
     pairs = np.array([[0, 1], [0, 2], [3, 4], [3, 1]] + ([[4, 3], [2, 2]] if m == l else []))
@@ -407,14 +455,15 @@ def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, l, route):
 
 
 def test_counts_route_bytes_are_stated_once():
-    # a lone pair at one kernel, as the route rule weighs it; an mmdtest
-    # repetition's three sets and two pairs, whose kernels the cell holds
-    assert metrics.counts_bytes_per_outcome(2, 1, 1) == 40
-    assert metrics.counts_bytes_per_outcome(3, 2, 0) == 56
+    # a lone pair, as the route rule weighs it beside the class order; an
+    # mmdtest repetition's three sets, whose class order the cell holds
+    assert metrics.counts_bytes_per_outcome(2) == 40
+    assert metrics.counts_bytes_per_outcome(3) == 56
     family = lab.FamilySpec("dirichlet")
     draw = 2 * lab.FAMILIES["dirichlet"].dense.bytes_per_instance(family, 10)
     assert lab._mmdtest_rep_bytes(family, 10, 200) == (56 << 10) + 3 * 16 * 200 + draw
-    # 40 bytes an outcome fit MMD_MEMORY_BYTES at n = 20, not at 21
+    # 40 bytes an outcome and the 8 of the class order fit MMD_MEMORY_BYTES
+    # at n = 20, not at 21
     assert metrics.counts_route(20, 1 << 20, 1 << 20)
     assert not metrics.counts_route(21, 1 << 21, 1 << 21)
 
