@@ -178,15 +178,15 @@ def mmd2_points_batch(points: np.ndarray, weights: np.ndarray, n: int,
     return np.stack([h @ spec.rho ** np.arange(n + 1) for spec in specs], axis=-1)
 
 
-def _fourier_class_sums(classed: np.ndarray, pairs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _fourier_class_sums(classed: np.ndarray, pairs: np.ndarray, starts: np.ndarray) -> tuple:
     """(cx cx, cx cy, cy cy) summed exactly over the masks of each Hamming
     weight, for each pair (x, y) of rows of classed, the transformed
-    histograms as int64 in class order that starts splits: shape
-    (3, pairs, n + 1). A set's own sums are made once however many pairs
-    hold it, and one product row is alive at a time."""
-    own = [np.add.reduceat(row * row, starts) for row in classed]
-    return np.array([(own[i], np.add.reduceat(classed[i] * classed[j], starts), own[j])
-                     for i, j in pairs]).transpose(1, 0, 2)
+    histograms as int64 in class order that starts splits: three arrays of
+    shape (pairs, n + 1). A set's own sums are made once however many pairs
+    hold it, and one cross product row is alive at a time."""
+    own = np.add.reduceat(classed * classed, starts, axis=1)
+    cross = np.array([np.add.reduceat(classed[i] * classed[j], starts) for i, j in pairs])
+    return own[pairs[:, 0]], cross, own[pairs[:, 1]]
 
 
 def _block_histogram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -256,19 +256,18 @@ def _estimates(tables, diagonal, m: int, l: int, weights) -> np.ndarray:
     (xx - m d)/(m(m-1)) + (yy - l d)/(l(l-1)) - 2 xy/(m l), which nearly
     cancel between two samples of one law, are combined over one
     denominator in Python integers and rounded once. Each kernel's weights
-    are applied last, class after class, so an estimate is bit for bit that
-    of its pair and its kernel alone.
+    are applied last, summed along the pair's row, so an estimate is bit for
+    bit that of its pair and its kernel alone.
     """
     m, l = int(m), int(l)
-    xx, xy, yy = np.asarray(tables, dtype=object)
-    d = np.asarray(diagonal, dtype=object)
+    # a numerator is below 2^(n+2) m^2 l^2; where that is below 2^53, int64
+    # holds it and float64 divides it exactly as Python integers do, faster
+    exact = np.int64 if (4 * (m * l) ** 2) << len(diagonal) < 1 << 54 else object
+    xx, xy, yy = np.asarray(tables, dtype=exact)
+    d = np.asarray(diagonal, dtype=exact)
     numerator = (xx - m * d) * (l * (l - 1)) + (yy - l * d) * (m * (m - 1)) - 2 * xy * ((m - 1) * (l - 1))
     terms = (numerator / (m * (m - 1) * l * (l - 1))).astype(float)
-    out = np.zeros((len(weights), len(terms)))
-    for row, w in zip(out, weights):
-        for k, w_k in enumerate(w):
-            row += w_k * terms[:, k]
-    return out
+    return np.stack([(terms * w).sum(axis=1) for w in weights])
 
 
 def mmd2_unbiased(X: SampleSet, Y: SampleSet, specs: tuple[KernelSpec, ...]) -> np.ndarray:
@@ -307,10 +306,10 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
         return score
     N = 1 << n
     weights = [_class_weights(n, spec) / N for spec in specs]
-    order = np.argsort(popcounts(n), kind="stable")
-    starts = np.searchsorted(popcounts(n)[order], np.arange(n + 1))
     # sum_S w_S / 2^n = k(x, x) = 1, so the diagonal holds C(n, k) of a class
     binomials = [math.comb(n, k) for k in range(n + 1)]
+    order = np.argsort(popcounts(n), kind="stable")
+    starts = np.cumsum([0] + binomials[:-1])
 
     def score(sets, pairs):
         # outcomes offset by N times their set's index. An array of equal sets
@@ -327,8 +326,7 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
         for row, i in zip(classed, used):
             row[...] = np.take(hats[i], order)  # exact: the transforms of counts below 2^53 are integers
         del hats
-        tables = _fourier_class_sums(classed, rows.reshape(-1, 2), starts)
-        return _estimates(tables, binomials, m, l, weights)
+        return _estimates(_fourier_class_sums(classed, rows.reshape(-1, 2), starts), binomials, m, l, weights)
 
     return score
 

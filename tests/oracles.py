@@ -652,7 +652,8 @@ def mmd2_unbiased_exact(X: SampleSet, Y: SampleSet, rho: float) -> Fraction:
     r = Fraction(rho)
 
     def kernel_sum(a, b):
-        counts = np.bincount(np.bitwise_count(a[:, None] ^ b[None, :]).ravel(), minlength=X.n + 1)
+        counts = sum(np.bincount(np.bitwise_count(a[i : i + 256, None] ^ b[None, :]).ravel(), minlength=X.n + 1)
+                     for i in range(0, a.size, 256))
         return sum(int(c) * r**d for d, c in enumerate(counts))
 
     m, l = len(X), len(Y)

@@ -218,13 +218,16 @@ def test_unbiased_point_mass_value():
     assert mmd2_unbiased(X, Y, (spec,))[0] == pytest.approx(2 * (1 - spec.rho**n), rel=1e-12)
 
 
-@pytest.mark.parametrize("n, m, seed, route", [(10, 300, 1758, "counts"), (16, 400, 1053, "distances")])
+@pytest.mark.parametrize("n, m, seed, route", [(10, 300, 1758, "counts"), (16, 400, 1053, "distances"),
+                                                (16, 2000, 34, "counts")])
 def test_unbiased_estimate_is_exact_where_its_terms_cancel(routes, n, m, seed, route):
-    # two samples of one law on 64 outcomes whose estimate is 2.6e6 (counts)
-    # and 2.9e5 (distances) times smaller than its three terms, the seeds
-    # picked for that from 2000: the terms are combined per class in
-    # integers, so the estimate is within 1e-13 of the exact rational one.
-    # Rounding the kernel sums first missed it by 5e-10 and 1e-11
+    # two samples of one law on 64 outcomes whose estimate is 2.6e6, 2.9e5
+    # and 9.6e4 times smaller than its three terms, the seeds picked for
+    # that from 2000, 2000 and 300: the terms are combined per class in
+    # integers (int64 for the first two, Python integers for the third,
+    # whose numerators pass 2^53), so the estimate is within 1e-13 of the
+    # exact rational one. Rounding the kernel sums first missed it by 5e-10,
+    # 1e-11 and 4e-11
     rng = np.random.default_rng(seed)
     support = rng.choice(1 << n, size=64, replace=False).astype(np.uint64)
     law = rng.dirichlet(np.ones(support.size))
