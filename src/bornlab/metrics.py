@@ -35,10 +35,10 @@ with xx, xy, yy the kernel sums c^T K c' over the outcome histograms of the
 pair. Between two samples of one law the three terms nearly cancel, so the
 scorer sums them exactly first. Either route splits each kernel sum into
 n + 1 classes with one weight each and counts every class exactly in int64.
-Per class it combines the three terms over one denominator in Python
-integers and rounds that once; each kernel's n + 1 weights are applied
-last. The route is picked from (n, m, l) alone, and every kernel shares its
-transform or histograms:
+Per class it combines the three terms over one denominator in integers and
+rounds that once; each kernel's n + 1 weights are applied last. The route
+is picked from (n, m, l) alone, and every kernel shares its transform or
+histograms:
 
 * counts: one offset bincount makes every set's histogram and one batched
   transform turns them all; a class is the masks S of one Hamming weight k,
@@ -223,11 +223,11 @@ def _self_hamming_histogram(a: np.ndarray, n: int) -> np.ndarray:
 def counts_bytes_per_outcome(sets: int) -> int:
     """The counts route's peak bytes per outcome for a call scoring `sets`
     sets: 16 a set (its histogram and transform, then the transform and its
-    int64 copy in class order) and 8 for one working row (a set's row in
-    class order, then a product). The scorer holds the class order beside
-    its calls, 8 bytes an outcome; a lone pair holds 40 and that (tracemalloc,
-    n = 20: 48.0), inside MMD_MEMORY_BYTES at the largest N the route rule
-    admits, 2^20."""
+    int64 copy in class order, then that copy and its square) and 8 for one
+    working row (a set's row in class order, then a cross product). The
+    scorer holds the class order beside its calls, 8 bytes an outcome; a
+    lone pair holds 40 and that (tracemalloc, n = 20: 48.0), inside
+    MMD_MEMORY_BYTES at the largest N the route rule admits, 2^20."""
     return 16 * sets + 8
 
 
@@ -255,7 +255,7 @@ def _estimates(tables, diagonal, m: int, l: int, weights) -> np.ndarray:
     Per pair and class the three terms
     (xx - m d)/(m(m-1)) + (yy - l d)/(l(l-1)) - 2 xy/(m l), which nearly
     cancel between two samples of one law, are combined over one
-    denominator in Python integers and rounded once. Each kernel's weights
+    denominator in integers and rounded once. Each kernel's weights
     are applied last, summed along the pair's row, so an estimate is bit for
     bit that of its pair and its kernel alone.
     """

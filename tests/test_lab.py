@@ -366,8 +366,8 @@ def test_dense_pairs_score_the_two_whole_draws_bit_for_bit(spec):
             diff = instance_prob_values(spec, n, count, rng) - instance_prob_values(spec, n, count, rng)
             l1 = np.abs(diff).sum(axis=1)
             kernels = tuple(bandwidth_kernel(sigma) for _, sigma in combos[1:4])
-            chunks.append(np.vstack([np.einsum("ij,ij->i", diff, diff), mmd2_fourier_batch(diff, n, kernels).T,
-                                     l1, 0.5 * l1]))
+            sd = np.einsum("ij,ij->i", diff, diff)
+            chunks.append(np.vstack([sd, mmd2_fourier_batch(diff, n, kernels).T, l1, 0.5 * l1]))
         assert values.tobytes() == np.concatenate(chunks, axis=1).tobytes(), n
 
 
