@@ -36,9 +36,10 @@ than the pair. A chunk of one row (n >= 20 for the float kinds) still holds
 p and q, about 2.1 times its bound. Beside its chunks a cell holds its
 values, 8 bytes a trial and combo, and may hold a constant of its own: an
 observable cell its sign row, 8 bytes an outcome, an mmdtest cell its
-scorer's class order, 8 bytes an outcome, and its kernels' weights. The
-workers' chunks share one process, so a fan-out holds at most about workers
-times the largest chunk's peak.
+kernels' weights and the scorer's class order, 8 bytes an outcome, which
+the process keeps for every cell of that n. The workers' chunks share one
+process, so a fan-out holds at most about workers times the largest chunk's
+peak.
 
 FAMILIES is the one table of family kinds. Each entry holds two routes with
 their own bytes per instance and n cap: `dense` (Rows) hands out the rows of
@@ -531,9 +532,9 @@ def _support_pair_bytes(K: int, n: int) -> int:
 # than its two instances hold while they are validated and turned into CDFs
 # (36); per sample of its three sets, the uniform and the outcome, or the
 # outcome and its histogram key (16); beside these, the draw of its two
-# instances. The cell holds the scorer's class order and the kernels'
-# weights for all its chunks, so they size no chunk, and a bandwidth's rows
-# do not depend on the other bandwidths
+# instances. The cell holds the kernels' weights and the scorer's class
+# order for all its chunks, so they size no chunk, and a bandwidth's rows do
+# not depend on the other bandwidths
 _MMDTEST_BYTES_PER_SAMPLE = 3 * 16
 
 
