@@ -36,10 +36,9 @@ than the pair. A chunk of one row (n >= 20 for the float kinds) still holds
 p and q, about 2.1 times its bound. Beside its chunks a cell holds its
 values, 8 bytes a trial and combo, and may hold a constant of its own: an
 observable cell its sign row, 8 bytes an outcome, an mmdtest cell its
-kernels' weights and the scorer's class order, 8 bytes an outcome, which
-the process keeps for every cell of that n. The workers' chunks share one
-process, so a fan-out holds at most about workers times the largest chunk's
-peak.
+kernels' weights and the scorer's class order, 8 bytes an outcome. The
+workers' chunks share one process, so a fan-out holds at most about workers
+times the largest chunk's peak.
 
 FAMILIES is the one table of family kinds. Each entry holds two routes with
 their own bytes per instance and n cap: `dense` (Rows) hands out the rows of

@@ -68,7 +68,6 @@ it is stated.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -179,16 +178,6 @@ def mmd2_points_batch(points: np.ndarray, weights: np.ndarray, n: int,
     return np.stack([h @ spec.rho ** np.arange(n + 1) for spec in specs], axis=-1)
 
 
-@functools.cache
-def _class_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks 0..2^n - 1 ordered by Hamming weight, and where each
-    weight's run starts: a sort of 2^n keys (9 ms at n = 20), made once an n
-    for the process and shared by every scorer of that n, read-only."""
-    order = np.argsort(popcounts(n), kind="stable")
-    order.flags.writeable = False
-    return order, np.cumsum([0] + [math.comb(n, k) for k in range(n)])
-
-
 def _fourier_class_sums(classed: np.ndarray, pairs: np.ndarray, starts: np.ndarray) -> tuple:
     """(cx cx, cx cy, cy cy) summed exactly over the masks of each Hamming
     weight, for each pair (x, y) of rows of classed, the transformed
@@ -235,10 +224,10 @@ def counts_bytes_per_outcome(sets: int) -> int:
     """The counts route's peak bytes per outcome for a call scoring `sets`
     sets: 16 a set (its histogram and transform, then the transform and its
     copy in class order, that copy and its int64 copy, then that and its
-    square) and 8 for one working row (a cross product). The class order
-    is held beside the calls, 8 bytes an outcome; a lone pair holds 40 and
-    that (tracemalloc, n = 20: 48.0), inside MMD_MEMORY_BYTES at the largest
-    N the route rule admits, 2^20."""
+    square) and 8 for one working row (a cross product). The scorer holds
+    the class order beside its calls, 8 bytes an outcome; a lone pair holds
+    40 and that (tracemalloc, n = 20: 48.0), inside MMD_MEMORY_BYTES at the
+    largest N the route rule admits, 2^20."""
     return 16 * sets + 8
 
 
@@ -319,7 +308,8 @@ def mmd2_unbiased_pairs(n: int, m: int, l: int, specs: tuple[KernelSpec, ...]) -
     weights = [_class_weights(n, spec) / N for spec in specs]
     # sum_S w_S / 2^n = k(x, x) = 1, so the diagonal holds C(n, k) of a class
     binomials = [math.comb(n, k) for k in range(n + 1)]
-    order, starts = _class_order(n)
+    order = np.argsort(popcounts(n), kind="stable")
+    starts = np.cumsum([0] + binomials[:-1])
 
     def score(sets, pairs):
         # outcomes offset by N times their set's index. An array of equal sets
