@@ -59,7 +59,7 @@ checks.
 
 The counts route runs when its units number at most _DISTANCE_CELL_UNITS
 times the distance route's cells, a lone pair's working memory
-(counts_bytes_per_outcome and the class order) fits MMD_MEMORY_BYTES, and
+(counts_bytes_per_outcome) fits MMD_MEMORY_BYTES, and
 its class sums are exact. The distance route works in row blocks of 8 bytes
 a cell that fit the same budget (or in one row, if that is larger). Neither
 allocates anything of size m x m. counts_route is that rule, the one place
@@ -225,9 +225,9 @@ def counts_bytes_per_outcome(sets: int) -> int:
     sets: 16 a set (its histogram and transform, then the transform and its
     copy in class order, that copy and its int64 copy, then that and its
     square) and 8 for one working row (a cross product). The scorer holds
-    the class order beside its calls, 8 bytes an outcome; a lone pair holds
-    40 and that (tracemalloc, n = 20: 48.0), inside MMD_MEMORY_BYTES at the
-    largest N the route rule admits, 2^20."""
+    the class order beside its calls, 8 bytes an outcome, which the working
+    row's 8 cover for a lone pair: it holds 40 (tracemalloc, n = 20: 40.3),
+    inside MMD_MEMORY_BYTES at the largest N the route rule admits, 2^20."""
     return 16 * sets + 8
 
 

@@ -458,15 +458,14 @@ def test_pair_scorer_equals_mmd2_unbiased_pair_by_pair(routes, n, m, l, route):
 
 
 def test_counts_route_bytes_are_stated_once():
-    # a lone pair, as the route rule weighs it beside the class order; an
-    # mmdtest repetition's three sets, whose class order the cell holds
+    # a lone pair, as the route rule weighs it; an mmdtest repetition's
+    # three sets, whose class order the cell holds
     assert metrics.counts_bytes_per_outcome(2) == 40
     assert metrics.counts_bytes_per_outcome(3) == 56
     family = lab.FamilySpec("dirichlet")
     draw = 2 * lab.FAMILIES["dirichlet"].dense.bytes_per_instance(family, 10)
     assert lab._mmdtest_rep_bytes(family, 10, 200) == (56 << 10) + 3 * 16 * 200 + draw
-    # 40 bytes an outcome and the 8 of the class order fit MMD_MEMORY_BYTES
-    # at n = 20, not at 21
+    # 40 bytes an outcome fit MMD_MEMORY_BYTES at n = 20, not at 21
     assert metrics.counts_route(20, 1 << 20, 1 << 20)
     assert not metrics.counts_route(21, 1 << 21, 1 << 21)
 
