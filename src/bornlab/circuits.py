@@ -103,17 +103,18 @@ def iqp_prob_values(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     its G angles in all_weight_le2_masks order, and e^(i phi) is the
     product of the gates' unit phasors, built qubit by qubit
     (_phase_planes). No complex array is transformed: the real and
-    imaginary planes go through one call, and p = re^2 + im^2 of the
-    transformed planes.
+    imaginary planes go through one call in place, and p = re^2 + im^2 of
+    the transformed planes, squared in place.
     """
     check_statevector_cap(n)
     masks = all_weight_le2_masks(n)
     thetas = rng.uniform(0.0, 2.0 * math.pi, (batch, masks.size))
     planes = _phase_planes(masks, thetas, n)
     # the amplitudes' 1/2^n is a power of two, which normalizing drops exactly
-    re, im = fwht(planes)
+    fwht(planes, in_place=True)
+    np.square(planes, out=planes)
+    p = planes[0] + planes[1]
     del planes
-    p = re * re + im * im
     return np.divide(p, p.sum(axis=1, keepdims=True), out=p)
 
 
@@ -123,6 +124,9 @@ def sample_prob_vector(p: ProbVector, uniforms: np.ndarray, rows=None) -> np.nda
     Each uniform u in [0, 1) draws the outcome whose CDF interval holds it,
     from p's one row, or from row rows[i] of p's block for uniforms[i] (a
     row of draws). Returns uint64 outcomes, flat in the uniforms' C order.
+    The inverse CDF is monotone, so a row of sorted uniforms draws its
+    outcomes sorted, and its searchsorted walks the CDF row in order, which
+    is faster than a binary search from scratch per uniform.
 
     The CDFs come from one cumsum over the block, and every row's entries
     from its last positive mass on are set to 1, so a uniform in the gap

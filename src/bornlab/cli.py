@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise CliError(
                 f"{self.experiment} needs at least {min_trials} trials, got {self.trials}"
             )
+        if not self.metrics:
+            raise CliError("at least one metric is required")
         for metric in self.metrics:
             if metric not in PAIR_METRICS:
                 raise CliError(f"unknown metric {metric!r}; known: {PAIR_METRICS}")

@@ -529,11 +529,11 @@ def _support_pair_bytes(K: int, n: int) -> int:
 # What an mmdtest repetition holds at its peak, which sizes a cell's chunks:
 # per outcome, the scorer's three sets and a working row (56 bytes), more
 # than its two instances hold while they are validated and turned into CDFs
-# (36); per sample of its three sets, the uniform and the outcome, or the
-# outcome and its histogram key (16); beside these, the draw of its two
-# instances. The cell holds the kernels' weights and the scorer's class
-# order for all its chunks, so they size no chunk, and a bandwidth's rows do
-# not depend on the other bandwidths
+# (36); per sample of its three sets, the uniform (sorted in place) and the
+# outcome, or the outcome and its histogram key (16); beside these, the
+# draw of its two instances. The cell holds the kernels' weights and the
+# scorer's class order for all its chunks, so they size no chunk, and a
+# bandwidth's rows do not depend on the other bandwidths
 _MMDTEST_BYTES_PER_SAMPLE = 3 * 16
 
 
@@ -927,7 +927,12 @@ def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -
     p, row 2i + 1 its q), then the uniforms of its 3R sample sets in one
     (rows 3i and 3i + 1 from p_i, row 3i + 2 from q_i), and validates,
     samples and scores them together, each estimate bit for bit that of the
-    repetition alone.
+    repetition alone. Each set's uniforms are sorted in place before they
+    are sampled, so every searchsorted walks its CDF row in order and the
+    set's outcomes come out sorted. Both scorer routes read a set as a
+    multiset (its histogram, or exact counts of the Hamming distances over
+    all its pairs), so the estimates are bit for bit those of the unsorted
+    uniforms. The uniforms are freed with the instances, before scoring.
     """
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
     threshold = mmd_test_threshold(samples, samples, alpha)
@@ -937,8 +942,10 @@ def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream) -
         p = validate_prob_vector(instance_prob_values(family, n, 2 * count, rng), n)
         index = np.arange(count)[:, None]
         rows = (2 * index + [0, 0, 1]).ravel()
-        outcomes = circuits.sample_prob_vector(p, rng.random((3 * count, samples)), rows)
-        del p
+        uniforms = rng.random((3 * count, samples))
+        uniforms.sort(axis=1)  # the same multisets, sampled in CDF order
+        outcomes = circuits.sample_prob_vector(p, uniforms, rows)
+        del p, uniforms
         # a repetition's equal pair (sets 3i, 3i + 1) and distinct pair (sets 3i, 3i + 2)
         pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
         estimates = score(outcomes.reshape(-1, samples), pairs)

@@ -86,5 +86,6 @@ def mps_prob_values(n: int, chi: int, batch: int, rng: np.random.Generator) -> n
     and p / sum(p) sees neither.
     """
     check_statevector_cap(n)
-    p = np.abs(_amplitudes(_gaussian_tensors(n, chi, batch, rng))) ** 2
+    p = np.abs(_amplitudes(_gaussian_tensors(n, chi, batch, rng)))
+    np.square(p, out=p)
     return np.divide(p, p.sum(axis=1, keepdims=True), out=p)

@@ -36,11 +36,12 @@ from bornlab.bitmath import (
     fwht,
     validate_prob_vector,
 )
-from bornlab.circuits import all_weight_le2_masks
+from bornlab.circuits import _phase_planes, all_weight_le2_masks, sample_prob_vector
 from bornlab.families import product_prob_values
-from bornlab.lab import instance_prob_values
-from bornlab.metrics import KernelSpec, bandwidth_kernel, fourier_weights, mmd2_unbiased, mmd_test_threshold
-from bornlab.mps import _gaussian_tensors, bond_dims
+from bornlab.lab import _chunk, _mmdtest_rep_bytes, instance_prob_values
+from bornlab.metrics import (KernelSpec, bandwidth_kernel, fourier_weights, mmd2_unbiased, mmd2_unbiased_pairs,
+                             mmd_test_threshold)
+from bornlab.mps import _amplitudes, _gaussian_tensors, bond_dims
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,8 @@ def hypergeometric_overlap_moments(N: int, K: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# the 0.6.0 draws that lab and families now compute in place or in O(K)
+# the earlier draws that lab, families, circuits and mps now compute in
+# place or in O(K)
 
 
 def scatter_rows_by_ranked_keys(values: np.ndarray, N: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,6 +375,22 @@ def iqp_product_weights(n: int, count: int, rng: np.random.Generator) -> np.ndar
     """cos^2(theta/2) at theta = 2 arccos(sqrt(u)), one temporary a step."""
     theta = 2.0 * np.arccos(np.sqrt(rng.random((count, n))))
     return np.cos(theta / 2.0) ** 2
+
+
+def iqp_prob_values_out_of_place(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """circuits.iqp_prob_values with the planes transformed into a copy and
+    each squared into a temporary of its own, p = re * re + im * im."""
+    masks = all_weight_le2_masks(n)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, (batch, masks.size))
+    re, im = fwht(_phase_planes(masks, thetas, n))
+    p = re * re + im * im
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def mps_prob_values_out_of_place(n: int, chi: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """mps.mps_prob_values with |psi|^2 taken into a temporary of its own."""
+    p = np.abs(_amplitudes(_gaussian_tensors(n, chi, batch, rng))) ** 2
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def pareto_sample(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -712,3 +730,25 @@ def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream, c
             counts[:, 0] += mmd2_unbiased(draws[0], draws[1], specs) > threshold
             counts[:, 1] += mmd2_unbiased(draws[0], draws[2], specs) > threshold
     return counts / trials
+
+
+def mmdtest_unsorted_estimates(family, n, sigmas, samples, trials, stream) -> np.ndarray:
+    """The estimates of a lab.mmdtest_rejection_rates cell, shape
+    (len(sigmas), trials, 2): each repetition's equal pair, then its distinct
+    pair. Drawn in lab's chunks as the cell drew them before its uniforms
+    were sorted: chunk k draws its 2R instances and then its 3R rows of
+    uniforms from stream.child(k), samples the uniforms in draw order and
+    scores the sets through metrics.mmd2_unbiased_pairs."""
+    specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
+    score = mmd2_unbiased_pairs(n, samples, samples, specs)
+    chunk = _chunk(_mmdtest_rep_bytes(family, n, samples))
+    parts = []
+    for k, start in enumerate(range(0, trials, chunk)):
+        size = min(chunk, trials - start)
+        rng = stream.child(k).generator
+        p = validate_prob_vector(instance_prob_values(family, n, 2 * size, rng), n)
+        index = np.arange(size)[:, None]
+        sets = sample_prob_vector(p, rng.random((3 * size, samples)), (2 * index + [0, 0, 1]).ravel())
+        pairs = (3 * index[:, None] + [[0, 1], [0, 2]]).reshape(-1, 2)
+        parts.append(score(sets.reshape(-1, samples), pairs).reshape(len(specs), size, 2))
+    return np.concatenate(parts, axis=1)

@@ -17,6 +17,7 @@ from oracles import (
     ProductParams,
     _phases,
     diagonal_pauli_expectation,
+    iqp_prob_values_out_of_place,
     iqp_prob_vector,
     iqp_state_vector,
     product_prob_vector,
@@ -111,6 +112,17 @@ def test_iqp_prob_values_matches_complex_exp_oracle():
         expect = np.abs(_butterfly_fwht(np.exp(1j * _phases(masks, thetas, n)))) ** 2
         expect /= expect.sum(axis=1, keepdims=True)
         assert np.all(np.abs(p - expect) <= 1e-12 * expect.max(axis=1, keepdims=True)), n
+
+
+def test_iqp_prob_values_equal_the_out_of_place_draw():
+    # the planes transformed and squared in place: the same rows bit for bit
+    # as the copy and its two squares, at every n and at several batch sizes
+    for seed in (1, 2):
+        for n in range(1, 17):
+            for batch in (1, 3, 8) if n <= 12 else (1, 2):
+                got = iqp_prob_values(n, batch, np.random.default_rng([seed, n, batch]))
+                want = iqp_prob_values_out_of_place(n, batch, np.random.default_rng([seed, n, batch]))
+                assert got.tobytes() == want.tobytes(), (seed, n, batch)
 
 
 def test_iqp_prob_values_draws_only_the_gate_angles():
@@ -238,6 +250,26 @@ def test_sample_prob_vector_never_draws_a_mass_zero_tail():
     block = validate_prob_vector([values, values[::-1]], 4)
     drawn = sample_prob_vector(block, np.array([[top], [top], [0.0]]), rows=[0, 1, 1])
     assert drawn.tolist() == [9, 15, 6]
+
+
+def test_sorted_uniforms_draw_each_rows_outcomes_sorted():
+    # the inverse CDF is monotone: row-sorted uniforms draw, per row, the
+    # sorted outcomes of the same uniforms unsorted, also on the rows whose
+    # CDF stays below 1 over a mass-zero tail, where the largest uniform a
+    # Generator draws reads the last positive outcome
+    rng = np.random.default_rng(8)
+    values = np.array([0.1] * 10 + [0.0] * 6)
+    masses = np.vstack([values, values[::-1], rng.dirichlet(np.ones(16), size=2)])
+    block = validate_prob_vector(masses, 4)
+    uniforms = rng.random((6, 40))
+    uniforms[:, 0] = np.nextafter(1.0, 0.0)
+    uniforms[:, 1] = 0.0
+    rows = [0, 1, 2, 3, 0, 1]
+    drawn = sample_prob_vector(block, uniforms, rows).reshape(6, 40)
+    uniforms.sort(axis=1)
+    got = sample_prob_vector(block, uniforms, rows).reshape(6, 40)
+    assert got.tobytes() == np.sort(drawn, axis=1).tobytes()
+    assert got[:, -1].tolist() == [9, 15, 15, 15, 9, 15] and got[:, 0].tolist() == [0, 6, 0, 0, 0, 6]
 
 
 def test_sample_prob_vector_block_equals_row_by_row():

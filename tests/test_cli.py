@@ -244,6 +244,36 @@ def test_blocked_mmdtest_rates_equal_the_repetition_loop(monkeypatch, n, samples
         assert got.tobytes() == want.tobytes(), token
 
 
+@pytest.mark.parametrize("token, n, samples, trials", [
+    ("dirichlet", 6, 500, 300),  # the counts route, in chunks of 293 and 7
+    ("iqp", 16, 200, 3),  # the distance route, a repetition a chunk
+    # sets that repeat outcomes, from CDF rows with mass-zero tails
+    ("point", 6, 500, 300), ("peaked:k=4", 6, 500, 300),
+    ("point", 16, 200, 3), ("peaked:k=4", 16, 200, 3),
+])
+def test_sorted_sample_sets_score_as_the_unsorted_draw(monkeypatch, token, n, samples, trials):
+    # a cell samples each set's uniforms sorted; its estimates are bit for bit
+    # those of the same uniforms unsorted, and so are its rates. alpha = 1
+    # puts the threshold at 0, where about half the null estimates reject
+    family, stream = parse_family(token), RandomStream(61).child(n)
+    sigmas = [cli._resolve_sigma(t, n) for t in ("0", "1", "n")]
+    assert metrics.counts_route(n, samples, samples) == (n == 6)
+    assert lab._chunk(lab._mmdtest_rep_bytes(family, n, samples)) < trials
+    scored = []
+    scorer = lab.mmd2_unbiased_pairs
+
+    def recording(*args):
+        score = scorer(*args)
+        return lambda sets, pairs: scored.append(score(sets, pairs)) or scored[-1]
+
+    monkeypatch.setattr(lab, "mmd2_unbiased_pairs", recording)
+    rates = _mmdtest_rejection_rates(family, n, sigmas, 1.0, samples, trials, stream)
+    got = np.concatenate([s.reshape(len(sigmas), -1, 2) for s in scored], axis=1)
+    want = oracles.mmdtest_unsorted_estimates(family, n, sigmas, samples, trials, stream)
+    assert got.tobytes() == want.tobytes()
+    assert rates.tobytes() == (want > 0.0).mean(axis=1).tobytes()
+
+
 @pytest.mark.parametrize("token", ["iqp", "dirichlet", "peaked_iqp"])
 def test_a_sigmas_mmdtest_rows_do_not_depend_on_the_other_sigmas_across_chunks(monkeypatch, token):
     # two repetitions a chunk, so seven span four chunks; were the kernels'
@@ -774,6 +804,22 @@ def test_config_file_trial_minimum_names_file(tmp_path, capsys, experiment):
     err = capsys.readouterr().err
     assert str(cfg_path) in err and f"{experiment} needs at least 100 trials" in err
     assert not out.exists()
+
+
+def test_config_file_without_metrics_exits_2(tmp_path, capsys, monkeypatch):
+    # an empty metrics list would score nothing: refused when the config is
+    # built, before any pair is drawn, not run into a header-only CSV
+    cfg = {"experiment": "pairwise", "families": ["product"], "n_min": 4, "n_max": 4,
+           "trials": 100, "seed": 0, "metrics": []}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    drawn, collect = [], lab._collect
+    monkeypatch.setattr(lab, "_collect", lambda *a: drawn.append(a) or collect(*a))
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "at least one metric is required" in err
+    assert not out.exists() and drawn == []
 
 
 @pytest.mark.parametrize(

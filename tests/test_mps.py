@@ -18,6 +18,7 @@ from oracles import (
     _left_canonicalize,
     _sweep_amplitudes,
     gaussian_tensors_by_site,
+    mps_prob_values_out_of_place,
     mps_prob_vector,
     mps_probability,
     mps_sample,
@@ -151,6 +152,18 @@ def test_amplitudes_match_the_sweep(n):
         assert got.shape == ref.shape == (batch, 1 << n)
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale), (n, chi)
+
+
+def test_batched_rows_equal_the_out_of_place_draw():
+    # |psi| squared in place: the same rows bit for bit as |psi|^2 into a
+    # temporary, at every n and at several bond dimensions and batch sizes
+    for seed in (1, 2):
+        for n in range(1, 17):
+            for chi in sorted({1, 3, n}):
+                for batch in (1, 3, 8) if n <= 12 else (1, 2):
+                    got = mps_prob_values(n, chi, batch, np.random.default_rng([seed, n, chi, batch]))
+                    want = mps_prob_values_out_of_place(n, chi, batch, np.random.default_rng([seed, n, chi, batch]))
+                    assert got.tobytes() == want.tobytes(), (seed, n, chi, batch)
 
 
 def test_one_normal_draw_gives_the_per_site_tensors():
