@@ -4,8 +4,10 @@ None of these is on a path that `bornlab.cli.main` takes: single-instance
 state vectors and probabilities, pairwise metrics of two distributions, the
 kernel double sum, the closed-form tails and moment bounds that the
 families satisfy, the perfect samplers of single product and MPS
-instances, and the two-sample test's repetitions one at a time. They sit beside the tests so that src/bornlab holds only the
-production path, and so the command line never imports scipy.
+instances, the two-sample test's repetitions one at a time and its
+estimates from unsorted sample sets, and the out-of-place dense draws. They
+sit beside the tests so that src/bornlab holds only the production path,
+and so the command line never imports scipy.
 
 The samplers draw exactly from |psi|^2 without forming it (Ferris & Vidal,
 PRB 85, 165146, 2012). A product instance draws its bits independently. A
@@ -735,8 +737,8 @@ def mmdtest_rejection_rates(family, n, sigmas, alpha, samples, trials, stream, c
 def mmdtest_unsorted_estimates(family, n, sigmas, samples, trials, stream) -> np.ndarray:
     """The estimates of a lab.mmdtest_rejection_rates cell, shape
     (len(sigmas), trials, 2): each repetition's equal pair, then its distinct
-    pair. Drawn in lab's chunks as the cell drew them before its uniforms
-    were sorted: chunk k draws its 2R instances and then its 3R rows of
+    pair. Drawn in lab's chunks, with each set sampled from its uniforms
+    unsorted: chunk k draws its 2R instances and then its 3R rows of
     uniforms from stream.child(k), samples the uniforms in draw order and
     scores the sets through metrics.mmd2_unbiased_pairs."""
     specs = tuple(bandwidth_kernel(sigma) for sigma in sigmas)
